@@ -1604,7 +1604,7 @@ let coverage_cmd =
 
 (* ---- bench: the all-pairs single-failure sweep, timed ---- *)
 
-(* Committed artifacts are history ([bench --history] reads them back);
+(* Committed artifacts are history ([prcli history] reads them back);
    clobbering one silently would erase a baseline, so overwriting is an
    explicit choice. *)
 let refuse_overwrite ~force path =
@@ -1715,7 +1715,7 @@ let bench_scale ~domains ~seed ~repeat ~force ~scale_nodes ~scale_family
 
 let bench name embedding seed backend_spec domains json probe repeat probe_out
     force linkload_flag linkload_out swap_flag swap_out guard_flag guard_out
-    history history_dir shortcut shortcut_out scale scale_nodes scale_family
+    shortcut shortcut_out scale scale_nodes scale_family
     scale_scenarios scale_pairs scale_out scale_spans_out progress_flag ledger
     no_ledger =
   let backend = parse_backend backend_spec in
@@ -1742,18 +1742,6 @@ let bench name embedding seed backend_spec domains json probe repeat probe_out
   let topo = load_topology name in
   let config = { (Pr_exp.Fig2.default topo ~k:1) with embedding; seed } in
   let rotation = Pr_exp.Fig2.resolve_rotation config topo in
-  if history then begin
-    match
-      Pr_report.Report.check_history ~repeat:(max repeat 3) ~dir:history_dir
-        topo rotation
-    with
-    | Error msg ->
-        Printf.eprintf "bench --history: %s\n" msg;
-        exit 2
-    | Ok h ->
-        print_string (Pr_report.Report.render_history h);
-        exit (if h.Pr_report.Report.regressed then 1 else 0)
-  end;
   let g = topo.Topology.graph in
   let fl =
     Pr_telemetry.Flight.create ~cmd:"bench" ~seed
@@ -2053,91 +2041,103 @@ let bench name embedding seed backend_spec domains json probe repeat probe_out
     Pr_telemetry.Flight.metric fl "swap_norm" norm;
     Pr_telemetry.Flight.artifact fl swap_out
   end;
-  if guard_flag then begin
-    (* Guard-mode overhead: the same single-threaded kernel sweep with the
-       FIB-cell bounds checks off and on.  Clean traffic must keep every
-       verdict — the counters are compared exactly — so the ratio prices
-       the checks alone. *)
-    let sweep ~guard () =
-      let kernel = Pr_fastpath.Kernel.create fib in
-      Pr_fastpath.Kernel.set_guard kernel guard;
-      let counters = Pr_fastpath.Kernel.fresh_counters () in
-      Array.iter
+  (* The guard and shortcut overhead legs: the same single-threaded
+     kernel sweep with one feature disarmed and armed.  Each leg's kernel
+     is built and configured, and every pair's connectivity decided,
+     before its timed region, and the legs alternate so that drift on a
+     shared machine hits both alike; [same] referees the two legs'
+     counters.  Writes the suite's JSON; returns the armed leg's
+     counters. *)
+  let armed_pair ~suite ~out ~arm ~same ~head ~tail ~note =
+    let connected =
+      Array.map
         (fun (it : Pr_fastpath.Parallel.item) ->
-          Pr_fastpath.Kernel.set_failures kernel it.failures;
-          Array.iter
-            (fun (src, dst) ->
-              if not (Pr_core.Failure.pair_connected it.failures src dst) then
-                Pr_fastpath.Kernel.record_unreachable counters
-              else Pr_fastpath.Kernel.forward_into kernel counters ~src ~dst)
+          Array.map
+            (fun (src, dst) -> Pr_core.Failure.pair_connected it.failures src dst)
             it.pairs)
-        items;
-      counters
+        items
     in
-    let off, elapsed_guard_off = best_of (fun () -> sweep ~guard:false ()) in
-    let on, elapsed_guard_on = best_of (fun () -> sweep ~guard:true ()) in
-    if not (Pr_fastpath.Kernel.equal_counters off on) then begin
-      Printf.eprintf "guard-on run changed the verdicts — guard bug\n";
+    let leg armed =
+      let kernel = Pr_fastpath.Kernel.create fib in
+      arm kernel armed;
+      fun () ->
+        let counters = Pr_fastpath.Kernel.fresh_counters () in
+        Array.iteri
+          (fun i (it : Pr_fastpath.Parallel.item) ->
+            Pr_fastpath.Kernel.set_failures kernel it.failures;
+            Array.iteri
+              (fun j (src, dst) ->
+                if connected.(i).(j) then
+                  Pr_fastpath.Kernel.forward_into kernel counters ~src ~dst
+                else Pr_fastpath.Kernel.record_unreachable counters)
+              it.pairs)
+          items;
+        counters
+    in
+    let legs = [| leg false; leg true |] in
+    let best = [| infinity; infinity |] in
+    let last = Array.map (fun run -> run ()) legs in
+    for _ = 1 to repeat do
+      Array.iteri
+        (fun i run ->
+          let t0 = Unix.gettimeofday () in
+          last.(i) <- run ();
+          best.(i) <- Float.min best.(i) (Unix.gettimeofday () -. t0))
+        legs
+    done;
+    let off = last.(0) and on = last.(1) in
+    let elapsed_off = best.(0) and elapsed_on = best.(1) in
+    if not (same off on) then begin
+      Printf.eprintf "%s-on run changed the verdicts — %s bug\n" suite suite;
       exit 1
     end;
-    let ns_off =
-      elapsed_guard_off *. 1e9 /. float_of_int (max 1 packets)
-    in
-    let ns_on = elapsed_guard_on *. 1e9 /. float_of_int (max 1 packets) in
-    let ratio =
-      if elapsed_guard_off > 0.0 then elapsed_guard_on /. elapsed_guard_off
-      else 1.0
-    in
-    let oc = open_out guard_out in
+    let ns e = e *. 1e9 /. float_of_int (max 1 packets) in
+    let ratio = if elapsed_off > 0.0 then elapsed_on /. elapsed_off else 1.0 in
+    let fields = List.map (fun (k, v) -> Printf.sprintf "  %S: %s,\n" k v) in
+    let oc = open_out out in
     Printf.fprintf oc
       "{\n\
-      \  \"suite\": \"guard\",\n\
+      \  \"suite\": %S,\n\
       \  \"topology\": %S,\n\
       \  \"backend\": \"compiled\",\n\
       \  \"repeat\": %d,\n\
       \  \"scenarios\": %d,\n\
       \  \"packets\": %d,\n\
-      \  \"guard_off\": {\"elapsed_s\": %.6f, \"ns_per_packet\": %.2f},\n\
-      \  \"guard_on\": {\"elapsed_s\": %.6f, \"ns_per_packet\": %.2f},\n\
+       %s\
+      \  \"%s_off\": {\"elapsed_s\": %.6f, \"ns_per_packet\": %.2f},\n\
+      \  \"%s_on\": {\"elapsed_s\": %.6f, \"ns_per_packet\": %.2f},\n\
+       %s\
       \  \"overhead_ratio\": %.4f\n\
        }\n"
-      topo.Topology.name repeat (Array.length items) packets elapsed_guard_off
-      ns_off elapsed_guard_on ns_on ratio;
+      suite topo.Topology.name repeat (Array.length items) packets
+      (String.concat "" (fields head))
+      suite elapsed_off (ns elapsed_off) suite elapsed_on (ns elapsed_on)
+      (String.concat "" (fields (tail on)))
+      ratio;
     close_out oc;
-    Printf.printf
-      "  guard: off %.0f ns/packet, on %.0f ns/packet (x%.3f); wrote %s\n"
-      ns_off ns_on ratio guard_out;
-    Pr_telemetry.Flight.metric fl "guard_overhead" ratio;
-    Pr_telemetry.Flight.artifact fl guard_out
-  end;
+    Printf.printf "  %s: off %.0f ns/packet, on %.0f ns/packet (x%.3f)%s; wrote %s\n"
+      suite (ns elapsed_off) (ns elapsed_on) ratio (note on) out;
+    Pr_telemetry.Flight.metric fl (suite ^ "_overhead") ratio;
+    Pr_telemetry.Flight.artifact fl out;
+    on
+  in
+  if guard_flag then
+    (* Guard mode (FIB-cell bounds checks): clean traffic must keep every
+       verdict — the counters are compared exactly — so the ratio prices
+       the checks alone. *)
+    ignore
+      (armed_pair ~suite:"guard" ~out:guard_out ~arm:Pr_fastpath.Kernel.set_guard
+         ~same:Pr_fastpath.Kernel.equal_counters ~head:[]
+         ~tail:(fun _ -> [])
+         ~note:(fun _ -> "")
+        : Pr_fastpath.Kernel.counters);
   (match shortcut with
   | None -> ()
   | Some w ->
-      (* Shortcut-rung overhead: the same single-threaded kernel sweep
-         with the deja-vu hint disarmed and armed.  Shortcutting may
-         reroute a recycled walk early but never changes a verdict —
-         the verdict counters are compared exactly — so the ratio
-         prices the hint updates and the grant checks alone. *)
-      let sweep ~shortcut () =
-        let kernel = Pr_fastpath.Kernel.create fib in
-        Pr_fastpath.Kernel.set_shortcut kernel shortcut;
-        let counters = Pr_fastpath.Kernel.fresh_counters () in
-        Array.iter
-          (fun (it : Pr_fastpath.Parallel.item) ->
-            Pr_fastpath.Kernel.set_failures kernel it.failures;
-            Array.iter
-              (fun (src, dst) ->
-                if not (Pr_core.Failure.pair_connected it.failures src dst)
-                then Pr_fastpath.Kernel.record_unreachable counters
-                else Pr_fastpath.Kernel.forward_into kernel counters ~src ~dst)
-              it.pairs)
-          items;
-        counters
-      in
-      let off, elapsed_sc_off = best_of (fun () -> sweep ~shortcut:None ()) in
-      let on, elapsed_sc_on =
-        best_of (fun () -> sweep ~shortcut:(Some w) ())
-      in
+      (* The deja-vu shortcut rung may reroute a recycled walk early but
+         never changes a verdict — the verdict counters are compared
+         exactly — so the ratio prices the hint updates and the grant
+         checks alone. *)
       let verdicts (c : Pr_fastpath.Kernel.counters) =
         ( c.Pr_fastpath.Kernel.injected,
           c.Pr_fastpath.Kernel.delivered,
@@ -2145,41 +2145,19 @@ let bench name embedding seed backend_spec domains json probe repeat probe_out
           c.Pr_fastpath.Kernel.looped,
           c.Pr_fastpath.Kernel.unreachable )
       in
-      if verdicts off <> verdicts on then begin
-        Printf.eprintf "shortcut-on run changed the verdicts — shortcut bug\n";
-        exit 1
-      end;
-      let ns_off = elapsed_sc_off *. 1e9 /. float_of_int (max 1 packets) in
-      let ns_on = elapsed_sc_on *. 1e9 /. float_of_int (max 1 packets) in
-      let ratio =
-        if elapsed_sc_off > 0.0 then elapsed_sc_on /. elapsed_sc_off else 1.0
+      let exits (c : Pr_fastpath.Kernel.counters) =
+        c.Pr_fastpath.Kernel.shortcut_exits
       in
-      let oc = open_out shortcut_out in
-      Printf.fprintf oc
-        "{\n\
-        \  \"suite\": \"shortcut\",\n\
-        \  \"topology\": %S,\n\
-        \  \"backend\": \"compiled\",\n\
-        \  \"repeat\": %d,\n\
-        \  \"scenarios\": %d,\n\
-        \  \"packets\": %d,\n\
-        \  \"width\": %d,\n\
-        \  \"shortcut_off\": {\"elapsed_s\": %.6f, \"ns_per_packet\": %.2f},\n\
-        \  \"shortcut_on\": {\"elapsed_s\": %.6f, \"ns_per_packet\": %.2f},\n\
-        \  \"shortcut_exits\": %d,\n\
-        \  \"overhead_ratio\": %.4f\n\
-         }\n"
-        topo.Topology.name repeat (Array.length items) packets w elapsed_sc_off
-        ns_off elapsed_sc_on ns_on on.Pr_fastpath.Kernel.shortcut_exits ratio;
-      close_out oc;
-      Printf.printf
-        "  shortcut: off %.0f ns/packet, on %.0f ns/packet (x%.3f), %d \
-         exit(s); wrote %s\n"
-        ns_off ns_on ratio on.Pr_fastpath.Kernel.shortcut_exits shortcut_out;
-      Pr_telemetry.Flight.metric fl "shortcut_overhead" ratio;
-      Pr_telemetry.Flight.count fl "shortcut_exits"
-        on.Pr_fastpath.Kernel.shortcut_exits;
-      Pr_telemetry.Flight.artifact fl shortcut_out);
+      let on =
+        armed_pair ~suite:"shortcut" ~out:shortcut_out
+          ~arm:(fun k armed ->
+            Pr_fastpath.Kernel.set_shortcut k (if armed then Some w else None))
+          ~same:(fun a b -> verdicts a = verdicts b)
+          ~head:[ ("width", string_of_int w) ]
+          ~tail:(fun on -> [ ("shortcut_exits", string_of_int (exits on)) ])
+          ~note:(fun on -> Printf.sprintf ", %d exit(s)" (exits on))
+      in
+      Pr_telemetry.Flight.count fl "shortcut_exits" (exits on));
   ledger_append ~no_ledger ~ledger fl
 
 let bench_cmd =
@@ -2241,17 +2219,6 @@ let bench_cmd =
     Arg.(value & opt string "BENCH_guard.json" & info [ "guard-out" ]
            ~docv:"FILE" ~doc:"Where --guard writes its JSON.")
   in
-  let history =
-    Arg.(value & flag & info [ "history" ]
-           ~doc:"Regression check: parse the committed BENCH_*.json
-                 artifacts, re-measure the normalised compiled/reference
-                 per-packet time, and exit non-zero if it regressed more
-                 than 15% against the best committed baseline.")
-  in
-  let history_dir =
-    Arg.(value & opt string "." & info [ "history-dir" ] ~docv:"DIR"
-           ~doc:"Where --history looks for BENCH_*.json artifacts.")
-  in
   let shortcut_out =
     Arg.(value & opt string "BENCH_shortcut.json" & info [ "shortcut-out" ]
            ~docv:"FILE" ~doc:"Where --shortcut writes its JSON.")
@@ -2297,8 +2264,8 @@ let bench_cmd =
              compiled data plane.")
     Term.(const bench $ topo_arg $ embedding_arg $ seed_arg $ backend_arg
           $ domains $ json $ probe $ repeat $ probe_out $ force $ linkload
-          $ linkload_out $ swap $ swap_out $ guard $ guard_out $ history
-          $ history_dir $ shortcut_arg $ shortcut_out $ scale $ scale_nodes
+          $ linkload_out $ swap $ swap_out $ guard $ guard_out
+          $ shortcut_arg $ shortcut_out $ scale $ scale_nodes
           $ scale_family $ scale_scenarios $ scale_pairs $ scale_out
           $ scale_spans_out $ progress_arg $ ledger_arg $ no_ledger_arg)
 

@@ -121,7 +121,6 @@ let table_of fib = function
   | "node_port" -> Some (Fib.raw_node_port fib)
   | "next_hop_port" -> Some (Fib.raw_next_hop_port fib)
   | "cycle_col" -> Some (Fib.raw_cycle_col fib)
-  | "comp_col" -> Some (Fib.raw_comp_col fib)
   | "lfa_off" -> Some (Fib.raw_lfa_off fib)
   | "lfa_ports" -> Some (Fib.raw_lfa_ports fib)
   | _ -> None

@@ -323,8 +323,8 @@ let describe_corruption = function
 
 (* The kernel's index-bearing tables, by the names {!Corrupt} resolves. *)
 let damage_tables =
-  [| "port_node"; "node_port"; "next_hop_port"; "cycle_col"; "comp_col";
-     "lfa_off"; "lfa_ports" |]
+  [| "port_node"; "node_port"; "next_hop_port"; "cycle_col"; "lfa_off";
+     "lfa_ports" |]
 
 let corrupt_storm rng (topo : Pr_topo.Topology.t) ?(events = 64) () =
   let n = Graph.n topo.Pr_topo.Topology.graph in

@@ -17,7 +17,6 @@ type t = {
   disc_q : int array;        (* [n*n] *)
   distance : float array;    (* [n*n] *)
   cycle_col : int array;     (* [n*ports] *)
-  comp_col : int array;      (* [n*ports] *)
   lfa_off : int array;       (* [n*n + 1] *)
   lfa_ports : int array;
   dd_bits : int;
@@ -169,19 +168,12 @@ let of_tables ?ports routing cycles =
               end
             done);
         let cycle_col = Array.make (n * width) (-1) in
-        let comp_col = Array.make (n * width) (-1) in
         Pr_telemetry.Span.timed "fib.compile.cycles" (fun () ->
             for x = 0 to n - 1 do
               Array.iteri
                 (fun p w ->
                   let next = Cycle_table.cycle_next cycles ~node:x ~from_:w in
-                  let next_port = node_port.((x * n) + next) in
-                  cycle_col.((x * width) + p) <- next_port;
-                  (* The complementary cycle of a failed interface starts at the
-                     rotation successor of the failed port — same successor
-                     function, indexed by the failed port rather than the
-                     incoming one. *)
-                  comp_col.((x * width) + p) <- next_port)
+                  cycle_col.((x * width) + p) <- node_port.((x * n) + next))
                 (Graph.neighbours g x)
             done);
         (* LFA candidates per (node, dst): see [lfa_row]. *)
@@ -228,7 +220,6 @@ let of_tables ?ports routing cycles =
             disc_q;
             distance;
             cycle_col;
-            comp_col;
             lfa_off;
             lfa_ports;
             dd_bits = Routing.dd_bits routing;
@@ -267,7 +258,7 @@ let memory_words t =
   + Array.length t.port_weight + Array.length t.node_port
   + Array.length t.next_hop_port + Array.length t.disc
   + Array.length t.disc_q + Array.length t.distance
-  + Array.length t.cycle_col + Array.length t.comp_col
+  + Array.length t.cycle_col
   + Array.length t.lfa_off + Array.length t.lfa_ports
   + Array.length t.sc_mask
   + Array.length t.live + Array.length t.eff_weight
@@ -302,7 +293,6 @@ let footprint t =
       p "disc_q" (Array.length t.disc_q);
       p "distance" (Array.length t.distance);
       p "cycle_col" (Array.length t.cycle_col);
-      p "comp_col" (Array.length t.comp_col);
       p "lfa_off" (Array.length t.lfa_off);
       p "lfa_ports" (Array.length t.lfa_ports);
       p "sc_mask" (Array.length t.sc_mask);
@@ -372,8 +362,11 @@ let out_port_via t col ~node ~other what =
 
 let cycle_next t ~node ~from_ = out_port_via t t.cycle_col ~node ~other:from_ "cycle_next"
 
+(* The complementary cycle of a failed interface starts at the rotation
+   successor of the failed port: the cycle-following column, indexed by
+   the failed port rather than the incoming one. *)
 let complement_for_failed t ~node ~failed =
-  out_port_via t t.comp_col ~node ~other:failed "complement_for_failed"
+  out_port_via t t.cycle_col ~node ~other:failed "complement_for_failed"
 
 let entries t node =
   check_node t node "node";
@@ -424,7 +417,7 @@ let equal a b =
   && a.degree = b.degree && a.port_node = b.port_node
   && a.node_port = b.node_port && a.next_hop_port = b.next_hop_port
   && a.disc_q = b.disc_q && a.cycle_col = b.cycle_col
-  && a.comp_col = b.comp_col && a.lfa_off = b.lfa_off
+  && a.lfa_off = b.lfa_off
   && a.lfa_ports = b.lfa_ports
   && a.sc_width = b.sc_width && a.sc_mask = b.sc_mask
   && a.live = b.live
@@ -441,7 +434,6 @@ let raw_disc t = t.disc
 let raw_disc_q t = t.disc_q
 let raw_distance t = t.distance
 let raw_cycle_col t = t.cycle_col
-let raw_comp_col t = t.comp_col
 let raw_lfa_off t = t.lfa_off
 let raw_lfa_ports t = t.lfa_ports
 let raw_sc_mask t = t.sc_mask
@@ -450,7 +442,7 @@ let raw_live t = t.live
 (* ---- the checkpoint codec ---- *)
 
 module Codec = struct
-  let magic = "PRFIB2"
+  let magic = "PRFIB3"
 
   (* FNV-1a, 64 bit — cheap, dependency-free, and plenty to catch torn or
      bit-flipped checkpoints (this is corruption detection, not crypto). *)
@@ -505,7 +497,6 @@ module Codec = struct
     add_ints buf "disc_q" t.disc_q;
     add_floats buf "distance" t.distance;
     add_ints buf "cycle_col" t.cycle_col;
-    add_ints buf "comp_col" t.comp_col;
     add_ints buf "lfa_off" t.lfa_off;
     add_ints buf "lfa_ports" t.lfa_ports;
     add_ints buf "sc_mask" t.sc_mask;
@@ -611,16 +602,15 @@ module Codec = struct
               Ok (rest, degree, port_node, port_weight, node_port, next_hop_port)
           | _ -> fail "truncated image"
         in
-        let* rows, disc, disc_q, distance, cycle_col, comp_col, lfa_off =
+        let* rows, disc, disc_q, distance, cycle_col, lfa_off =
           match rows with
-          | r1 :: r2 :: r3 :: r4 :: r5 :: r6 :: rest ->
+          | r1 :: r2 :: r3 :: r4 :: r5 :: rest ->
               let* disc = parse_row "disc" (n * n) ~default:0.0 float_of r1 in
               let* disc_q = parse_row "disc_q" (n * n) ~default:0 int_of r2 in
               let* distance = parse_row "distance" (n * n) ~default:0.0 float_of r3 in
               let* cycle_col = parse_row "cycle_col" (n * ports) ~default:0 int_of r4 in
-              let* comp_col = parse_row "comp_col" (n * ports) ~default:0 int_of r5 in
-              let* lfa_off = parse_row "lfa_off" ((n * n) + 1) ~default:0 int_of r6 in
-              Ok (rest, disc, disc_q, distance, cycle_col, comp_col, lfa_off)
+              let* lfa_off = parse_row "lfa_off" ((n * n) + 1) ~default:0 int_of r5 in
+              Ok (rest, disc, disc_q, distance, cycle_col, lfa_off)
           | _ -> fail "truncated image"
         in
         let* lfa_ports, sc_mask, live, eff_weight =
@@ -653,7 +643,6 @@ module Codec = struct
             disc_q;
             distance;
             cycle_col;
-            comp_col;
             lfa_off;
             lfa_ports;
             live;
@@ -799,7 +788,7 @@ module Delta = struct
 
   (* The effective topology: administratively live links at their
      effective weights, over the base node set.  Structure (ports,
-     cycle/complementary columns) always stays the base one — an
+     the cycle column) always stays the base one — an
      admin-down link keeps its port and is masked at forwarding time. *)
   let effective_graph t ~live ~eff =
     Graph.create ~n:t.n

@@ -22,7 +22,7 @@
     link up/down, weight changes) go through {!Delta}, which recompiles
     only the affected rows and returns a {e new} image sharing every
     untouched array row byte-for-byte with its parent — the base
-    structure (port numbering, cycle/complementary columns, DD bit
+    structure (port numbering, the cycle column, DD bit
     budget) never changes, so any two images in one lineage are
     interchangeable under a running {!Kernel} via [Kernel.rebind].
     Epoch-ordered publication of successive images is {!Swap}'s job. *)
@@ -217,10 +217,8 @@ val raw_distance : t -> float array
 (** [n*n]: SPF distance *)
 
 val raw_cycle_col : t -> int array
-(** [n*ports]: in-port -> cycle-following out-port *)
-
-val raw_comp_col : t -> int array
-(** [n*ports]: in-port -> complementary out-port *)
+(** [n*ports]: in-port -> cycle-following out-port; indexed by a failed
+    port instead, the first port of its complementary cycle *)
 
 val raw_lfa_off : t -> int array
 (** [n*n+1]: candidate-range offsets *)

@@ -28,7 +28,6 @@ type t = {
   mutable disc_q : int array;
   mutable distance : float array;
   mutable cycle_col : int array;
-  mutable comp_col : int array;
   mutable lfa_off : int array;
   mutable lfa_ports : int array;
   view : Bytes.t;
@@ -37,8 +36,8 @@ type t = {
       (* the image's administrative plane: '\000' on both ports of an
          administratively down link.  Masked into every view/truth load
          so the ladder can never forward into a link the control plane
-         removed — cycle/complementary columns are compiled against the
-         base structure and still name its port. *)
+         removed — the cycle column is compiled against the base
+         structure and still names its port. *)
   mutable default_ttl : int;
   (* Per-hop registers written by [decide].  Hot floats (the carried and
      outgoing DD, the cost accumulator) live in [fbuf] — a float array is
@@ -62,22 +61,41 @@ type t = {
   mutable sc_threshold : int;
   mutable sc_bits : int;
   mutable sc_sat : bool;
-  mutable sc_exits : int;      (* shortcut grants this walk *)
   (* Telemetry.  [trace] receives the decision-level events (emission
-     points mirror Pr_core.Forward.decide line for line); [probe] is fed
-     by the batch walk.  Both default to off and cost nothing then: the
-     fault-free fast path in [batch_walk] reads neither. *)
+     points mirror Pr_core.Forward.decide line for line) and the walk's
+     own [Hop]/verdict events; [probe] is fed by every walk.  Both
+     default to off and cost nothing then: the fault-free fast path in
+     [walk] reads neither. *)
   mutable trace : Trace.sink;
   mutable probe : Probe.t option;
-  mutable linkload : Pr_obs.Linkload.t option;
   mutable ll : int array;
-      (* [linkload]'s raw counters ([||] when off): the batch walk bumps
-         a slot with local array arithmetic — a cross-module [record]
-         call per hop is measurable on cycle-heavy sweeps.  The table's
-         port width is required to equal the image's, so the walk reuses
-         the port index it already holds. *)
+      (* link-load raw counters ([||] when off): the walk bumps a slot
+         with local array arithmetic — a cross-module [record] call per
+         hop is measurable on cycle-heavy sweeps.  The table's port width
+         is required to equal the image's, so the walk reuses the port
+         index it already holds. *)
+  mutable capture : bool;
+      (* {!run_one} is running: the walk conses onto the [cap_*] lists,
+         newest first *)
+  mutable armed : bool;
+      (* some per-transmission sink is on — trace, link load or capture.
+         The fault-free hop tests this one flag and nothing else. *)
+  mutable cap_path : int list;
+  mutable cap_episodes : (int * float) list;
+  mutable cap_degr : Forward.degradation list;
+  (* Per-walk registers, loaded by [prepare_walk] and read by the walk
+     off [t] so that [walk]/[transmit] keep few enough arguments to
+     tail-call each other in registers. *)
+  mutable walk_src : int;
+  mutable walk_dd_term : bool;
+  mutable walk_quantise : bool;
+  mutable walk_max_dd_q : int;
+  mutable walk_guard : int;
   mutable walk_ttl0 : int;
   mutable walk_ep0 : int;
+  mutable seeded : bool;
+      (* header state was injected ({!run_one}): TTL expiry is the
+         walk-blowup fault, not a loop, as in [Forward.run_guarded] *)
   mutable lat_tick : int;
       (* countdown to the next clocked slow-path decision; lives here
          rather than on the probe record so the per-decide test touches
@@ -131,7 +149,6 @@ let create fib =
     disc_q = Fib.raw_disc_q fib;
     distance = Fib.raw_distance fib;
     cycle_col = Fib.raw_cycle_col fib;
-    comp_col = Fib.raw_comp_col fib;
     lfa_off = Fib.raw_lfa_off fib;
     lfa_ports = Fib.raw_lfa_ports fib;
     view = Bytes.make (n * ports) '\001';
@@ -152,13 +169,22 @@ let create fib =
     sc_threshold = max_int;
     sc_bits = 0;
     sc_sat = false;
-    sc_exits = 0;
     trace = Trace.null;
     probe = None;
-    linkload = None;
     ll = [||];
+    capture = false;
+    armed = false;
+    cap_path = [];
+    cap_episodes = [];
+    cap_degr = [];
+    walk_src = 0;
+    walk_dd_term = true;
+    walk_quantise = false;
+    walk_max_dd_q = -1;
+    walk_guard = 0;
     walk_ttl0 = 0;
     walk_ep0 = 0;
+    seeded = false;
     lat_tick = 0;
     guard_mode = false;
     fault_code = 0;
@@ -185,7 +211,6 @@ let rebind t fib =
   t.disc_q <- Fib.raw_disc_q fib;
   t.distance <- Fib.raw_distance fib;
   t.cycle_col <- Fib.raw_cycle_col fib;
-  t.comp_col <- Fib.raw_comp_col fib;
   t.lfa_off <- Fib.raw_lfa_off fib;
   t.lfa_ports <- Fib.raw_lfa_ports fib;
   t.default_ttl <- Forward.default_ttl (Fib.graph fib);
@@ -202,7 +227,17 @@ let rebind t fib =
     end
   done
 
-let set_trace t sink = t.trace <- sink
+(* A match, not [Trace.enabled]: a cross-module call is a real call in
+   an unoptimised build, and a call on the walk spills its registers. *)
+let[@inline] traced t =
+  match t.trace with Trace.Null -> false | Trace.Emit _ -> true
+
+let rearm t =
+  t.armed <- t.capture || traced t || Array.length t.ll <> 0
+
+let set_trace t sink =
+  t.trace <- sink;
+  rearm t
 
 let set_guard t on = t.guard_mode <- on
 
@@ -242,12 +277,11 @@ let set_linkload t linkload =
       invalid_arg
         "Kernel.set_linkload: table dimensions differ from the image's"
   | _ -> ());
-  t.linkload <- linkload;
-  match linkload with
-  | None -> t.ll <- [||]
-  | Some l -> t.ll <- Pr_obs.Linkload.raw_counts l
-
-let[@inline] traced t = Trace.enabled t.trace
+  (t.ll <-
+     match linkload with
+     | None -> [||]
+     | Some l -> Pr_obs.Linkload.raw_counts l);
+  rearm t
 
 (* ---- port state ---- *)
 
@@ -334,21 +368,18 @@ let cell_next_hop = 0
 
 let cell_cycle = 1
 
-let cell_comp = 2
+let cell_lfa_off = 2
 
-let cell_lfa_off = 3
+let cell_lfa_ports = 3
 
-let cell_lfa_ports = 4
+let cell_port_node = 4
 
-let cell_port_node = 5
-
-let cell_node_port = 6
+let cell_node_port = 5
 
 let cell_names =
   [|
     "next-hop-port";
     "cycle-col";
-    "comp-col";
     "lfa-off";
     "lfa-ports";
     "port-node";
@@ -392,12 +423,30 @@ let[@inline] forwarded t port ~pr ~started =
 
 let[@inline] carried_sat ~max_dd_q q = max_dd_q >= 0 && q > max_dd_q
 
-let drop_name_of_code = function
-  | 1 -> "no-route"
-  | 2 -> "interfaces-down"
-  | 3 -> "continuation-lost"
-  | 5 -> "corrupt"
-  | _ -> "budget-exhausted"
+type reason =
+  | No_route
+  | Interfaces_down
+  | Continuation_lost
+  | Budget_exhausted
+  | Stale_view
+  | Corrupt
+
+let reason_name = function
+  | No_route -> "no-route"
+  | Interfaces_down -> "interfaces-down"
+  | Continuation_lost -> "continuation-lost"
+  | Budget_exhausted -> "budget-exhausted"
+  | Stale_view -> "stale-view"
+  | Corrupt -> "corrupt"
+
+let reason_of_code = function
+  | 1 -> No_route
+  | 2 -> Interfaces_down
+  | 3 -> Continuation_lost
+  | 5 -> Corrupt
+  | _ -> Budget_exhausted
+
+let drop_name_of_code c = reason_name (reason_of_code c)
 
 (* Forward.decide's [write_dd]: stamp the local discriminator (saturated
    at the bound) into [f_out_dd]. *)
@@ -426,15 +475,15 @@ let start_complementary t base ~deg failed_port ~started =
          });
   let rec rotate candidate remaining =
     if t.guard_mode && (candidate < 0 || candidate >= deg) then
-      corrupt_cell t ~node:(base / t.ports) ~cell:cell_comp
+      corrupt_cell t ~node:(base / t.ports) ~cell:cell_cycle
     else if remaining = 0 then c_interfaces_down
     else if up t base candidate then forwarded t candidate ~pr:true ~started
     else begin
       t.hits <- t.hits + 1;
-      rotate (Array.unsafe_get t.comp_col (base + candidate)) (remaining - 1)
+      rotate (Array.unsafe_get t.cycle_col (base + candidate)) (remaining - 1)
     end
   in
-  rotate (Array.unsafe_get t.comp_col (base + failed_port)) deg
+  rotate (Array.unsafe_get t.cycle_col (base + failed_port)) deg
 
 let routed t base ii ~deg ~quantise ~max_dd_q =
   let p = Array.unsafe_get t.next_hop_port ii in
@@ -629,36 +678,6 @@ let decide t ~dd_term ~quantise ~max_dd_q ~hops_left ~guard ~dst ~x
     end
   end
 
-(* ---- verdicts ---- *)
-
-type reason =
-  | No_route
-  | Interfaces_down
-  | Continuation_lost
-  | Budget_exhausted
-  | Stale_view
-  | Corrupt
-
-let reason_name = function
-  | No_route -> "no-route"
-  | Interfaces_down -> "interfaces-down"
-  | Continuation_lost -> "continuation-lost"
-  | Budget_exhausted -> "budget-exhausted"
-  | Stale_view -> "stale-view"
-  | Corrupt -> "corrupt"
-
-let reason_of_code = function
-  | 1 -> No_route
-  | 2 -> Interfaces_down
-  | 3 -> Continuation_lost
-  | 5 -> Corrupt
-  | _ -> Budget_exhausted
-
-let outcome_of_code = function
-  | 1 -> Forward.Dropped_unreachable
-  | 5 -> Forward.Dropped_corrupt
-  | _ -> Forward.Dropped_no_interface
-
 let degradation_of_code c =
   if c = d_retry then Forward.Retry_complementary
   else if c = d_lfa then Forward.Lfa_rescue
@@ -695,240 +714,6 @@ type result = {
   fault : Forward.fault option;
   shortcuts : int;
 }
-
-let prepare_walk ?ttl t ~src ~dst =
-  if src < 0 || src >= t.n || dst < 0 || dst >= t.n then
-    invalid_arg
-      (Printf.sprintf
-         "Kernel: node out of range (src %d, dst %d, image has 0..%d)" src dst
-         (t.n - 1));
-  if src = dst then
-    invalid_arg (Printf.sprintf "Kernel: src = dst (node %d)" src);
-  t.hits <- 0;
-  t.fault_code <- 0;
-  t.sc_bits <- 0;
-  t.sc_sat <- false;
-  t.sc_exits <- 0;
-  t.out_shortcut <- false;
-  match ttl with Some v -> v | None -> t.default_ttl
-
-let max_dd_q_of = function
-  | None -> -1
-  | Some b -> Pr_core.Header.max_dd ~dd_bits:b
-
-(* The walk rule of the shortcut hint, applied after every successful
-   forward: a PR-mode departure inserts the departing node; a hop whose
-   outgoing PR bit is clear resets the hint.  Identical to the
-   reference's [track_seen] over a {!Seen.t}. *)
-let[@inline] track_seen t x =
-  if t.sc_on then
-    if t.out_pr then begin
-      if not t.sc_sat then begin
-        t.sc_bits <- t.sc_bits lor Array.unsafe_get t.sc_masks x;
-        if Seen.popcount t.sc_bits > t.sc_threshold then t.sc_sat <- true
-      end
-    end
-    else begin
-      t.sc_bits <- 0;
-      t.sc_sat <- false
-    end
-
-let dd_term_of = function
-  | Forward.Distance_discriminator -> true
-  | Forward.Simple -> false
-
-let run_one ?(termination = Forward.Distance_discriminator) ?(quantise = false)
-    ?dd_bits ?(budget_guard = 0) ?ttl ?(header = Forward.fresh_header)
-    ?arrived_from t ~src ~dst =
-  let ttl0 = prepare_walk ?ttl t ~src ~dst in
-  let dd_term = dd_term_of termination in
-  let max_dd_q = max_dd_q_of dd_bits in
-  (* A walk is corrupt-seeded when any header state was injected; only
-     such walks convert TTL expiry into the walk-blowup fault, matching
-     {!Pr_core.Forward.run_guarded}. *)
-  let seeded = header <> Forward.fresh_header || arrived_from <> None in
-  let pr_episodes = ref 0 in
-  let max_dd = ref 0.0 in
-  let episodes = ref [] in
-  let degr_rev = ref [] in
-  let finish ~outcome ~reason ~cost path_rev =
-    {
-      outcome;
-      reason;
-      path = List.rev path_rev;
-      pr_episodes = !pr_episodes;
-      failure_hits = t.hits;
-      max_dd = !max_dd;
-      episodes = List.rev !episodes;
-      degradations = List.rev !degr_rev;
-      cost;
-      fault = fault_of t;
-      shortcuts = t.sc_exits;
-    }
-  in
-  let tr = traced t in
-  let rec walk x arrived_port pr dd ttl cost path_rev =
-    if x = dst then begin
-      if tr then
-        Trace.emit t.trace (Trace.Deliver { node = x; hops = ttl0 - ttl });
-      finish ~outcome:Forward.Delivered ~reason:None ~cost path_rev
-    end
-    else if ttl = 0 then begin
-      if seeded then begin
-        t.fault_code <- fc_walk_blowup;
-        t.fault_node <- x;
-        t.fault_aux <- ttl0;
-        if tr then
-          Trace.emit t.trace
-            (Trace.Drop { node = x; reason = drop_name_of_code c_corrupt });
-        finish ~outcome:Forward.Dropped_corrupt ~reason:(Some Corrupt) ~cost
-          path_rev
-      end
-      else begin
-        if tr then Trace.emit t.trace (Trace.Expire { node = x; hops = ttl0 });
-        finish ~outcome:Forward.Ttl_exceeded ~reason:None ~cost path_rev
-      end
-    end
-    else begin
-      t.degr_len <- 0;
-      t.fbuf.(f_in_dd) <- dd;
-      let code =
-        decide t ~dd_term ~quantise ~max_dd_q ~hops_left:ttl ~guard:budget_guard
-          ~dst ~x ~arrived_port ~pr
-      in
-      for j = t.degr_len - 1 downto 0 do
-        degr_rev := degradation_of_code t.degr.(j) :: !degr_rev
-      done;
-      if code <> 0 then begin
-        if tr then
-          Trace.emit t.trace
-            (Trace.Drop { node = x; reason = drop_name_of_code code });
-        finish ~outcome:(outcome_of_code code)
-          ~reason:(Some (reason_of_code code)) ~cost path_rev
-      end
-      else begin
-        let port = t.out_port in
-        let out_dd = t.fbuf.(f_out_dd) in
-        let next = t.port_node.((x * t.ports) + port) in
-        if t.guard_mode && (next < 0 || next >= t.n || next = x) then begin
-          ignore (corrupt_cell t ~node:x ~cell:cell_port_node);
-          if tr then
-            Trace.emit t.trace
-              (Trace.Drop { node = x; reason = drop_name_of_code c_corrupt });
-          finish ~outcome:Forward.Dropped_corrupt ~reason:(Some Corrupt) ~cost
-            path_rev
-        end
-        else begin
-          if t.out_started then begin
-            incr pr_episodes;
-            episodes := (x, out_dd) :: !episodes;
-            if out_dd > !max_dd then max_dd := out_dd
-          end;
-          if tr then
-            Trace.emit t.trace
-              (Trace.Hop { node = x; next; pr = t.out_pr; dd = out_dd });
-          (match t.linkload with
-          | None -> ()
-          | Some ll ->
-              (* Counted on the wire, before any stale-view death. *)
-              Pr_obs.Linkload.record ll ~node:x ~port ~cls:(hop_cls t));
-          if t.out_shortcut then t.sc_exits <- t.sc_exits + 1;
-          track_seen t x;
-          if Bytes.get t.truth ((x * t.ports) + port) = '\000' then begin
-            (* Sent into a link the sender wrongly believed up: lost on the
-               wire, the failed hop recorded on the path (engine
-               convention). *)
-            if tr then begin
-              Trace.emit t.trace
-                (Trace.Divergence
-                   { node = x; other = next; believed_up = true });
-              Trace.emit t.trace
-                (Trace.Drop { node = next; reason = reason_name Stale_view })
-            end;
-            finish ~outcome:Forward.Dropped_no_interface
-              ~reason:(Some Stale_view) ~cost (next :: path_rev)
-          end
-          else begin
-            let ap = t.node_port.((next * t.n) + x) in
-            if
-              t.guard_mode && (ap < 0 || ap >= Array.unsafe_get t.degree next)
-            then begin
-              ignore (corrupt_cell t ~node:next ~cell:cell_node_port);
-              if tr then
-                Trace.emit t.trace
-                  (Trace.Drop
-                     { node = next; reason = drop_name_of_code c_corrupt });
-              finish ~outcome:Forward.Dropped_corrupt ~reason:(Some Corrupt)
-                ~cost (next :: path_rev)
-            end
-            else
-              walk next ap t.out_pr out_dd (ttl - 1)
-                (cost +. t.port_weight.((x * t.ports) + port))
-                (next :: path_rev)
-          end
-        end
-      end
-    end
-  in
-  (* Entry guards over injected state, in the reference order: impossible
-     DD first, then the claimed previous hop. *)
-  let entry_fault_code =
-    if
-      header.Forward.pr_bit
-      && (Float.is_nan header.Forward.dd_value
-         || header.Forward.dd_value < 0.0
-         || header.Forward.dd_value = Float.infinity
-         || (max_dd_q >= 0 && header.Forward.dd_value > float_of_int max_dd_q)
-         )
-    then begin
-      t.fault_code <- fc_impossible_dd;
-      t.fault_node <- src;
-      t.fault_dd <- header.Forward.dd_value;
-      c_corrupt
-    end
-    else
-      match arrived_from with
-      | Some y when y < 0 || y >= t.n || t.node_port.((src * t.n) + y) < 0 ->
-          t.fault_code <- fc_not_neighbour;
-          t.fault_node <- src;
-          t.fault_aux <- y;
-          c_corrupt
-      | Some y
-        when t.guard_mode
-             && t.node_port.((src * t.n) + y) >= Array.unsafe_get t.degree src
-        ->
-          ignore (corrupt_cell t ~node:src ~cell:cell_node_port);
-          c_corrupt
-      | _ -> 0
-  in
-  if entry_fault_code <> 0 then begin
-    if tr then
-      Trace.emit t.trace
-        (Trace.Drop { node = src; reason = drop_name_of_code c_corrupt });
-    finish ~outcome:Forward.Dropped_corrupt ~reason:(Some Corrupt) ~cost:0.0
-      [ src ]
-  end
-  else
-    let ap0 =
-      match arrived_from with
-      | None -> -1
-      | Some y -> t.node_port.((src * t.n) + y)
-    in
-    walk src ap0 header.Forward.pr_bit header.Forward.dd_value ttl0 0.0 [ src ]
-
-let to_trace t r =
-  {
-    Forward.outcome = r.outcome;
-    path = r.path;
-    pr_episodes = r.pr_episodes;
-    failure_hits = r.failure_hits;
-    max_header =
-      { Pr_core.Header.pr = r.pr_episodes > 0; dd = Fib.quantise_dd t.fib r.max_dd };
-    episodes = r.episodes;
-    shortcuts = r.shortcuts;
-  }
-
-(* ---- batches ---- *)
 
 type counters = {
   mutable injected : int;
@@ -1049,52 +834,147 @@ let slow_class t code =
 
 let[@inline] probe_depth t c = c.pr_episodes - t.walk_ep0
 
-(* Account a guard-detected corrupt drop in a batch walk (the fault
-   registers are already set). *)
-let account_corrupt t c ~hops =
+(* The walk rule of the shortcut hint, applied after every successful
+   forward: a PR-mode departure inserts the departing node; a hop whose
+   outgoing PR bit is clear resets the hint.  Identical to the
+   reference's [track_seen] over a {!Seen.t}. *)
+let[@inline] track_seen t x =
+  if t.sc_on then
+    if t.out_pr then begin
+      if not t.sc_sat then begin
+        t.sc_bits <- t.sc_bits lor Array.unsafe_get t.sc_masks x;
+        if Seen.popcount t.sc_bits > t.sc_threshold then t.sc_sat <- true
+      end
+    end
+    else begin
+      t.sc_bits <- 0;
+      t.sc_sat <- false
+    end
+
+(* ---- the walk ---- *)
+
+(* Check the endpoints, load the per-walk registers and account the
+   injection.  Inlined: as a call it is a measurable share of a short
+   walk. *)
+let[@inline] prepare_walk t c ~termination ~quantise ~dd_bits ~budget_guard
+    ~ttl ~src ~dst =
+  if src < 0 || src >= t.n || dst < 0 || dst >= t.n then
+    invalid_arg
+      (Printf.sprintf
+         "Kernel: node out of range (src %d, dst %d, image has 0..%d)" src dst
+         (t.n - 1));
+  if src = dst then
+    invalid_arg (Printf.sprintf "Kernel: src = dst (node %d)" src);
+  t.hits <- 0;
+  t.fault_code <- 0;
+  t.sc_bits <- 0;
+  t.sc_sat <- false;
+  t.seeded <- false;
+  t.walk_src <- src;
+  t.walk_dd_term <- termination = Forward.Distance_discriminator;
+  t.walk_quantise <- quantise;
+  t.walk_max_dd_q <-
+    (match dd_bits with None -> -1 | Some b -> Pr_core.Header.max_dd ~dd_bits:b);
+  t.walk_guard <- budget_guard;
+  t.walk_ttl0 <- (match ttl with Some v -> v | None -> t.default_ttl);
+  t.walk_ep0 <- c.pr_episodes;
+  c.injected <- c.injected + 1;
+  t.fbuf.(f_in_dd) <- 0.0;
+  t.fbuf.(f_cost) <- 0.0
+
+let[@inline] finish_walk t c =
+  c.failure_hits <- c.failure_hits + t.hits;
+  match t.probe with None -> () | Some p -> Probe.add_failure_hits p t.hits
+
+let deliver t c ~dst ~hops =
+  c.delivered <- c.delivered + 1;
+  let stretch =
+    Array.unsafe_get t.fbuf f_cost
+    /. Array.unsafe_get t.distance ((t.walk_src * t.n) + dst)
+  in
+  c.stretch_sum <- c.stretch_sum +. stretch;
+  if stretch > c.worst_stretch then c.worst_stretch <- stretch;
+  if traced t then Trace.emit t.trace (Trace.Deliver { node = dst; hops });
+  match t.probe with
+  | None -> ()
+  | Some p -> Probe.record_delivery p ~stretch ~hops ~depth:(probe_depth t c)
+
+let drop t c ~node reason ~hops =
   c.dropped <- c.dropped + 1;
-  let r = reason_index Corrupt in
+  let r = reason_index reason in
   c.drops_by_reason.(r) <- c.drops_by_reason.(r) + 1;
+  if traced t then
+    Trace.emit t.trace (Trace.Drop { node; reason = reason_name reason });
   match t.probe with
   | None -> ()
   | Some prb ->
-      Probe.record_drop prb ~reason:Probe.reason_corrupt ~hops
+      Probe.record_drop prb ~reason:(probe_reason reason) ~hops
         ~depth:(probe_depth t c)
 
-(* Same walk as {!run_one}, counters instead of trace capture — a
-   top-level function so the whole source-to-verdict walk allocates
-   nothing.  All arguments are immediates; the carried DD and the cost
-   accumulator live in [t.fbuf] ([f_in_dd] / [f_cost]) so no boxed float
-   crosses a call boundary in the hot loop.
+(* A guard check fired on a cell read at [node]. *)
+let corrupt_drop t c ~node ~cell ~hops =
+  ignore (corrupt_cell t ~node ~cell);
+  drop t c ~node Corrupt ~hops
 
-   When a probe is attached, only the walk's terminal verdict and the
-   slow-path decisions touch it — the fault-free fast path below is
-   byte-for-byte the unprobed one, and in particular never reads the
-   clock (slow-path latencies are clocked one decision in
-   [Probe.lat_sample]).  That is the whole overhead story: probe-on cost
-   is proportional to trouble encountered, not to traffic carried. *)
-let rec batch_walk t c ~dd_term ~quantise ~max_dd_q ~guard ~src ~dst x
-    arrived_port pr ttl =
-  if x = dst then begin
-    c.delivered <- c.delivered + 1;
-    let stretch =
-      Array.unsafe_get t.fbuf f_cost
-      /. Array.unsafe_get t.distance ((src * t.n) + dst)
-    in
-    c.stretch_sum <- c.stretch_sum +. stretch;
-    if stretch > c.worst_stretch then c.worst_stretch <- stretch;
-    match t.probe with
-    | None -> ()
-    | Some p ->
-        Probe.record_delivery p ~stretch ~hops:(t.walk_ttl0 - ttl)
-          ~depth:(probe_depth t c)
+(* TTL expiry: a loop, or the walk-blowup fault for a seeded walk,
+   matching {!Pr_core.Forward.run_guarded}. *)
+let expire t c ~node =
+  let hops = t.walk_ttl0 in
+  if t.seeded then begin
+    t.fault_code <- fc_walk_blowup;
+    t.fault_node <- node;
+    t.fault_aux <- hops;
+    drop t c ~node Corrupt ~hops
   end
-  else if ttl = 0 then begin
+  else begin
     c.looped <- c.looped + 1;
+    if traced t then Trace.emit t.trace (Trace.Expire { node; hops });
     match t.probe with
     | None -> ()
-    | Some p -> Probe.record_loop p ~hops:t.walk_ttl0 ~depth:(probe_depth t c)
+    | Some p -> Probe.record_loop p ~hops ~depth:(probe_depth t c)
   end
+
+(* Account the degradations [decide] just noted. *)
+let note_degradations t c =
+  for j = 0 to t.degr_len - 1 do
+    let d = t.degr.(j) in
+    if d = d_retry then c.complementary_retries <- c.complementary_retries + 1
+    else if d = d_lfa then c.lfa_rescues <- c.lfa_rescues + 1
+    else c.dd_saturations <- c.dd_saturations + 1;
+    (match t.probe with
+    | None -> ()
+    | Some prb ->
+        if d = d_retry then Probe.record_retry prb
+        else if d = d_lfa then Probe.record_lfa prb
+        else Probe.record_dd_saturation prb);
+    if t.capture then t.cap_degr <- degradation_of_code d :: t.cap_degr
+  done
+
+(* The armed sinks of one transmission from [x] to [next] through port
+   slot [slot]: the [Hop] event, the link-load count in class [cls] and
+   the captured path.  A header leaving without the PR bit carries DD 0. *)
+let on_wire t ~x ~next ~slot ~pr ~cls =
+  if traced t then begin
+    let dd = if pr then Array.unsafe_get t.fbuf f_out_dd else 0.0 in
+    Trace.emit t.trace (Trace.Hop { node = x; next; pr; dd })
+  end;
+  let ll = t.ll and i = (slot * 4) + cls in
+  if Array.length ll <> 0 then Array.unsafe_set ll i (ll.(i) + 1);
+  if t.capture then t.cap_path <- next :: t.cap_path
+
+(* The compiled walk: source to verdict, accounted into [c].  One hop is
+   [walk] (arrival: verdict tests, then the fault-free routed hop or
+   [decide_hop]) followed by [transmit] (the wire).  Every call between
+   the stages, and every exit to a verdict, is a tail call with at most
+   eight immediate arguments: registers only, and no allocation.  A
+   non-tail call spills its live values at the nearest join, so calls
+   sit on branches that end in a tail call.  The probe sees only
+   verdicts and slow-path decisions, so its cost follows trouble, not
+   traffic; every other sink rides behind the one [t.armed] test in
+   [transmit]. *)
+let rec walk t c ~dst x arrived_port pr ttl =
+  if x = dst then deliver t c ~dst ~hops:(t.walk_ttl0 - ttl)
+  else if ttl = 0 then expire t c ~node:x
   else begin
     let base = x * t.ports in
     let p =
@@ -1102,189 +982,209 @@ let rec batch_walk t c ~dd_term ~quantise ~max_dd_q ~guard ~src ~dst x
     in
     if
       p >= 0
-      && (not t.guard_mode || p < Array.unsafe_get t.degree x)
+      && ((not t.guard_mode) || p < Array.unsafe_get t.degree x)
       && Bytes.unsafe_get t.view (base + p) <> '\000'
-    then begin
+    then
       (* Fault-free routed hop — [decide] reduces to a fresh forward with
-         no degradations, no episode, and a zero DD that the next
-         (non-PR) hop never reads, so skip the full dispatch. *)
-      let ll = t.ll in
-      if Array.length ll <> 0 then begin
-        (* A fast-path hop is shortest-path (class slot 0) by
-           construction; counted on the wire, before any stale-view
-           death.  This length test is the whole accounting-off cost on
-           the fast path; the slot reuses the walk's own port index. *)
-        let i = (base + p) * 4 in
-        Array.unsafe_set ll i (Array.unsafe_get ll i + 1)
-      end;
-      if Bytes.unsafe_get t.truth (base + p) = '\000' then begin
-        c.dropped <- c.dropped + 1;
-        let r = reason_index Stale_view in
-        c.drops_by_reason.(r) <- c.drops_by_reason.(r) + 1;
-        match t.probe with
-        | None -> ()
-        | Some prb ->
-            Probe.record_drop prb ~reason:Probe.reason_stale_view
-              ~hops:(t.walk_ttl0 - ttl + 1) ~depth:(probe_depth t c)
-      end
-      else begin
-        let next = Array.unsafe_get t.port_node (base + p) in
-        if t.guard_mode && (next < 0 || next >= t.n || next = x) then begin
-          ignore (corrupt_cell t ~node:x ~cell:cell_port_node);
-          account_corrupt t c ~hops:(t.walk_ttl0 - ttl)
-        end
-        else begin
-          let ap = Array.unsafe_get t.node_port ((next * t.n) + x) in
-          if t.guard_mode && (ap < 0 || ap >= Array.unsafe_get t.degree next)
-          then begin
-            ignore (corrupt_cell t ~node:next ~cell:cell_node_port);
-            account_corrupt t c ~hops:(t.walk_ttl0 - ttl)
-          end
-          else begin
-            Array.unsafe_set t.fbuf f_cost
-              (Array.unsafe_get t.fbuf f_cost
-              +. Array.unsafe_get t.port_weight (base + p));
-            batch_walk t c ~dd_term ~quantise ~max_dd_q ~guard ~src ~dst next
-              ap false (ttl - 1)
-          end
-        end
-      end
-    end
-    else begin
-    t.degr_len <- 0;
-    let code =
-      match t.probe with
-      | None ->
-          decide t ~dd_term ~quantise ~max_dd_q ~hops_left:ttl ~guard ~dst ~x
-            ~arrived_port ~pr
-      | Some prb ->
-          (* On loop-heavy sweeps one walk can make thousands of
-             slow-path decides (TTL-bounded cycle following), so the
-             per-decide work here is itself on the overhead budget: an
-             inlined countdown on the kernel's own hot scratch, and the
-             clock only one decision in [Probe.lat_sample]. *)
-          if t.lat_tick <> 0 then begin
-            t.lat_tick <- t.lat_tick - 1;
-            decide t ~dd_term ~quantise ~max_dd_q ~hops_left:ttl ~guard ~dst
-              ~x ~arrived_port ~pr
-          end
-          else begin
-            t.lat_tick <- Probe.lat_sample prb - 1;
-            let t0 = Probe.now_ns () in
-            let code =
-              decide t ~dd_term ~quantise ~max_dd_q ~hops_left:ttl ~guard ~dst
-                ~x ~arrived_port ~pr
-            in
-            Probe.record_latency prb ~cls:(slow_class t code)
-              ~ns:(Int64.sub (Probe.now_ns ()) t0);
-            code
-          end
-    in
-    for j = 0 to t.degr_len - 1 do
-      let d = t.degr.(j) in
-      if d = d_retry then c.complementary_retries <- c.complementary_retries + 1
-      else if d = d_lfa then c.lfa_rescues <- c.lfa_rescues + 1
-      else c.dd_saturations <- c.dd_saturations + 1
-    done;
-    (match t.probe with
-    | None -> ()
+         no degradations, no episode, no event, and a zero DD that the
+         next (non-PR) hop never reads.  Class 0 is shortest-path (a
+         literal: a cross-module constant is a load here). *)
+      transmit t c ~dst x (base + p) false ttl ~cls:0
+    else decide_hop t c ~dst x arrived_port pr ttl
+  end
+
+and decide_hop t c ~dst x arrived_port pr ttl =
+  t.degr_len <- 0;
+  (* On loop-heavy sweeps one walk can make thousands of slow-path decides
+     (TTL-bounded cycle following), so the per-decide probe work is itself
+     on the overhead budget: a countdown on the kernel's own hot scratch,
+     and the clock only one decision in [Probe.lat_sample]. *)
+  let clocked =
+    match t.probe with
+    | None -> false
+    | Some _ when t.lat_tick <> 0 ->
+        t.lat_tick <- t.lat_tick - 1;
+        false
     | Some prb ->
-        for j = 0 to t.degr_len - 1 do
-          let d = t.degr.(j) in
-          if d = d_retry then Probe.record_retry prb
-          else if d = d_lfa then Probe.record_lfa prb
-          else Probe.record_dd_saturation prb
-        done);
-    if code <> 0 then begin
-      c.dropped <- c.dropped + 1;
-      let r = reason_index (reason_of_code code) in
-      c.drops_by_reason.(r) <- c.drops_by_reason.(r) + 1;
+        t.lat_tick <- Probe.lat_sample prb - 1;
+        true
+  in
+  let t0 = if clocked then Probe.now_ns () else 0L in
+  let code =
+    decide t ~dd_term:t.walk_dd_term ~quantise:t.walk_quantise
+      ~max_dd_q:t.walk_max_dd_q ~hops_left:ttl ~guard:t.walk_guard ~dst ~x
+      ~arrived_port ~pr
+  in
+  (match t.probe with
+  | Some prb when clocked ->
+      Probe.record_latency prb ~cls:(slow_class t code)
+        ~ns:(Int64.sub (Probe.now_ns ()) t0)
+  | _ -> ());
+  if t.degr_len <> 0 then note_degradations t c;
+  if code <> 0 then
+    drop t c ~node:x (reason_of_code code) ~hops:(t.walk_ttl0 - ttl)
+  else begin
+    if t.out_started then begin
+      c.pr_episodes <- c.pr_episodes + 1;
+      (match t.probe with
+      | None -> ()
+      | Some prb -> Probe.record_episode prb);
+      if t.capture then
+        t.cap_episodes <-
+          (x, Array.unsafe_get t.fbuf f_out_dd) :: t.cap_episodes
+    end;
+    if t.out_shortcut then begin
+      c.shortcut_exits <- c.shortcut_exits + 1;
       match t.probe with
       | None -> ()
-      | Some prb ->
-          Probe.record_drop prb
-            ~reason:(probe_reason (reason_of_code code))
-            ~hops:(t.walk_ttl0 - ttl) ~depth:(probe_depth t c)
+      | Some prb -> Probe.record_shortcut prb
+    end;
+    track_seen t x;
+    let cls = if t.armed then hop_cls t else 0 in
+    transmit t c ~dst x ((x * t.ports) + t.out_port) t.out_pr ttl ~cls
+  end
+
+(* The hop leaves [x] through port slot [slot] with PR bit [pr] and
+   link-load class [cls]; armed sinks see it on the wire, before any
+   stale-view death.  With trace or capture armed it feeds [on_wire] and
+   re-enters with [cls = -1], the sinks having seen this transmission;
+   with link load alone, the count is bumped in place. *)
+and transmit t c ~dst x slot pr ttl ~cls =
+  let next = Array.unsafe_get t.port_node slot in
+  (* Tests are let-bound where a call follows: as an [if] condition, [&&]
+     compiles to a shared else-branch, a join after the call that would
+     spill every argument on every hop. *)
+  let bad = t.guard_mode && (next < 0 || next >= t.n || next = x) in
+  let hook = t.armed && cls >= 0 && (t.capture || traced t) in
+  if bad then
+    corrupt_drop t c ~node:x ~cell:cell_port_node ~hops:(t.walk_ttl0 - ttl)
+  else if hook then begin
+    on_wire t ~x ~next ~slot ~pr ~cls;
+    transmit t c ~dst x slot pr ttl ~cls:(-1)
+  end
+  else begin
+    if t.armed && cls >= 0 then begin
+      let i = (slot * 4) + cls in
+      Array.unsafe_set t.ll i (Array.unsafe_get t.ll i + 1)
+    end;
+    if Bytes.unsafe_get t.truth slot = '\000' then begin
+      (* Sent into a link the sender wrongly believed up: lost on the
+         wire, the failed hop recorded on the path (engine convention). *)
+      if traced t then
+        Trace.emit t.trace
+          (Trace.Divergence { node = x; other = next; believed_up = true });
+      drop t c ~node:next Stale_view ~hops:(t.walk_ttl0 - ttl + 1)
     end
     else begin
-      let port = t.out_port in
-      if t.out_started then begin
-        c.pr_episodes <- c.pr_episodes + 1;
-        match t.probe with
-        | None -> ()
-        | Some prb -> Probe.record_episode prb
-      end;
-      if t.out_shortcut then begin
-        c.shortcut_exits <- c.shortcut_exits + 1;
-        match t.probe with
-        | None -> ()
-        | Some prb -> Probe.record_shortcut prb
-      end;
-      let slot = (x * t.ports) + port in
-      let ll = t.ll in
-      if Array.length ll <> 0 then begin
-        (* Counted on the wire, before any stale-view death.  The
-           degradation-free case stays call-free: [hop_cls] has a loop,
-           which the non-flambda compiler will not inline. *)
-        let cls =
-          if t.degr_len = 0 then
-            if t.out_shortcut then 3 else if t.out_pr then 1 else 0
-          else hop_cls t
-        in
-        let i = (slot * 4) + cls in
-        Array.unsafe_set ll i (Array.unsafe_get ll i + 1)
-      end;
-      track_seen t x;
-      if Bytes.unsafe_get t.truth slot = '\000' then begin
-        c.dropped <- c.dropped + 1;
-        let r = reason_index Stale_view in
-        c.drops_by_reason.(r) <- c.drops_by_reason.(r) + 1;
-        match t.probe with
-        | None -> ()
-        | Some prb ->
-            Probe.record_drop prb ~reason:Probe.reason_stale_view
-              ~hops:(t.walk_ttl0 - ttl + 1) ~depth:(probe_depth t c)
-      end
+      let ap = Array.unsafe_get t.node_port ((next * t.n) + x) in
+      if t.guard_mode && (ap < 0 || ap >= Array.unsafe_get t.degree next)
+      then
+        corrupt_drop t c ~node:next ~cell:cell_node_port
+          ~hops:(t.walk_ttl0 - ttl)
       else begin
-        let next = Array.unsafe_get t.port_node slot in
-        if t.guard_mode && (next < 0 || next >= t.n || next = x) then begin
-          ignore (corrupt_cell t ~node:x ~cell:cell_port_node);
-          account_corrupt t c ~hops:(t.walk_ttl0 - ttl)
-        end
-        else begin
-          let ap = Array.unsafe_get t.node_port ((next * t.n) + x) in
-          if t.guard_mode && (ap < 0 || ap >= Array.unsafe_get t.degree next)
-          then begin
-            ignore (corrupt_cell t ~node:next ~cell:cell_node_port);
-            account_corrupt t c ~hops:(t.walk_ttl0 - ttl)
-          end
-          else begin
-            Array.unsafe_set t.fbuf f_in_dd (Array.unsafe_get t.fbuf f_out_dd);
-            Array.unsafe_set t.fbuf f_cost
-              (Array.unsafe_get t.fbuf f_cost
-              +. Array.unsafe_get t.port_weight slot);
-            batch_walk t c ~dd_term ~quantise ~max_dd_q ~guard ~src ~dst next
-              ap t.out_pr (ttl - 1)
-          end
-        end
+        if pr then
+          Array.unsafe_set t.fbuf f_in_dd (Array.unsafe_get t.fbuf f_out_dd);
+        Array.unsafe_set t.fbuf f_cost
+          (Array.unsafe_get t.fbuf f_cost
+          +. Array.unsafe_get t.port_weight slot);
+        walk t c ~dst next ap pr (ttl - 1)
       end
-    end
     end
   end
 
 let forward_into ?(termination = Forward.Distance_discriminator)
     ?(quantise = false) ?dd_bits ?(budget_guard = 0) ?ttl t c ~src ~dst =
-  let ttl0 = prepare_walk ?ttl t ~src ~dst in
-  let dd_term = dd_term_of termination in
-  let max_dd_q = max_dd_q_of dd_bits in
-  c.injected <- c.injected + 1;
-  t.walk_ttl0 <- ttl0;
-  t.walk_ep0 <- c.pr_episodes;
-  t.fbuf.(f_in_dd) <- 0.0;
-  t.fbuf.(f_cost) <- 0.0;
-  batch_walk t c ~dd_term ~quantise ~max_dd_q ~guard:budget_guard ~src ~dst src
-    (-1) false ttl0;
-  c.failure_hits <- c.failure_hits + t.hits;
-  match t.probe with
-  | None -> ()
-  | Some p -> Probe.add_failure_hits p t.hits
+  prepare_walk t c ~termination ~quantise ~dd_bits ~budget_guard ~ttl ~src
+    ~dst;
+  walk t c ~dst src (-1) false t.walk_ttl0;
+  finish_walk t c
+
+(* Entry guards over injected state, in the reference order: impossible
+   DD first, then the claimed previous hop.  Sets the fault registers. *)
+let entry_fault t (header : Forward.hop_header) arrived_from ~src =
+  let dd = header.Forward.dd_value in
+  if
+    header.Forward.pr_bit
+    && (Float.is_nan dd || dd < 0.0 || dd = Float.infinity
+       || (t.walk_max_dd_q >= 0 && dd > float_of_int t.walk_max_dd_q))
+  then begin
+    t.fault_code <- fc_impossible_dd;
+    t.fault_node <- src;
+    t.fault_dd <- dd;
+    true
+  end
+  else
+    match arrived_from with
+    | Some y when y < 0 || y >= t.n || t.node_port.((src * t.n) + y) < 0 ->
+        t.fault_code <- fc_not_neighbour;
+        t.fault_node <- src;
+        t.fault_aux <- y;
+        true
+    | Some y
+      when t.guard_mode
+           && t.node_port.((src * t.n) + y) >= Array.unsafe_get t.degree src ->
+        ignore (corrupt_cell t ~node:src ~cell:cell_node_port);
+        true
+    | _ -> false
+
+let run_one ?(termination = Forward.Distance_discriminator) ?(quantise = false)
+    ?dd_bits ?(budget_guard = 0) ?ttl ?(header = Forward.fresh_header)
+    ?arrived_from t ~src ~dst =
+  let c = fresh_counters () in
+  prepare_walk t c ~termination ~quantise ~dd_bits ~budget_guard ~ttl ~src
+    ~dst;
+  t.seeded <- header <> Forward.fresh_header || arrived_from <> None;
+  t.cap_path <- [ src ];
+  t.cap_episodes <- [];
+  t.cap_degr <- [];
+  t.capture <- true;
+  rearm t;
+  if entry_fault t header arrived_from ~src then
+    drop t c ~node:src Corrupt ~hops:0
+  else begin
+    let ap0 =
+      match arrived_from with
+      | None -> -1
+      | Some y -> t.node_port.((src * t.n) + y)
+    in
+    t.fbuf.(f_in_dd) <- header.Forward.dd_value;
+    walk t c ~dst src ap0 header.Forward.pr_bit t.walk_ttl0
+  end;
+  finish_walk t c;
+  t.capture <- false;
+  rearm t;
+  let reason =
+    List.find_opt (fun r -> c.drops_by_reason.(reason_index r) <> 0) all_reasons
+  in
+  let episodes = List.rev t.cap_episodes in
+  {
+    outcome =
+      (match reason with
+      | Some No_route -> Forward.Dropped_unreachable
+      | Some Corrupt -> Forward.Dropped_corrupt
+      | Some _ -> Forward.Dropped_no_interface
+      | None when c.delivered <> 0 -> Forward.Delivered
+      | None -> Forward.Ttl_exceeded);
+    reason;
+    path = List.rev t.cap_path;
+    pr_episodes = c.pr_episodes;
+    failure_hits = c.failure_hits;
+    max_dd = List.fold_left (fun m (_, d) -> if d > m then d else m) 0.0 episodes;
+    episodes;
+    degradations = List.rev t.cap_degr;
+    cost = t.fbuf.(f_cost);
+    fault = fault_of t;
+    shortcuts = c.shortcut_exits;
+  }
+
+let to_trace t r =
+  {
+    Forward.outcome = r.outcome;
+    path = r.path;
+    pr_episodes = r.pr_episodes;
+    failure_hits = r.failure_hits;
+    max_header =
+      { Pr_core.Header.pr = r.pr_episodes > 0; dd = Fib.quantise_dd t.fib r.max_dd };
+    episodes = r.episodes;
+    shortcuts = r.shortcuts;
+  }

@@ -2,11 +2,15 @@
     logic over a compiled {!Fib} image.
 
     One kernel = one image plus mutable scratch (port-state bytes, per-hop
-    registers).  The hot loop — {!forward_into} — walks a packet from
-    source to verdict with array reads and integer arithmetic only: no
-    allocation, no hashing, no closures.  {!run_one} is the same walk
-    with full trace capture (it allocates lists) for the differential
-    tests and the simulation engine's compiled backend.
+    registers).  There is one compiled walk.  {!forward_into} runs it
+    from source to verdict with array reads and integer arithmetic only:
+    no allocation, no hashing, no closures.  {!run_one} runs the same
+    walk with capture armed — path, episodes and degradations appended
+    to buffers on the kernel, the verdict read back from a scratch
+    {!counters} — and shapes the {!result} lists the differential tests
+    and the simulation engine's compiled backend consume.  Every sink
+    (trace, link load, capture) is fed behind one test on the fault-free
+    hop, so attaching none costs nothing.
 
     Two port-state planes are kept:
 
@@ -27,8 +31,8 @@
     {b The administrative plane.}  Every image carries administrative
     link state ({!Fib.link_live}); the kernel masks it into both port
     planes, so the ladder can never forward into an administratively
-    down link even though the compiled cycle/complementary columns (base
-    structure, a deployment constant) still name its port.  Base images
+    down link even though the compiled cycle column (base structure, a
+    deployment constant) still names its port.  Base images
     are all-live and the mask is the identity — seed behaviour is
     unchanged. *)
 
@@ -71,8 +75,8 @@ val believed_up : t -> node:int -> other:int -> bool
 
 val set_guard : t -> bool -> unit
 (** Toggle bounds-checked forwarding (default off).  Guard mode validates
-    every FIB-cell read whose value is used as an index — next-hop,
-    cycle and complementary columns, LFA offsets and ports, port-node
+    every FIB-cell read whose value is used as an index — next-hop and
+    cycle columns, LFA offsets and ports, port-node
     and node-port maps — and converts an out-of-range value into an
     accounted {!Pr_core.Forward.Dropped_corrupt} verdict with a
     {!Pr_core.Forward.Corrupt_cell} locus instead of an unsafe read.  A
@@ -109,17 +113,17 @@ val shortcut_width : t -> int option
 val set_trace : t -> Pr_telemetry.Trace.sink -> unit
 (** Attach an event sink.  Decision-level events are emitted from the
     kernel's [decide] at points mirroring {!Pr_core.Forward.decide} line
-    for line, and {!run_one} adds the walk-level events (one [Hop] per
+    for line, and the walk adds the walk-level events (one [Hop] per
     transmission, the [Deliver]/[Expire]/[Drop] verdict, and a
     [Divergence] before a stale-view wire death) — so a traced
-    {!run_one} and a traced {!Pr_core.Forward.run} produce structurally
-    equal event sequences.  The default {!Pr_telemetry.Trace.null} sink
-    costs nothing: no event is ever constructed.  Leave it null during
-    batch runs — {!forward_into} skips [decide] entirely on fault-free
-    hops, so batch traces would be partial. *)
+    {!run_one} or {!forward_into} and a traced {!Pr_core.Forward.run}
+    produce structurally equal event sequences.  The default
+    {!Pr_telemetry.Trace.null} sink costs nothing: no event is ever
+    constructed. *)
 
 val set_probe : t -> Pr_telemetry.Probe.t option -> unit
-(** Attach a probe fed by {!forward_into}: per-packet verdict, stretch,
+(** Attach a probe fed by every walk ({!forward_into} and {!run_one}):
+    per-packet verdict, stretch,
     hops and re-cycle depth, plus a monotonic-clock latency sample
     around one slow-path [decide] in {!Pr_telemetry.Probe.lat_sample}.
     The fault-free fast path is untouched — probe-on cost is
@@ -127,16 +131,16 @@ val set_probe : t -> Pr_telemetry.Probe.t option -> unit
     carried. *)
 
 val set_linkload : t -> Pr_obs.Linkload.t option -> unit
-(** Attach a link-load table fed by {!run_one} and {!forward_into}: one
-    count per transmission against the directed link it used, classed
+(** Attach a link-load table fed by every walk: one count per
+    transmission against the directed link it used, classed
     shortest-path / recycled / rescue exactly as the reference walks
     class theirs (see {!Pr_obs.Linkload}).  Unlike the probe, the
-    fault-free fast path must feed it too — every hop is load — so this
-    is the one table whose accounting rides the hot loop; its cost is
-    one option test plus one unsafe array bump per hop, kept inside the
-    CI overhead budget.  Transmissions are counted before any
-    stale-view wire death.  Raises [Invalid_argument] if the table's
-    dimensions do not match the image's graph. *)
+    fault-free fast path must feed it too — every hop is load — so its
+    cost rides the hot loop: one unsafe array bump per hop behind the
+    armed-sink test, kept inside the CI overhead budget.  Transmissions
+    are counted before any stale-view wire death.  Raises
+    [Invalid_argument] if the table's dimensions do not match the
+    image's graph. *)
 
 (** {2 One packet, traced} *)
 
@@ -244,8 +248,9 @@ val forward_into :
   src:int ->
   dst:int ->
   unit
-(** {!run_one} without trace capture: walk the packet and account the
-    verdict straight into [counters].  Allocation-free.  Delivered
+(** {!run_one} without capture: walk the packet and account the verdict
+    straight into [counters].  Allocation-free unless a trace sink is
+    attached.  Delivered
     stretch is [walk cost / SPF distance], the engine's definition. *)
 
 val record_unreachable : counters -> unit

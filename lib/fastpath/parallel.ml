@@ -90,7 +90,11 @@ let run_item kernel config prepare rng slot probe linkload item =
           ~dst)
     item.pairs
 
-let run_items ~domains ~config ~prepare ~seed ~probes ~linkloads fib items =
+(* [images], when given, is the image each item forwards on: a worker's
+   kernel is rebound whenever the next item's image differs from the one
+   it holds. *)
+let run_items ?images ~domains ~config ~prepare ~seed ~probes ~linkloads fib
+    items =
   if domains < 1 then invalid_arg "Parallel.run: domains must be >= 1";
   Pr_telemetry.Span.timed "parallel.batch" @@ fun () ->
   let n_items = Array.length items in
@@ -101,6 +105,9 @@ let run_items ~domains ~config ~prepare ~seed ~probes ~linkloads fib items =
     let kernel = Kernel.create fib in
     let i = ref d in
     while !i < n_items do
+      (match images with
+      | Some im when Kernel.fib kernel != im.(!i) -> Kernel.rebind kernel im.(!i)
+      | _ -> ());
       let probe =
         match probes with None -> None | Some ps -> Some ps.(!i)
       in
@@ -148,7 +155,6 @@ let run_probed ?(domains = 1) ?(config = default_config) ?prepare
 
 let run_swapped ?(domains = 1) ?(config = default_config) ?prepare ~seed
     ~schedule fib items =
-  if domains < 1 then invalid_arg "Parallel.run: domains must be >= 1";
   let n_items = Array.length items in
   (let last = ref (-1) in
    List.iter
@@ -166,8 +172,7 @@ let run_swapped ?(domains = 1) ?(config = default_config) ?prepare ~seed
      pins the epoch current at its own admission.  The epoch an item
      forwards on is thereby a pure function of the item index — wall
      clock and domain interleaving never enter — while the pins keep
-     each superseded image alive exactly until its in-flight items
-     drain. *)
+     each superseded image alive until the batch has drained. *)
   let epochs = Array.make n_items 0 in
   let images = Array.make n_items fib in
   let sched = ref schedule in
@@ -181,30 +186,11 @@ let run_swapped ?(domains = 1) ?(config = default_config) ?prepare ~seed
     epochs.(i) <- e;
     images.(i) <- image
   done;
-  let master = Rng.create ~seed in
-  let streams = Array.init n_items (fun _ -> Rng.split master) in
-  let slots = Array.init n_items (fun _ -> Kernel.fresh_counters ()) in
-  let work d =
-    let kernel = Kernel.create fib in
-    let i = ref d in
-    while !i < n_items do
-      if Kernel.fib kernel != images.(!i) then Kernel.rebind kernel images.(!i);
-      run_item kernel config prepare streams.(!i) slots.(!i) None None
-        items.(!i);
-      Swap.unpin swap ~epoch:epochs.(!i);
-      i := !i + domains
-    done
+  let total =
+    run_items ~images ~domains ~config ~prepare ~seed ~probes:None
+      ~linkloads:None fib items
   in
-  if domains = 1 then work 0
-  else begin
-    let spawned =
-      Array.init (domains - 1) (fun d -> Domain.spawn (fun () -> work (d + 1)))
-    in
-    work 0;
-    Array.iter Domain.join spawned
-  end;
-  let total = Kernel.fresh_counters () in
-  Array.iter (fun c -> Kernel.add_counters ~into:total c) slots;
+  Array.iter (fun epoch -> Swap.unpin swap ~epoch) epochs;
   (total, Swap.stats swap)
 
 let run_loaded ?(domains = 1) ?(config = default_config) ?prepare ~seed fib

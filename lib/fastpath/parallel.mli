@@ -100,7 +100,7 @@ val run_swapped :
     pure function of the item index: verdicts are bit-identical
     regardless of [domains] {e and} of wall-clock swap timing, which the
     determinism suite pins at domains 1/2/4.  Superseded images drain —
-    they retire only when their last in-flight item completes — and the
+    their pins are released once the batch has been forwarded — and the
     returned {!Swap.stats} lets callers assert the store ended
     {!Swap.quiescent}.  Raises [Invalid_argument] on an unsorted or
     out-of-range schedule. *)

@@ -295,7 +295,7 @@ let to_json ?(top = 5) s =
   Printf.bprintf b "  \"linkload\": %s\n}" (Linkload.to_json s.reference);
   Buffer.contents b
 
-(* ---- bench history ---- *)
+(* ---- bench artifacts ---- *)
 
 type bench_entry = {
   file : string;
@@ -428,15 +428,6 @@ let scan_bench ~dir =
   in
   (List.rev entries, List.rev errs)
 
-type history = {
-  entries : bench_entry list;
-  baseline : float;
-  current : float;
-  ratio : float;
-  threshold : float;
-  regressed : bool;
-}
-
 let time_best_ns repeat f =
   let best = ref infinity in
   for _ = 1 to repeat do
@@ -473,36 +464,6 @@ let measure_norm ?(repeat = 5) (topo : Topology.t) rotation =
   (* Packets cancel in the ratio; this is the machine-portable quantity
      the committed artifacts also determine. *)
   compiled_ns /. reference_ns
-
-let check_history ?(threshold = 1.15) ?repeat ~dir topo rotation =
-  let entries, errs = scan_bench ~dir in
-  let baselines =
-    List.filter_map
-      (fun e -> if e.suite = "fastpath" then Some e.norm else None)
-      entries
-  in
-  match baselines with
-  | [] ->
-      Error
-        (Printf.sprintf
-           "no committed fastpath bench artifact under %s to compare against%s"
-           dir
-           (match errs with
-           | [] -> ""
-           | _ -> ": " ^ String.concat "; " errs))
-  | _ ->
-      let baseline = List.fold_left Float.min infinity baselines in
-      let current = measure_norm ?repeat topo rotation in
-      let ratio = current /. baseline in
-      Ok
-        {
-          entries;
-          baseline;
-          current;
-          ratio;
-          threshold;
-          regressed = ratio > threshold;
-        }
 
 (* ---- compile-cost attribution ---- *)
 
@@ -611,20 +572,4 @@ let compile_to_json p =
        (List.map
           (fun (dst, c) -> Printf.sprintf "{\"dst\":%d,\"ns\":%Ld}" dst c)
           p.top));
-  Buffer.contents b
-
-let render_history h =
-  let b = Buffer.create 1024 in
-  let line fmt = Printf.ksprintf (fun l -> Buffer.add_string b (l ^ "\n")) fmt in
-  line "bench history: %d committed artifact(s)" (List.length h.entries);
-  List.iter
-    (fun e ->
-      line "  %-28s %-9s norm %.4f  (%s)" (Filename.basename e.file) e.suite
-        e.norm e.detail)
-    h.entries;
-  line "  baseline (best committed fastpath norm): %.4f" h.baseline;
-  line "  current measured norm:                   %.4f" h.current;
-  line "  ratio current/baseline: x%.3f (threshold x%.2f) — %s" h.ratio
-    h.threshold
-    (if h.regressed then "REGRESSION" else "OK");
   Buffer.contents b

@@ -11,14 +11,12 @@
       and the per-scenario max-link-load CCDF next to the delivered
       stretch CCDF (the paper's Figure-2 axis, now with its spatial
       complement).
-    - {b bench history}: the committed [BENCH_*.json] artifacts parsed
-      back ({!Pr_util.Json}) and compared against a fresh measurement.
-      The compared quantity is the {e normalised per-packet time} —
-      compiled-sweep ns/packet over reference-sweep ns/packet — which
-      divides machine speed out, so a historical artifact from another
-      machine is still a usable baseline.  A current ratio more than
-      [threshold] above the best committed one fails the check ([prcli
-      bench --history] exits non-zero; CI gates on it). *)
+    - {b bench artifacts}: the committed [BENCH_*.json] artifacts parsed
+      back ({!Pr_util.Json}), plus a fresh measurement of the fastpath
+      suite's {e normalised per-packet time} — compiled-sweep ns/packet
+      over reference-sweep ns/packet — which divides machine speed out,
+      so a historical artifact from another machine is still a usable
+      baseline.  {!Pr_report.History} folds both into its series. *)
 
 (** {2 The observed sweep} *)
 
@@ -70,7 +68,7 @@ val render : ?top:int -> sweep -> string
 
 val to_json : ?top:int -> sweep -> string
 
-(** {2 Bench history} *)
+(** {2 Bench artifacts} *)
 
 type bench_entry = {
   file : string;
@@ -90,34 +88,11 @@ val scan_bench : dir:string -> bench_entry list * string list
 (** Every [BENCH_*.json] under [dir] (sorted by name), parsed; second
     component is the parse failures, one message each. *)
 
-type history = {
-  entries : bench_entry list;  (** everything parsed, for rendering *)
-  baseline : float;            (** best committed fastpath [norm] *)
-  current : float;             (** freshly measured fastpath [norm] *)
-  ratio : float;               (** [current /. baseline] *)
-  threshold : float;
-  regressed : bool;            (** [ratio > threshold] *)
-}
-
 val measure_norm :
   ?repeat:int -> Pr_topo.Topology.t -> Pr_embed.Rotation.t -> float
 (** Time the compiled and reference all-pairs single-failure sweeps
     (best of [repeat], default 5) and return compiled/reference
     per-packet time — the fastpath [norm], measured now. *)
-
-val check_history :
-  ?threshold:float ->
-  ?repeat:int ->
-  dir:string ->
-  Pr_topo.Topology.t ->
-  Pr_embed.Rotation.t ->
-  (history, string) result
-(** Compare {!measure_norm} against the committed artifacts in [dir].
-    [threshold] defaults to 1.15 — the >15%% regression rule.  [Error]
-    when no committed fastpath artifact parses (nothing to compare
-    against). *)
-
-val render_history : history -> string
 
 (** {2 Compile-cost attribution} *)
 

@@ -2,7 +2,7 @@
 
     The benchmark and telemetry emitters write JSON by hand
     ({!Pr_telemetry.Probe.to_json}, bench/main.ml); this is the matching
-    reader, used by [prcli bench --history] to parse committed
+    reader, used by [prcli history] to parse committed
     [BENCH_*.json] files and by the test suite to schema-check them.  It
     is a strict recursive-descent parser over the JSON subset those
     emitters produce — no streaming, no extensions — and is in no hot

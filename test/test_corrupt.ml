@@ -201,7 +201,6 @@ let test_cell_damage_never_raises () =
           | "node_port" -> Fib.raw_node_port scratch
           | "next_hop_port" -> Fib.raw_next_hop_port scratch
           | "cycle_col" -> Fib.raw_cycle_col scratch
-          | "comp_col" -> Fib.raw_comp_col scratch
           | "lfa_off" -> Fib.raw_lfa_off scratch
           | "lfa_ports" -> Fib.raw_lfa_ports scratch
           | t -> Alcotest.fail ("unknown damage table " ^ t)

@@ -1,9 +1,9 @@
 (* The telemetry layer pinned to both data planes.
 
-   - Flight recorder: the reference walk and the compiled kernel emit
-     structurally equal hop-event sequences on the Abilene all-pairs
-     single-failure sweep (events carry no timestamps, so this is
-     plain [=]).
+   - Flight recorder: the reference walk and the compiled kernel (traced
+     run_one and traced forward_into alike) emit structurally equal
+     hop-event sequences on the Abilene all-pairs single-failure sweep
+     (events carry no timestamps, so this is plain [=]).
    - Probes: the reference sweep and the batch kernel feed bit-identical
      counts through the shared probe record, and the Domain-parallel
      driver preserves them at any domain count.
@@ -75,20 +75,34 @@ let test_event_differential_abilene () =
             for dst = 0 to Graph.n g - 1 do
               if src <> dst && Failure.pair_connected failures src dst then begin
                 Trace.Ring.clear ref_ring;
-                Trace.Ring.clear krn_ring;
                 ignore
                   (Forward.run ~termination ~trace:(Trace.Ring.sink ref_ring)
                      ~routing ~cycles ~failures ~src ~dst ());
-                Kernel.set_trace kernel (Trace.Ring.sink krn_ring);
-                ignore (Kernel.run_one ~termination kernel ~src ~dst);
-                Kernel.set_trace kernel Trace.null;
                 let expect = Trace.Ring.events ref_ring in
-                let got = Trace.Ring.events krn_ring in
-                if expect <> got then
-                  Alcotest.failf "event sequence mismatch %d->%d:\n-- reference\n%s\n-- compiled\n%s"
-                    src dst (Trace.render expect) (Trace.render got);
                 if expect = [] then
                   Alcotest.failf "empty trace %d->%d" src dst;
+                (* Both kernel entry points run the one compiled walk, so
+                   a traced batch walk emits every event too. *)
+                List.iter
+                  (fun (entry, walk) ->
+                    Trace.Ring.clear krn_ring;
+                    Kernel.set_trace kernel (Trace.Ring.sink krn_ring);
+                    walk ();
+                    Kernel.set_trace kernel Trace.null;
+                    let got = Trace.Ring.events krn_ring in
+                    if expect <> got then
+                      Alcotest.failf
+                        "%s event sequence mismatch %d->%d:\n-- reference\n%s\n-- compiled\n%s"
+                        entry src dst (Trace.render expect) (Trace.render got))
+                  [
+                    ( "run_one",
+                      fun () ->
+                        ignore (Kernel.run_one ~termination kernel ~src ~dst) );
+                    ( "forward_into",
+                      fun () ->
+                        Kernel.forward_into ~termination kernel
+                          (Kernel.fresh_counters ()) ~src ~dst );
+                  ];
                 incr compared
               end
             done
