@@ -15,9 +15,18 @@ val value : kind -> Pr_graph.Dijkstra.tree -> int -> float
 (** [value kind tree v] — discriminator from [v] to the tree's root.
     [infinity] when unreachable. *)
 
+val quantise : kind -> float -> int
+(** A value as carried in the DD bits: the identity for hop counts, the
+    integer ceiling for weighted costs.  The one DD quantiser. *)
+
+val bits_of_trees : kind -> Pr_graph.Dijkstra.tree array -> int
+(** DD bits to carry the largest quantised value the trees assign to a
+    reachable node, [d]: [ceil (log2 (d + 1))]. *)
+
 val bits_needed : kind -> Pr_graph.Graph.t -> int
-(** Number of DD bits PR needs on this graph: [ceil (log2 (d + 1))] where
-    [d] is the (hop or weighted, rounded up) diameter.  This is the paper's
-    O(log2 d) header-overhead claim. *)
+(** Number of DD bits PR needs on this graph: {!bits_of_trees} over
+    [Dijkstra.all_roots g], where [d] is the (hop or weighted, rounded
+    up) diameter.  This is the paper's O(log2 d) header-overhead
+    claim. *)
 
 val to_string : kind -> string

@@ -5,15 +5,18 @@ type t = {
   g : Graph.t;
   kind : Discriminator.kind;
   trees : Dijkstra.tree array; (* index = destination *)
+  dd_bits : int;
 }
 
 let build ?(kind = Discriminator.Hops) g =
   Pr_telemetry.Span.timed "routing.build" @@ fun () ->
-  { g; kind; trees = Dijkstra.all_roots g }
+  let trees = Dijkstra.all_roots g in
+  { g; kind; trees; dd_bits = Discriminator.bits_of_trees kind trees }
 
 let build_blocked ?(kind = Discriminator.Hops) g ~blocked =
   Pr_telemetry.Span.timed "routing.build" @@ fun () ->
-  { g; kind; trees = Dijkstra.all_roots ~blocked g }
+  let trees = Dijkstra.all_roots ~blocked g in
+  { g; kind; trees; dd_bits = Discriminator.bits_needed kind g }
 
 let graph t = t.g
 
@@ -33,12 +36,9 @@ let hops t ~node ~dst = Dijkstra.hop_count (tree t dst) node
 
 let shortest_path t ~src ~dst = Dijkstra.path_to_root (tree t dst) src
 
-let dd_bits t = Discriminator.bits_needed t.kind t.g
+let dd_bits t = t.dd_bits
 
-let quantise_dd t v =
-  match t.kind with
-  | Discriminator.Hops -> int_of_float v
-  | Discriminator.Weighted -> int_of_float (Float.ceil v)
+let quantise_dd t v = Discriminator.quantise t.kind v
 
 let memory_entries t =
   let n = Graph.n t.g in

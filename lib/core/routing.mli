@@ -15,11 +15,15 @@ val build_blocked :
 (** {!build} with the links whose edge index satisfies [blocked] excluded
     from every SPF run — the control plane's view after administrative
     link removals.  The discriminator bit budget ({!dd_bits}) is a
-    function of the full graph and does not shrink. *)
+    function of the full graph and does not shrink (one extra SPF pass). *)
 
 val graph : t -> Pr_graph.Graph.t
 
 val kind : t -> Discriminator.kind
+
+val tree : t -> int -> Pr_graph.Dijkstra.tree
+(** The SPF tree of one destination — what the FIB compiler reads the
+    route columns off.  Raises [Invalid_argument] out of range. *)
 
 val next_hop : t -> node:int -> dst:int -> int option
 (** [None] at the destination itself or when the destination is
@@ -37,11 +41,11 @@ val shortest_path : t -> src:int -> dst:int -> int list option
 (** The concrete path forwarding would take, [src; ...; dst]. *)
 
 val dd_bits : t -> int
-(** DD bits PR needs with this table's discriminator on this graph. *)
+(** DD bits PR needs with this table's discriminator on this graph,
+    computed once at build: reading it runs no SPF. *)
 
 val quantise_dd : t -> float -> int
-(** Discriminator value as carried in the DD bits (identity for hop
-    counts, integer ceiling for weighted costs). *)
+(** [Discriminator.quantise (kind t)]. *)
 
 val memory_entries : t -> int
 (** Total routing-table entries across all routers: n * (n - 1)

@@ -77,37 +77,134 @@ let find_mismatch g1 g2 =
     check g2 g1;
     match !witness with Some m -> m | None -> Edge { u = -1; v = -1 }
 
-(* LFA candidate ports for one (x, dst) row, best first — shared by the
-   base compiler and {!Delta} so both paths emit identical bytes: RFC
-   5286 basic inequality over the administratively live neighbours,
-   primary excluded, ordered by cost + remaining distance with ties to
-   the smaller neighbour id. *)
-let lfa_row ~neighbours ~node_port ~n ~x ~dst ~primary ~dist ~cost_of ~live_of =
+(* LFA candidate ports for one (x, dst) row, best first: RFC 5286 basic
+   inequality over x's live ports, primary excluded, ordered by cost +
+   remaining distance with ties to the smaller port (= neighbour id). *)
+let lfa_row t ~port_live ~dist ~x ~dst ~primary =
+  let n = t.n and base = x * t.ports in
   let dist_x = dist.((x * n) + dst) in
-  Array.to_list neighbours
-  |> List.filter_map (fun w ->
-         if not (live_of w) then None
-         else
-           let cost = cost_of w in
-           let dist_w = dist.((w * n) + dst) in
-           if w <> primary && dist_w < cost +. dist_x then
-             Some (cost +. dist_w, w)
-           else None)
-  |> List.sort compare
-  |> List.map (fun (_, w) -> node_port.((x * n) + w))
+  let rec collect p acc =
+    if p < 0 then acc
+    else
+      let acc =
+        if p = primary || not port_live.(p) then acc
+        else
+          let cost = t.port_weight.(base + p) in
+          let dist_w = dist.((t.port_node.(base + p) * n) + dst) in
+          if dist_w < cost +. dist_x then (cost +. dist_w, p) :: acc else acc
+      in
+      collect (p - 1) acc
+  in
+  collect (t.degree.(x) - 1) [] |> List.sort compare |> List.map snd
 
 (* Sampled per-destination compile costs from the most recent
-   span-recorded [of_tables] on this domain: (dst, ns) pairs for every
-   k-th destination column of the routing-plane loop, k sized for at
-   most [cost_samples] samples.  Only collected while a Span recorder
-   is installed — the clock reads cost an uninstrumented compile
-   nothing — and consumed by the [prcli report --compile] hotspot
-   table. *)
+   span-recorded [fill] on this domain: (dst, ns) pairs for every k-th
+   recompiled destination column, k sized for at most [cost_samples]
+   samples.  Only collected while a Span recorder is installed, and
+   consumed by the [prcli report --compile] hotspot table. *)
 let cost_samples = 512
 
 let last_costs : (int * int64) list ref = ref []
 
 let last_compile_costs () = List.rev !last_costs
+
+(* The one compiler from SPF trees ([tree dst]) to an image's route
+   columns and LFA CSR, over [t]'s structure and admin state.  Dirty
+   destinations' columns are recomputed, LFA rows re-laid-out at touched
+   nodes and dirty destinations, every other cell copied from [t].  All
+   dirty ({!of_tables}): fresh columns, [t]'s are never read. *)
+let fill t ~tree ~dirty ~touched =
+  let n = t.n and ports = t.ports in
+  let all_dirty = Array.for_all Fun.id dirty in
+  let column parent empty =
+    if all_dirty then Array.make (n * n) empty else Array.copy parent
+  in
+  let next_hop_port = column t.next_hop_port (-1) in
+  let disc = column t.disc infinity in
+  let disc_q = column t.disc_q 0 in
+  let distance = column t.distance infinity in
+  let recording = Pr_telemetry.Span.recording () in
+  if recording then last_costs := [];
+  let sample_every = max 1 (n / cost_samples) in
+  Pr_telemetry.Span.timed "fib.compile.routes" (fun () ->
+      for dst = 0 to n - 1 do
+        if dirty.(dst) then begin
+          let sampled = recording && dst mod sample_every = 0 in
+          let t0 = if sampled then Pr_telemetry.Probe.now_ns () else 0L in
+          let tree = tree dst in
+          for x = 0 to n - 1 do
+            let i = (x * n) + dst in
+            next_hop_port.(i) <-
+              (match Dijkstra.next_hop tree x with
+              | Some w -> t.node_port.((x * n) + w)
+              | None -> -1);
+            let v = Pr_core.Discriminator.value t.kind tree x in
+            disc.(i) <- v;
+            disc_q.(i) <- Pr_core.Discriminator.quantise t.kind v;
+            distance.(i) <- Dijkstra.distance tree x
+          done;
+          if sampled then begin
+            last_costs :=
+              (dst, Int64.sub (Pr_telemetry.Probe.now_ns ()) t0) :: !last_costs;
+            Pr_telemetry.Flight.Progress.tick
+              ~frac:(0.5 *. float_of_int dst /. float_of_int n)
+              ()
+          end
+        end
+      done);
+  (* The CSR is laid out whole (offsets shift), but clean rows —
+     destinations with unchanged columns at nodes whose incident links
+     were not edited — are copied byte-for-byte.  Candidates go into an
+     int buffer grown by doubling, not a list: at 1k nodes a list is
+     millions of cells the major GC must sweep after every compile. *)
+  let lfa_off = Array.make ((n * n) + 1) 0 in
+  let buf = ref (Array.make (max (n * n) (Array.length t.lfa_ports)) 0) in
+  let total = ref 0 in
+  let push p =
+    if !total = Array.length !buf then begin
+      let grown = Array.make (2 * !total) 0 in
+      Array.blit !buf 0 grown 0 !total;
+      buf := grown
+    end;
+    !buf.(!total) <- p;
+    incr total
+  in
+  let port_live = Array.make ports false in
+  Pr_telemetry.Span.timed "fib.compile.lfa" (fun () ->
+      for x = 0 to n - 1 do
+        for p = 0 to t.degree.(x) - 1 do
+          port_live.(p) <-
+            t.live.(Graph.edge_index t.g x t.port_node.((x * ports) + p))
+        done;
+        for dst = 0 to n - 1 do
+          let i = (x * n) + dst in
+          lfa_off.(i) <- !total;
+          if touched.(x) || dirty.(dst) then begin
+            let primary = next_hop_port.(i) in
+            if primary >= 0 then
+              List.iter push
+                (lfa_row t ~port_live ~dist:distance ~x ~dst ~primary)
+          end
+          else
+            for j = t.lfa_off.(i) to t.lfa_off.(i + 1) - 1 do
+              push t.lfa_ports.(j)
+            done
+        done;
+        if recording && x mod sample_every = 0 then
+          Pr_telemetry.Flight.Progress.tick
+            ~frac:(0.5 +. (0.5 *. float_of_int x /. float_of_int n))
+            ()
+      done);
+  lfa_off.(n * n) <- !total;
+  {
+    t with
+    next_hop_port;
+    disc;
+    disc_q;
+    distance;
+    lfa_off;
+    lfa_ports = Array.sub !buf 0 !total;
+  }
 
 let of_tables ?ports routing cycles =
   Pr_telemetry.Span.timed "fib.compile" @@ fun () ->
@@ -125,9 +222,6 @@ let of_tables ?ports routing cycles =
     match !overflow with
     | Some e -> Error e
     | None ->
-        let recording = Pr_telemetry.Span.recording () in
-        if recording then last_costs := [];
-        let sample_every = max 1 (n / cost_samples) in
         let degree = Array.init n (Graph.degree g) in
         let port_node = Array.make (n * width) (-1) in
         let port_weight = Array.make (n * width) 0.0 in
@@ -141,32 +235,6 @@ let of_tables ?ports routing cycles =
                   node_port.((x * n) + w) <- p)
                 (Graph.neighbours g x)
             done);
-        let next_hop_port = Array.make (n * n) (-1) in
-        let disc = Array.make (n * n) infinity in
-        let disc_q = Array.make (n * n) 0 in
-        let distance = Array.make (n * n) infinity in
-        Pr_telemetry.Span.timed "fib.compile.routes" (fun () ->
-            for dst = 0 to n - 1 do
-              let sampled = recording && dst mod sample_every = 0 in
-              let t0 = if sampled then Pr_telemetry.Probe.now_ns () else 0L in
-              for x = 0 to n - 1 do
-                let i = (x * n) + dst in
-                (match Routing.next_hop routing ~node:x ~dst with
-                | Some w -> next_hop_port.(i) <- node_port.((x * n) + w)
-                | None -> ());
-                let v = Routing.disc routing ~node:x ~dst in
-                disc.(i) <- v;
-                disc_q.(i) <- Routing.quantise_dd routing v;
-                distance.(i) <- Routing.distance routing ~node:x ~dst
-              done;
-              if sampled then begin
-                last_costs :=
-                  (dst, Int64.sub (Pr_telemetry.Probe.now_ns ()) t0) :: !last_costs;
-                Pr_telemetry.Flight.Progress.tick
-                  ~frac:(0.5 *. float_of_int dst /. float_of_int n)
-                  ()
-              end
-            done);
         let cycle_col = Array.make (n * width) (-1) in
         Pr_telemetry.Span.timed "fib.compile.cycles" (fun () ->
             for x = 0 to n - 1 do
@@ -176,59 +244,21 @@ let of_tables ?ports routing cycles =
                   cycle_col.((x * width) + p) <- node_port.((x * n) + next))
                 (Graph.neighbours g x)
             done);
-        (* LFA candidates per (node, dst): see [lfa_row]. *)
-        let lfa_off = Array.make ((n * n) + 1) 0 in
-        let cand = ref [] (* reversed port list *) in
-        let total = ref 0 in
-        Pr_telemetry.Span.timed "fib.compile.lfa" (fun () ->
-            for x = 0 to n - 1 do
-              for dst = 0 to n - 1 do
-                let i = (x * n) + dst in
-                lfa_off.(i) <- !total;
-                match Routing.next_hop routing ~node:x ~dst with
-                | None -> ()
-                | Some primary ->
-                    List.iter
-                      (fun p ->
-                        cand := p :: !cand;
-                        incr total)
-                      (lfa_row ~neighbours:(Graph.neighbours g x) ~node_port ~n
-                         ~x ~dst ~primary ~dist:distance
-                         ~cost_of:(fun w -> Graph.weight g x w)
-                         ~live_of:(fun _ -> true))
-              done;
-              if recording && x mod sample_every = 0 then
-                Pr_telemetry.Flight.Progress.tick
-                  ~frac:(0.5 +. (0.5 *. float_of_int x /. float_of_int n))
-                  ()
-            done);
-        lfa_off.(n * n) <- !total;
-        let lfa_ports = Array.of_list (List.rev !cand) in
         let sc_plan = Pr_core.Seen.plan ~nodes:n ~width:default_sc_width in
-        Ok
-          {
-            g;
-            kind = Routing.kind routing;
-            n;
-            ports = width;
-            degree;
-            port_node;
-            port_weight;
-            node_port;
-            next_hop_port;
-            disc;
-            disc_q;
-            distance;
-            cycle_col;
-            lfa_off;
-            lfa_ports;
-            dd_bits = Routing.dd_bits routing;
+        (* Structure and an all-live admin state; the route columns and
+           the LFA CSR are the all-dirty case of [fill]. *)
+        let structure =
+          { g; kind = Routing.kind routing; n; ports = width; degree; port_node;
+            port_weight; node_port; cycle_col; dd_bits = Routing.dd_bits routing;
+            next_hop_port = [||]; disc = [||]; disc_q = [||]; distance = [||];
+            lfa_off = [||]; lfa_ports = [||];
             sc_width = sc_plan.Pr_core.Seen.width;
             sc_mask = Array.init n (Pr_core.Seen.mask_of sc_plan);
             live = Array.make (Graph.m g) true;
-            eff_weight =
-              Array.init (Graph.m g) (fun i -> (Graph.edge g i).Graph.w);
-          }
+            eff_weight = Array.init (Graph.m g) (fun i -> (Graph.edge g i).Graph.w) }
+        in
+        let all = Array.make n true in
+        Ok (fill structure ~tree:(Routing.tree routing) ~dirty:all ~touched:all)
   end
 
 let of_tables_exn ?ports routing cycles =
@@ -248,20 +278,7 @@ let dd_bits t = t.dd_bits
 
 let sc_width t = t.sc_width
 
-let quantise_dd t v =
-  match t.kind with
-  | Pr_core.Discriminator.Hops -> int_of_float v
-  | Pr_core.Discriminator.Weighted -> int_of_float (Float.ceil v)
-
-let memory_words t =
-  Array.length t.degree + Array.length t.port_node
-  + Array.length t.port_weight + Array.length t.node_port
-  + Array.length t.next_hop_port + Array.length t.disc
-  + Array.length t.disc_q + Array.length t.distance
-  + Array.length t.cycle_col
-  + Array.length t.lfa_off + Array.length t.lfa_ports
-  + Array.length t.sc_mask
-  + Array.length t.live + Array.length t.eff_weight
+let quantise_dd t v = Pr_core.Discriminator.quantise t.kind v
 
 (* ---- memory-footprint accounting ---- *)
 
@@ -279,8 +296,7 @@ let footprint t =
   (* Payload words per plane: every field is a flat array of one-word
      cells (ints, unboxed floats in float arrays, immediate bools), so
      bytes = words * word size.  Array headers (one word each) are
-     excluded — they vanish at scale and keeping [total_bytes] equal to
-     [memory_words * word_bytes] makes the accounting testable. *)
+     excluded — they vanish at scale. *)
   let p name a = { plane = name; words = a; bytes = a * word_bytes } in
   let planes =
     [
@@ -801,7 +817,7 @@ module Delta = struct
   (* Recompile exactly the dirty rows against the effective topology,
      byte-copying every clean row from the current image. *)
   let rebuild t ~live ~eff ~dirty ~touched =
-    let n = t.n and ports = t.ports and g = t.g in
+    let n = t.n and ports = t.ports in
     let geff = effective_graph t ~live ~eff in
     let port_weight = Array.copy t.port_weight in
     Graph.iter_edges
@@ -809,75 +825,11 @@ module Delta = struct
         let w = eff.(i) in
         port_weight.((e.u * ports) + t.node_port.((e.u * n) + e.v)) <- w;
         port_weight.((e.v * ports) + t.node_port.((e.v * n) + e.u)) <- w)
-      g;
-    let next_hop_port = Array.copy t.next_hop_port in
-    let disc = Array.copy t.disc in
-    let disc_q = Array.copy t.disc_q in
-    let distance = Array.copy t.distance in
-    let quantise v =
-      match t.kind with
-      | Pr_core.Discriminator.Hops -> int_of_float v
-      | Pr_core.Discriminator.Weighted -> int_of_float (Float.ceil v)
-    in
-    for dst = 0 to n - 1 do
-      if dirty.(dst) then begin
-        let tree = Dijkstra.tree geff ~root:dst in
-        for x = 0 to n - 1 do
-          let i = (x * n) + dst in
-          (match Dijkstra.next_hop tree x with
-          | Some w -> next_hop_port.(i) <- t.node_port.((x * n) + w)
-          | None -> next_hop_port.(i) <- -1);
-          let v = Pr_core.Discriminator.value t.kind tree x in
-          disc.(i) <- v;
-          disc_q.(i) <- quantise v;
-          distance.(i) <- Dijkstra.distance tree x
-        done
-      end
-    done;
-    (* The LFA CSR is re-laid-out whole (offsets shift), but clean rows
-       — destinations with unchanged columns at nodes whose incident
-       links were not edited — are copied byte-for-byte. *)
-    let lfa_off = Array.make ((n * n) + 1) 0 in
-    let cand = ref [] (* reversed port list *) in
-    let total = ref 0 in
-    let push p =
-      cand := p :: !cand;
-      incr total
-    in
-    for x = 0 to n - 1 do
-      let row_dirty = touched.(x) in
-      for dst = 0 to n - 1 do
-        let i = (x * n) + dst in
-        lfa_off.(i) <- !total;
-        if row_dirty || dirty.(dst) then begin
-          let p = next_hop_port.(i) in
-          if p >= 0 then
-            let primary = t.port_node.((x * ports) + p) in
-            List.iter push
-              (lfa_row ~neighbours:(Graph.neighbours g x)
-                 ~node_port:t.node_port ~n ~x ~dst ~primary ~dist:distance
-                 ~cost_of:(fun w -> eff.(Graph.edge_index g x w))
-                 ~live_of:(fun w -> live.(Graph.edge_index g x w)))
-        end
-        else
-          for j = t.lfa_off.(i) to t.lfa_off.(i + 1) - 1 do
-            push t.lfa_ports.(j)
-          done
-      done
-    done;
-    lfa_off.(n * n) <- !total;
-    {
-      t with
-      port_weight;
-      next_hop_port;
-      disc;
-      disc_q;
-      distance;
-      lfa_off;
-      lfa_ports = Array.of_list (List.rev !cand);
-      live;
-      eff_weight = eff;
-    }
+      t.g;
+    fill
+      { t with port_weight; live; eff_weight = eff }
+      ~tree:(fun dst -> Dijkstra.tree geff ~root:dst)
+      ~dirty ~touched
 
   let apply ?(threshold = 0.5) t edits =
     Pr_telemetry.Span.timed "fib.delta.apply" @@ fun () ->

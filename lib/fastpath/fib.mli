@@ -51,7 +51,13 @@ val of_tables :
 (** Compile an image from the reference tables.  [ports] is the port
     width (default: the graph's maximum degree); a node with more
     neighbours than [ports] is a typed {!Port_overflow} error, never an
-    assertion.  The tables must be built over the same graph. *)
+    assertion.  The tables must be built over the same graph.
+
+    Only the structure (ports, cycle column, shortcut masks, an all-live
+    admin state) is laid out here; the route columns and LFA candidates
+    come from the per-destination fill {!Delta} recompiles with, run
+    over [Routing.tree] with every destination dirty.  Sub-spans: [fib.compile.ports],
+    [.cycles], [.routes], [.lfa]. *)
 
 val of_tables_exn :
   ?ports:int -> Pr_core.Routing.t -> Pr_core.Cycle_table.t -> t
@@ -81,11 +87,8 @@ val sc_width : t -> int
     ~width:default_sc_width).width]. *)
 
 val quantise_dd : t -> float -> int
-(** Same rounding as {!Pr_core.Routing.quantise_dd} (by discriminator
-    kind). *)
-
-val memory_words : t -> int
-(** Total words across all arrays — the §6-style footprint of the image. *)
+(** [Pr_core.Discriminator.quantise] under the image's discriminator
+    kind — the rounding of the compiled [disc_q] column. *)
 
 type plane = {
   plane : string;  (** field name, e.g. ["node_port"] *)
@@ -95,28 +98,27 @@ type plane = {
 
 type footprint = {
   planes : plane list;  (** one entry per table plane, layout order *)
-  total_bytes : int;    (** = [memory_words * Sys.word_size / 8] *)
+  total_bytes : int;    (** sum of the planes' [bytes] *)
   bytes_per_router : float;  (** [total_bytes / n] — the paper's
                                  bounded-state-per-router claim, priced *)
 }
 
 val footprint : t -> footprint
 (** Exact payload bytes per table plane of a compiled image.  Array
-    headers (one word per plane) are excluded, so [total_bytes] is
-    consistent with {!memory_words}; the shortcut-hint plane appears as
-    [sc_mask] (one word per node at {!sc_width} effective bits). *)
+    headers (one word per plane) are excluded; the shortcut-hint plane
+    appears as [sc_mask] (one word per node at {!sc_width} effective
+    bits). *)
 
 val footprint_json : footprint -> string
 (** One-line JSON object: [total_bytes], [bytes_per_router], [planes]. *)
 
 val last_compile_costs : unit -> (int * int64) list
 (** Sampled per-destination compile costs — (dst, wall ns) for the
-    routing-plane column of every k-th destination — from the most
-    recent {!of_tables} run under an installed {!Pr_telemetry.Span}
-    recorder on this domain, in destination order.  Empty if the last
-    compile was uninstrumented (the clocks are span-gated so plain
-    compiles pay nothing).  Feeds the [prcli report --compile]
-    hotspot table. *)
+    route columns of every k-th recompiled destination, its SPF run
+    included under {!Delta} — from the most recent compile ({!of_tables}
+    or {!Delta}) under an installed {!Pr_telemetry.Span} recorder on
+    this domain, in destination order.  Span-gated: plain compiles pay
+    nothing and leave the list alone.  Feeds [prcli report --compile]. *)
 
 (** {2 Administrative state}
 
@@ -271,6 +273,10 @@ end
     parent).  When the dirty set exceeds [threshold] (a fraction of the
     node count, default 0.5) the apply falls back to a full recompile of
     the same effective topology — same bytes, different cost.
+
+    Recompiled rows come from {!of_tables}' fill over an SPF of the
+    effective topology, which files the [fib.compile.routes] and [.lfa]
+    sub-spans and {!last_compile_costs} samples here too.
 
     The DD bit budget ([dd_bits]) is a header-format deployment
     constant: it stays the base image's whatever the edits do, exactly

@@ -65,6 +65,17 @@ let neighbours t v =
 
 let degree t v = Array.length (neighbours t v)
 
+let port t v w =
+  let row = neighbours t v in
+  let rec search lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) lsr 1 in
+      let x = Array.unsafe_get row mid in
+      if x = w then mid else if x < w then search (mid + 1) hi else search lo mid
+  in
+  search 0 (Array.length row)
+
 let max_degree t =
   let best = ref 0 in
   for v = 0 to t.n - 1 do

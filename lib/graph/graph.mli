@@ -31,6 +31,11 @@ val neighbours : t -> int -> int array
 
 val degree : t -> int -> int
 
+val port : t -> int -> int -> int
+(** [port g v w] is the index of [w] in [neighbours g v] — [w]'s port at
+    [v] — or [-1] when [w] is not adjacent to [v].  A binary search of
+    the sorted row.  Raises [Invalid_argument] if [v] is out of range. *)
+
 val max_degree : t -> int
 
 val has_edge : t -> int -> int -> bool

@@ -1,10 +1,9 @@
 module Graph = Pr_graph.Graph
 
 type t = {
+  g : Graph.t;            (* ports are [Graph.neighbours] indices *)
   n : int;
   ports : int;
-  port_node : int array;  (* n * ports -> neighbour id, -1 pad *)
-  node_port : int array;  (* n * n -> port, -1 for non-neighbours *)
   counts : int array;     (* (node * ports + port) * 4 + cls *)
 }
 
@@ -23,16 +22,7 @@ let classes = 4
 let create g =
   let n = Graph.n g in
   let ports = max 1 (Graph.max_degree g) in
-  let port_node = Array.make (n * ports) (-1) in
-  let node_port = Array.make (n * n) (-1) in
-  for x = 0 to n - 1 do
-    Array.iteri
-      (fun p y ->
-        port_node.(x * ports + p) <- y;
-        node_port.(x * n + y) <- p)
-      (Graph.neighbours g x)
-  done;
-  { n; ports; port_node; node_port; counts = Array.make (n * ports * classes) 0 }
+  { g; n; ports; counts = Array.make (n * ports * classes) 0 }
 
 let n t = t.n
 
@@ -42,7 +32,7 @@ let[@inline] record t ~node ~port ~cls =
   let i = (node * t.ports + port) * classes + cls in
   Array.unsafe_set t.counts i (Array.unsafe_get t.counts i + 1)
 
-let[@inline] port_of t ~node ~next = Array.unsafe_get t.node_port (node * t.n + next)
+let port_of t ~node ~next = Graph.port t.g node next
 
 let[@inline] record_next t ~node ~next ~cls =
   let port = port_of t ~node ~next in
@@ -50,10 +40,7 @@ let[@inline] record_next t ~node ~next ~cls =
 
 let raw_counts t = t.counts
 
-let footprint_bytes t =
-  (Array.length t.port_node + Array.length t.node_port
-  + Array.length t.counts)
-  * (Sys.word_size / 8)
+let footprint_bytes t = Array.length t.counts * (Sys.word_size / 8)
 
 let reset t = Array.fill t.counts 0 (Array.length t.counts) 0
 
@@ -85,16 +72,14 @@ let class_total t ~cls =
 let iter t f =
   let counts = Array.make classes 0 in
   for x = 0 to t.n - 1 do
-    for p = 0 to t.ports - 1 do
-      let next = t.port_node.((x * t.ports) + p) in
-      if next >= 0 then begin
+    Array.iteri
+      (fun p next ->
         let base = (x * t.ports + p) * classes in
         for c = 0 to classes - 1 do
           counts.(c) <- t.counts.(base + c)
         done;
-        f ~node:x ~next ~counts
-      end
-    done
+        f ~node:x ~next ~counts)
+      (Graph.neighbours t.g x)
   done
 
 let max_load t =

@@ -59,15 +59,19 @@ val record : t -> node:int -> port:int -> cls:int -> unit
     degree and a class below 4. *)
 
 val port_of : t -> node:int -> next:int -> int
-(** Port of neighbour [next] at [node], or [-1] if not adjacent. *)
+(** Port of neighbour [next] at [node], or [-1] if not adjacent:
+    {!Pr_graph.Graph.port} on the table's graph, a binary search of
+    [node]'s neighbour row (the compiled kernel records by port and
+    never calls this). *)
 
 val record_next : t -> node:int -> next:int -> cls:int -> unit
 (** {!record} through {!port_of}; ignores non-adjacent pairs. *)
 
 val footprint_bytes : t -> int
-(** Exact payload bytes of the table's arrays (the counters plus the
-    two port-lookup planes, one-word cells, headers excluded) — the
-    per-table line of the scale observatory's memory accounting. *)
+(** Exact payload bytes of the counters ([n * ports * 4] one-word
+    cells, header excluded) — the table's only array; ports are read
+    through the graph — the per-table line of the scale observatory's
+    memory accounting. *)
 
 val raw_counts : t -> int array
 (** The counters array itself, laid out [(node * ports + port) * 4 +

@@ -99,11 +99,11 @@ val measure_norm :
 type compile_profile = {
   compile : Pr_telemetry.Span.node;  (** the recorded [fib.compile] span *)
   planes : Pr_telemetry.Span.node list;
-      (** its per-plane children ([fib.compile.ports], [.routes],
-          [.cycles], [.lfa]) *)
+      (** its per-plane children: the structural [fib.compile.ports]
+          and [.cycles], then the fill's [.routes] and [.lfa] *)
   costs : (int * int64) list;
-      (** sampled (dst, wall ns) routing-plane column costs,
-          destination order — {!Pr_fastpath.Fib.last_compile_costs} *)
+      (** sampled (dst, wall ns) route-column costs, destination
+          order — {!Pr_fastpath.Fib.last_compile_costs} *)
   cost_q : (float * float) array;
       (** (q, ns) over the samples at {!Pr_telemetry.Probe.sketch_qs} *)
   top : (int * int64) list;  (** costliest sampled destinations, worst first *)

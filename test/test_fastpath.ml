@@ -24,10 +24,11 @@ module Metrics = Pr_sim.Metrics
 module Detector = Pr_sim.Detector
 module Workload = Pr_sim.Workload
 
-let build_tables g rotation = (Routing.build g, Cycle_table.build rotation)
+let build_tables ?kind g rotation =
+  (Routing.build ?kind g, Cycle_table.build rotation)
 
-let compile g rotation =
-  let routing, cycles = build_tables g rotation in
+let compile ?kind g rotation =
+  let routing, cycles = build_tables ?kind g rotation in
   (routing, cycles, Fib.of_tables_exn routing cycles)
 
 let named_topologies () =
@@ -48,6 +49,20 @@ let random_instance (seed, n, extra) =
   in
   (g, Pr_embed.Rotation.adjacency g)
 
+(* The same instance with every link re-weighted from [seed]: weights in
+   [0.25, 4.25), mostly fractional, so weighted discriminators exercise
+   the ceiling quantiser. *)
+let reweighted_instance (seed, n, extra) =
+  let g, _ = random_instance (seed, n, extra) in
+  let rng = Rng.create ~seed:(seed + 1) in
+  let g =
+    Graph.create ~n:(Graph.n g)
+      (Array.to_list (Graph.edges g)
+      |> List.map (fun (e : Graph.edge) ->
+             (e.Graph.u, e.Graph.v, 0.25 +. Rng.float rng 4.0)))
+  in
+  (g, Pr_embed.Rotation.adjacency g)
+
 let random_failures rng g ~k =
   let k = min k (Graph.m g - 1) in
   Failure.of_list g
@@ -59,8 +74,8 @@ let random_failures rng g ~k =
 
 (* ---- FIB compiler: decompilation round-trip ---- *)
 
-let check_roundtrip g rotation =
-  let routing, cycles, fib = compile g rotation in
+let check_roundtrip kind g rotation =
+  let routing, cycles, fib = compile ~kind g rotation in
   let n = Graph.n g in
   Alcotest.(check int) "n" n (Fib.n fib);
   Alcotest.(check int) "dd bits" (Routing.dd_bits routing) (Fib.dd_bits fib);
@@ -111,6 +126,14 @@ let check_roundtrip g rotation =
       Alcotest.(check int) "disc_q"
         (Routing.quantise_dd routing (Routing.disc routing ~node ~dst))
         (Fib.disc_q fib ~node ~dst);
+      (* The quantiser itself, spelled out: identity for hops, ceiling
+         for weighted costs. *)
+      let d = Fib.disc fib ~node ~dst in
+      Alcotest.(check int) "disc_q rounding"
+        (match kind with
+        | Pr_core.Discriminator.Hops -> int_of_float d
+        | Pr_core.Discriminator.Weighted -> int_of_float (Float.ceil d))
+        (Fib.disc_q fib ~node ~dst);
       Alcotest.(check (float 0.0)) "distance"
         (Routing.distance routing ~node ~dst)
         (Fib.distance fib ~node ~dst);
@@ -146,7 +169,9 @@ let check_roundtrip g rotation =
 let test_roundtrip_named () =
   List.iter
     (fun (topo, rotation) ->
-      check_roundtrip topo.Pr_topo.Topology.graph rotation)
+      List.iter
+        (fun kind -> check_roundtrip kind topo.Pr_topo.Topology.graph rotation)
+        [ Pr_core.Discriminator.Hops; Pr_core.Discriminator.Weighted ])
     (named_topologies ())
 
 let qcheck_roundtrip_random =
@@ -155,7 +180,9 @@ let qcheck_roundtrip_random =
     QCheck.(triple (int_bound 1_000_000) (int_range 4 12) (int_bound 12))
     (fun params ->
       let g, rotation = random_instance params in
-      check_roundtrip g rotation;
+      check_roundtrip Pr_core.Discriminator.Hops g rotation;
+      let g, rotation = reweighted_instance params in
+      check_roundtrip Pr_core.Discriminator.Weighted g rotation;
       true)
 
 let test_compile_errors () =

@@ -101,6 +101,31 @@ let qcheck_edge_index_roundtrip =
           acc && Graph.edge_index g e.u e.v = i && Graph.edge_index g e.v e.u = i)
         g true)
 
+(* [Graph.port] inverts [neighbours] at every node, answers -1 for every
+   non-neighbour (the node itself included) and rejects an out-of-range
+   node. *)
+let check_port g =
+  for v = 0 to Graph.n g - 1 do
+    let row = Graph.neighbours g v in
+    for w = 0 to Graph.n g - 1 do
+      let expect =
+        match Array.find_index (Int.equal w) row with
+        | Some p -> p
+        | None -> -1
+      in
+      if Graph.port g v w <> expect then
+        Alcotest.failf "port %d %d = %d, want %d" v w (Graph.port g v w) expect
+    done
+  done;
+  invalid "negative node" (fun () -> Graph.port g (-1) 0);
+  invalid "node past the end" (fun () -> Graph.port g (Graph.n g) 0)
+
+let test_port () =
+  check_port (triangle ());
+  check_port (Graph.unweighted ~n:5 [ (3, 0); (3, 4); (3, 1) ]);
+  check_port (Pr_topo.Geant.topology ()).Pr_topo.Topology.graph;
+  Alcotest.(check int) "not a node" (-1) (Graph.port (triangle ()) 0 7)
+
 let suite =
   [
     Alcotest.test_case "create counts" `Quick test_create_counts;
@@ -113,6 +138,7 @@ let suite =
     Alcotest.test_case "equal_structure" `Quick test_equal_structure;
     Alcotest.test_case "fold and iter" `Quick test_fold_iter_edges;
     Alcotest.test_case "empty graph" `Quick test_empty_graph;
+    Alcotest.test_case "port" `Quick test_port;
     QCheck_alcotest.to_alcotest qcheck_degree_sum;
     QCheck_alcotest.to_alcotest qcheck_edge_index_roundtrip;
   ]

@@ -627,6 +627,39 @@ let test_history_rules () =
     (List.length r.verdicts);
   Alcotest.(check int) "nothing anomalous" 0 r.anomalies
 
+(* ---- compile-cost attribution ---- *)
+
+(* [prcli report --compile]'s source: the fib.compile span with one child
+   per plane, the sampled per-destination costs in destination order,
+   and a pr.compile/1 JSON rendering. *)
+let test_profile_compile () =
+  let topo, rotation = geant () in
+  let p = Report.profile_compile topo rotation in
+  Alcotest.(check string) "the compile span" "fib.compile"
+    p.Report.compile.Span.name;
+  let children = List.map (fun (c : Span.node) -> c.Span.name) p.Report.planes in
+  List.iter
+    (fun plane ->
+      let name = "fib.compile." ^ plane in
+      if not (List.mem name children) then
+        Alcotest.failf "fib.compile lacks the %s child (has %s)" name
+          (String.concat ", " children))
+    [ "ports"; "routes"; "cycles"; "lfa" ];
+  Alcotest.(check bool) "cost samples recorded" true (p.Report.costs <> []);
+  let dsts = List.map fst p.Report.costs in
+  Alcotest.(check (list int)) "samples in destination order"
+    (List.sort_uniq compare dsts) dsts;
+  List.iter
+    (fun dst ->
+      if dst < 0 || dst >= Graph.n topo.Pr_topo.Topology.graph then
+        Alcotest.failf "sampled destination %d out of range" dst)
+    dsts;
+  match Json.parse (Report.compile_to_json p) with
+  | Error e -> Alcotest.failf "compile json does not parse: %s" e
+  | Ok j ->
+      Alcotest.(check (option string)) "schema" (Some "pr.compile/1")
+        (Option.bind (Json.member "schema" j) Json.str)
+
 let suite =
   [
     Alcotest.test_case "linkload parity abilene (domains 1/2/4)" `Slow
@@ -661,4 +694,5 @@ let suite =
     Alcotest.test_case "flight record schema and fingerprint" `Quick
       test_flight_record_schema;
     Alcotest.test_case "history assessment rules" `Quick test_history_rules;
+    Alcotest.test_case "compile profile on geant" `Quick test_profile_compile;
   ]

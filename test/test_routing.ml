@@ -31,9 +31,83 @@ let test_memory_entries () =
   let g = (Pr_topo.Abilene.topology ()).Pr_topo.Topology.graph in
   Alcotest.(check int) "n(n-1)" 110 (Routing.memory_entries (Routing.build g))
 
+let hop_diameter trees =
+  Array.fold_left
+    (fun acc tree ->
+      let acc = ref acc in
+      for v = 0 to Array.length tree.Pr_graph.Dijkstra.dist - 1 do
+        if Pr_graph.Dijkstra.reachable tree v then
+          acc := max !acc (Pr_graph.Dijkstra.hop_count tree v)
+      done;
+      !acc)
+    0 trees
+
+(* Hubs, highest degree first, each losing every link but its first (so
+   it stays reachable), until the blocked hop diameter exceeds the full
+   one: the shortcuts the hubs offered are gone. *)
+let blocking_hubs g =
+  let full = Pr_graph.Dijkstra.diameter_hops g in
+  let hubs = List.init (Graph.n g) Fun.id in
+  let hubs =
+    List.stable_sort (fun a b -> compare (Graph.degree g b) (Graph.degree g a)) hubs
+  in
+  let rec grow links = function
+    | [] -> Alcotest.fail "no hub blocking widens the diameter"
+    | hub :: rest ->
+        let links =
+          List.map (Graph.edge_index g hub)
+            (List.tl (Array.to_list (Graph.neighbours g hub)))
+          @ links
+        in
+        let blocked i = List.mem i links in
+        let trees = Pr_graph.Dijkstra.all_roots ~blocked g in
+        if hop_diameter trees > full then (blocked, trees) else grow links rest
+  in
+  grow [] hubs
+
+(* The DD budget is computed once at build: from the trees [build]
+   holds, and from the full graph for [build_blocked], whose budget does
+   not shrink — or grow — with the blocked links.  Every case must equal
+   [Discriminator.bits_needed] over the full graph. *)
 let test_dd_bits () =
   let g = (Pr_topo.Abilene.topology ()).Pr_topo.Topology.graph in
-  Alcotest.(check int) "abilene dd bits" 3 (Routing.dd_bits (Routing.build g))
+  Alcotest.(check int) "abilene dd bits" 3 (Routing.dd_bits (Routing.build g));
+  let graphs =
+    [
+      ("abilene", g);
+      ("geant", (Pr_topo.Geant.topology ()).Pr_topo.Topology.graph);
+      ("teleglobe", (Pr_topo.Teleglobe.topology ()).Pr_topo.Topology.graph);
+      ( "ba200",
+        (Pr_topo.Generate.barabasi_albert (Pr_util.Rng.create ~seed:1) ~n:200
+           ~k:3)
+          .Pr_topo.Topology.graph );
+    ]
+  in
+  (* Teeth: on at least one map the blocked trees alone would ask for a
+     wider budget than the full graph's. *)
+  let grows = ref false in
+  List.iter
+    (fun (name, g) ->
+      let blocked, blocked_trees = blocking_hubs g in
+      if
+        Pr_core.Discriminator.bits_of_trees Pr_core.Discriminator.Hops
+          blocked_trees
+        > Pr_core.Discriminator.bits_needed Pr_core.Discriminator.Hops g
+      then grows := true;
+      List.iter
+        (fun kind ->
+          let case label r =
+            Alcotest.(check int)
+              (Printf.sprintf "%s %s %s" name label
+                 (Pr_core.Discriminator.to_string kind))
+              (Pr_core.Discriminator.bits_needed kind g)
+              (Routing.dd_bits r)
+          in
+          case "build" (Routing.build ~kind g);
+          case "build_blocked" (Routing.build_blocked ~kind g ~blocked))
+        [ Pr_core.Discriminator.Hops; Pr_core.Discriminator.Weighted ])
+    graphs;
+  Alcotest.(check bool) "some blocked view would widen the budget" true !grows
 
 let qcheck_next_hop_chain_terminates =
   QCheck.Test.make ~name:"routing chains reach every destination" ~count:60

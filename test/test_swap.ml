@@ -21,8 +21,8 @@ module Rng = Pr_util.Rng
 module Fib = Pr_fastpath.Fib
 module Delta = Pr_fastpath.Fib.Delta
 
-let compile g rotation =
-  Fib.of_tables_exn (Routing.build g) (Cycle_table.build rotation)
+let compile ?kind g rotation =
+  Fib.of_tables_exn (Routing.build ?kind g) (Cycle_table.build rotation)
 
 let paper_topologies () =
   List.map
@@ -84,15 +84,33 @@ let check_sequence ?threshold rng fib ~batches =
   done;
   !cur
 
+(* [of_tables] reads the trees [Routing] built over the base graph;
+   [Delta.recompile] runs its own SPF over a rebuilt effective graph.
+   Both feed one fill, so this pins the trees and the structure they are
+   handed, on both discriminator kinds, on geographically weighted Géant
+   and on a BA n=200 instance whose hubs carry long LFA rows. *)
 let test_recompile_base_identity () =
+  let ba =
+    Pr_topo.Generate.barabasi_albert (Rng.create ~seed:1) ~n:200 ~k:3
+  in
+  let weighted_geant = Pr_topo.Geant.weighted () in
   List.iter
     (fun (topo, rotation) ->
-      let fib = compile topo.Pr_topo.Topology.graph rotation in
-      Alcotest.(check bool)
-        ("recompile(base) = base on " ^ topo.Pr_topo.Topology.name)
-        true
-        (Fib.equal fib (Delta.recompile fib)))
-    (paper_topologies ())
+      List.iter
+        (fun kind ->
+          let fib = compile ~kind topo.Pr_topo.Topology.graph rotation in
+          Alcotest.(check bool)
+            (Printf.sprintf "recompile(base) = base on %s (%s)"
+               topo.Pr_topo.Topology.name
+               (Pr_core.Discriminator.to_string kind))
+            true
+            (Fib.equal fib (Delta.recompile fib)))
+        [ Pr_core.Discriminator.Hops; Pr_core.Discriminator.Weighted ])
+    (paper_topologies ()
+    @ [
+        (weighted_geant, Pr_embed.Geometric.of_topology weighted_geant);
+        (ba, Pr_embed.Geometric.of_topology ba);
+      ])
 
 (* The acceptance-criteria harness: >= 100 randomized sequences across
    the three paper topologies, every intermediate image byte-equal to a
