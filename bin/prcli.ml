@@ -1872,102 +1872,72 @@ let bench name embedding seed backend_spec domains json probe repeat probe_out
   Pr_telemetry.Flight.count fl "unreachable" metrics.Pr_sim.Metrics.unreachable;
   Pr_telemetry.Flight.metric fl "elapsed_s" elapsed;
   Pr_telemetry.Flight.metric fl "ns_per_packet" ns_per_packet;
-  if probe then begin
-    let run_on () =
-      match backend with
-      | `Compiled ->
-          let total, p =
-            Pr_fastpath.Parallel.run_probed ~domains ~seed fib items
-          in
-          (Pr_sim.Metrics.of_fastpath total, p)
-      | `Reference ->
-          let p = Probe.create () in
-          let m = reference_sweep ~probe:p () in
-          (m, p)
-    in
-    let (metrics_on, probe_t), elapsed_on = best_of run_on in
+  (* The probe and link-load overhead legs: the plain sweep again with
+     one sink attached — [run_on] returns its metrics and the filled
+     sink — refereed against the plain run's metrics and timed
+     best-of-[repeat] against its time.  Writes the suite's JSON, the
+     sink's [payload] under the suite's name. *)
+  let sink_pair ~suite ~out run_on payload =
+    let (metrics_on, sink), elapsed_on = best_of run_on in
     let render m = Format.asprintf "%a" Pr_sim.Metrics.pp m in
     if render metrics_on <> render metrics then begin
-      Printf.eprintf "probe-on run changed the metrics — telemetry bug\n";
+      Printf.eprintf "%s-on run changed the metrics — %s bug\n" suite suite;
       exit 1
     end;
     let ns_on = elapsed_on *. 1e9 /. float_of_int (max 1 packets) in
     let ratio = if elapsed > 0.0 then elapsed_on /. elapsed else 1.0 in
-    let oc = open_out probe_out in
+    let oc = open_out out in
     Printf.fprintf oc
       "{\n\
-      \  \"suite\": \"probe\",\n\
+      \  \"suite\": %S,\n\
       \  \"topology\": %S,\n\
       \  \"backend\": %S,\n\
       \  \"domains\": %d,\n\
       \  \"repeat\": %d,\n\
       \  \"scenarios\": %d,\n\
       \  \"packets\": %d,\n\
-      \  \"probe_off\": {\"elapsed_s\": %.6f, \"ns_per_packet\": %.2f},\n\
-      \  \"probe_on\": {\"elapsed_s\": %.6f, \"ns_per_packet\": %.2f},\n\
+      \  \"%s_off\": {\"elapsed_s\": %.6f, \"ns_per_packet\": %.2f},\n\
+      \  \"%s_on\": {\"elapsed_s\": %.6f, \"ns_per_packet\": %.2f},\n\
       \  \"overhead_ratio\": %.4f,\n\
-      \  \"probe\": %s\n\
+      \  %S: %s\n\
        }\n"
-      topo.Topology.name
+      suite topo.Topology.name
       (Pr_sim.Engine.backend_name backend)
-      domains repeat (Array.length items) packets elapsed ns_per_packet
-      elapsed_on ns_on ratio
-      (Probe.to_json probe_t);
+      domains repeat (Array.length items) packets suite elapsed ns_per_packet
+      suite elapsed_on ns_on ratio suite (payload sink);
     close_out oc;
     Printf.printf
-      "  probe: off %.0f ns/packet, on %.0f ns/packet (x%.3f); wrote %s\n"
-      ns_per_packet ns_on ratio probe_out;
-    Pr_telemetry.Flight.metric fl "probe_overhead" ratio;
-    Pr_telemetry.Flight.artifact fl probe_out
-  end;
-  if linkload_flag then begin
-    let run_on () =
-      match backend with
-      | `Compiled ->
-          let total, ll =
-            Pr_fastpath.Parallel.run_loaded ~domains ~seed fib items
-          in
-          (Pr_sim.Metrics.of_fastpath total, ll)
-      | `Reference ->
-          let ll = Pr_obs.Linkload.create g in
-          let m = reference_sweep ~linkload:ll () in
-          (m, ll)
-    in
-    let (metrics_on, ll), elapsed_on = best_of run_on in
-    let render m = Format.asprintf "%a" Pr_sim.Metrics.pp m in
-    if render metrics_on <> render metrics then begin
-      Printf.eprintf "linkload-on run changed the metrics — accounting bug\n";
-      exit 1
-    end;
-    let ns_on = elapsed_on *. 1e9 /. float_of_int (max 1 packets) in
-    let ratio = if elapsed > 0.0 then elapsed_on /. elapsed else 1.0 in
-    let oc = open_out linkload_out in
-    Printf.fprintf oc
-      "{\n\
-      \  \"suite\": \"linkload\",\n\
-      \  \"topology\": %S,\n\
-      \  \"backend\": %S,\n\
-      \  \"domains\": %d,\n\
-      \  \"repeat\": %d,\n\
-      \  \"scenarios\": %d,\n\
-      \  \"packets\": %d,\n\
-      \  \"linkload_off\": {\"elapsed_s\": %.6f, \"ns_per_packet\": %.2f},\n\
-      \  \"linkload_on\": {\"elapsed_s\": %.6f, \"ns_per_packet\": %.2f},\n\
-      \  \"overhead_ratio\": %.4f,\n\
-      \  \"linkload\": %s\n\
-       }\n"
-      topo.Topology.name
-      (Pr_sim.Engine.backend_name backend)
-      domains repeat (Array.length items) packets elapsed ns_per_packet
-      elapsed_on ns_on ratio
-      (Pr_obs.Linkload.to_json ll);
-    close_out oc;
-    Printf.printf
-      "  linkload: off %.0f ns/packet, on %.0f ns/packet (x%.3f); wrote %s\n"
-      ns_per_packet ns_on ratio linkload_out;
-    Pr_telemetry.Flight.metric fl "linkload_overhead" ratio;
-    Pr_telemetry.Flight.artifact fl linkload_out
-  end;
+      "  %s: off %.0f ns/packet, on %.0f ns/packet (x%.3f); wrote %s\n"
+      suite ns_per_packet ns_on ratio out;
+    Pr_telemetry.Flight.metric fl (suite ^ "_overhead") ratio;
+    Pr_telemetry.Flight.artifact fl out
+  in
+  if probe then
+    sink_pair ~suite:"probe" ~out:probe_out
+      (fun () ->
+        match backend with
+        | `Compiled ->
+            let total, p =
+              Pr_fastpath.Parallel.run_probed ~domains ~seed fib items
+            in
+            (Pr_sim.Metrics.of_fastpath total, p)
+        | `Reference ->
+            let p = Probe.create () in
+            (reference_sweep ~probe:p (), p))
+      Probe.to_json;
+  if linkload_flag then
+    sink_pair ~suite:"linkload" ~out:linkload_out
+      (fun () ->
+        match backend with
+        | `Compiled ->
+            let total, ll =
+              Pr_fastpath.Parallel.run_loaded ~domains ~seed fib items
+            in
+            (Pr_sim.Metrics.of_fastpath total, ll)
+        | `Reference ->
+            let ll = Pr_obs.Linkload.create g in
+            (reference_sweep ~linkload:ll (), ll))
+      Pr_obs.Linkload.to_json;
   if swap_flag then begin
     (* Control-plane costs: per-edge single-edit incremental recompile
        vs a full recompile of the same image, and the hot-swap pause

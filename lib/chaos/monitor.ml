@@ -67,10 +67,10 @@ let record ?trace t monitor ~time ~src ~dst detail =
 (* Re-run the offending packet through the reference walk with a ring
    sink attached and render the hop trace — the flight recording filed
    with delivery/loop violations.  Truth-based, so only sound without a
-   detection config (where the engine's own walk is [Forward.run] over
-   the frozen failure set) and without a live control plane (where the
-   engine no longer forwards on the base tables after the first swap);
-   capped with the recorded-details cap. *)
+   detection config (where the engine walks the frozen failure set with
+   no view, exactly [Forward.run]) and without a live control plane
+   (where the engine no longer forwards on the base tables after the
+   first swap); capped with the recorded-details cap. *)
 let capture_trace t ~failures ~src ~dst () =
   if t.detection <> None || t.control || t.recorded_n >= t.max_recorded then
     None

@@ -12,10 +12,15 @@ let graph t = Rotation.graph t.rot
 
 let cycle_next t ~node ~from_ = Rotation.next t.rot node from_
 
+(* One rotation lookup, as in {!cycle_next}, on every cycle-following hop
+   of the reference walk.  [Rotation.next] rejects a non-neighbour; an
+   out-of-range [from_] could alias another node's entry. *)
 let cycle_next_opt t ~node ~from_ =
-  if Pr_graph.Graph.has_edge (graph t) node from_ then
-    Some (Rotation.next t.rot node from_)
-  else None
+  if from_ < 0 || from_ >= Pr_graph.Graph.n (graph t) then None
+  else
+    match Rotation.next t.rot node from_ with
+    | w -> Some w
+    | exception Invalid_argument _ -> None
 
 let complement_for_failed t ~node ~failed = Rotation.next t.rot node failed
 

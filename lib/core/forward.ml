@@ -32,6 +32,7 @@ type drop_reason =
   | Interfaces_down
   | Continuation_lost
   | Budget_exhausted
+  | Stale_view
 
 let degradation_name = function
   | Retry_complementary -> "retry-complementary"
@@ -43,6 +44,7 @@ let drop_reason_name = function
   | Interfaces_down -> "interfaces-down"
   | Continuation_lost -> "continuation-lost"
   | Budget_exhausted -> "budget-exhausted"
+  | Stale_view -> "stale-view"
 
 (* Fault loci for guard-mode forwarding: each names the corruption a guarded
    walk detected and where, in the style of Pr_fastpath.Fib's typed deltas.
@@ -390,9 +392,11 @@ let step ?(termination = Distance_discriminator) ?(quantise = false)
       Stuck { outcome = Dropped_unreachable; failure_hits }
   | Degraded_drop { reason = Interfaces_down; failure_hits; _ } ->
       Stuck { outcome = Dropped_no_interface; failure_hits }
-  | Degraded_drop { reason = Continuation_lost | Budget_exhausted; _ } ->
+  | Degraded_drop
+      { reason = Continuation_lost | Budget_exhausted | Stale_view; _ } ->
       (* Unreachable: strict mode raises on missing entries, the budget
-         rung is unarmed and DD values never saturate without a bound. *)
+         rung is unarmed, DD values never saturate without a bound and
+         [decide] never dies on the wire. *)
       assert false
 
 let ladder_step ?(termination = Distance_discriminator) ?(quantise = false)
@@ -423,34 +427,69 @@ type trace = {
 
 let default_ttl g = (2 * Graph.m g * (Graph.n g + 2)) + Graph.n g + 16
 
-let step_class result =
-  match result with
-  | Stuck _ -> Probe.cls_drop
-  | Transmit { shortcut = true; _ } -> Probe.cls_shortcut
-  | Transmit { episode_started = true; _ } -> Probe.cls_episode
-  | Transmit { header = { pr_bit = true; _ }; _ } -> Probe.cls_cycle
-  | Transmit _ -> Probe.cls_routed
+type guarded = {
+  trace : trace;
+  fault : fault option;
+  drop : drop_reason option;
+  degradations : degradation list;
+}
 
-let run ?termination ?ttl ?quantise ?(trace = Trace.null) ?probe ?linkload
-    ?shortcut ~routing ~cycles ~failures ~src ~dst () =
+let inject_of_field ~dd_bits field =
+  match Header.decode_result ~dd_bits field with
+  | Error _ -> Error (Bad_field { field })
+  | Ok { Header.pr; dd } -> Ok { pr_bit = pr; dd_value = float_of_int dd }
+
+let probe_reason = function
+  | No_route -> Probe.reason_no_route
+  | Interfaces_down -> Probe.reason_interfaces_down
+  | Continuation_lost -> Probe.reason_continuation_lost
+  | Budget_exhausted -> Probe.reason_budget_exhausted
+  | Stale_view -> Probe.reason_stale_view
+
+(* Latency class of one decision, in the kernel's [slow_class] order: a
+   ladder rung outranks the shortcut/episode/cycle state it left behind. *)
+let decision_class = function
+  | Degraded_drop _ -> Probe.cls_drop
+  | Forwarded { degradations; shortcut; episode_started; header; _ } ->
+      if List.mem Lfa_rescue degradations then Probe.cls_lfa
+      else if List.mem Retry_complementary degradations then Probe.cls_retry
+      else if shortcut then Probe.cls_shortcut
+      else if episode_started then Probe.cls_episode
+      else if header.pr_bit then Probe.cls_cycle
+      else Probe.cls_routed
+
+let run_guarded ?termination ?ttl ?quantise ?dd_bits ?(budget_guard = 0)
+    ?(header = fresh_header) ?arrived_from ?(trace = Trace.null) ?probe
+    ?linkload ?shortcut ?view ~routing ~cycles ~failures ~src ~dst () =
   let g = Routing.graph routing in
   let n = Graph.n g in
   if src < 0 || src >= n || dst < 0 || dst >= n then
     invalid_arg
       (Printf.sprintf
-         "Forward.run: node out of range (src %d, dst %d, topology has 0..%d)"
+         "Forward.run_guarded: node out of range (src %d, dst %d, topology \
+          has 0..%d)"
          src dst (n - 1));
   if src = dst then
-    invalid_arg (Printf.sprintf "Forward.run: src = dst (node %d)" src);
+    invalid_arg (Printf.sprintf "Forward.run_guarded: src = dst (node %d)" src);
   let ttl0 = match ttl with Some t -> t | None -> default_ttl g in
+  (* A walk is corrupt-seeded when any header state was injected; only such
+     walks convert TTL expiry into the walk-blowup fault, so clean traffic
+     keeps the plain {!Ttl_exceeded} verdict. *)
+  let seeded = header <> fresh_header || arrived_from <> None in
   let traced = Trace.enabled trace in
+  let believed x =
+    match view with
+    | None -> fun w -> Failure.link_up failures x w
+    | Some v -> fun w -> v ~node:x ~other:w
+  in
   let pr_episodes = ref 0 in
   let failure_hits = ref 0 in
   let max_dd = ref 0.0 in
   let episodes = ref [] in
+  let all_degradations = ref [] in
   let shortcuts = ref 0 in
-  (* The seen-node hint lives per walk; the step-level query closure is
-     built once so the hot loop stays allocation-free. *)
+  (* The seen-node hint lives per walk; its query closure is built once
+     per walk, not per hop. *)
   let seen = Option.map Seen.create shortcut in
   let seen_query =
     match seen with None -> None | Some s -> Some (fun v -> Seen.query s v)
@@ -460,52 +499,114 @@ let run ?termination ?ttl ?quantise ?(trace = Trace.null) ?probe ?linkload
     | None -> ()
     | Some s -> if header.pr_bit then Seen.insert s x else Seen.reset s
   in
-  let timed_step x arrived_from header =
+  let account hits degradations =
+    failure_hits := !failure_hits + hits;
+    all_degradations := List.rev_append degradations !all_degradations;
     match probe with
-    | None ->
-        step ?termination ?quantise ~trace ?shortcut:seen_query ~routing
-          ~cycles ~failures ~dst ~node:x ~arrived_from ~header ()
+    | None -> ()
     | Some p ->
-        let t0 = Probe.now_ns () in
-        let r =
-          step ?termination ?quantise ~trace ?shortcut:seen_query ~routing
-            ~cycles ~failures ~dst ~node:x ~arrived_from ~header ()
-        in
-        Probe.record_latency p ~cls:(step_class r)
-          ~ns:(Int64.sub (Probe.now_ns ()) t0);
-        r
+        List.iter
+          (function
+            | Retry_complementary -> Probe.record_retry p
+            | Lfa_rescue -> Probe.record_lfa p
+            | Dd_saturated -> Probe.record_dd_saturation p)
+          degradations
+  in
+  (* Every walk ends here, at [node] with [ttl] hops left: the verdict
+     event and the probe record.  A corrupt verdict — an entry fault or a
+     seeded walk's expiry — is [Drop "corrupt"], never [Expire]. *)
+  let finish ?fault ?drop outcome ~node ~ttl acc =
+    let hops = ttl0 - ttl and path = List.rev acc in
+    let reason, slot =
+      match drop with
+      | Some r -> (drop_reason_name r, probe_reason r)
+      | None -> ("corrupt", Probe.reason_corrupt)
+    in
+    if traced then
+      Trace.emit trace
+        (match outcome with
+        | Delivered -> Trace.Deliver { node; hops }
+        | Ttl_exceeded -> Trace.Expire { node; hops }
+        | Dropped_no_interface | Dropped_unreachable | Dropped_corrupt ->
+            Trace.Drop { node; reason });
+    (match probe with
+    | None -> ()
+    | Some p ->
+        let depth = !pr_episodes in
+        (match outcome with
+        | Delivered ->
+            let stretch =
+              Pr_graph.Paths.cost g path
+              /. Routing.distance routing ~node:src ~dst
+            in
+            Probe.record_delivery p ~stretch ~hops ~depth
+        | Ttl_exceeded -> Probe.record_loop p ~hops ~depth
+        | Dropped_no_interface | Dropped_unreachable | Dropped_corrupt ->
+            Probe.record_drop p ~reason:slot ~hops ~depth);
+        for _ = 1 to !pr_episodes do
+          Probe.record_episode p
+        done;
+        Probe.add_failure_hits p !failure_hits);
+    {
+      trace =
+        {
+          outcome;
+          path;
+          pr_episodes = !pr_episodes;
+          failure_hits = !failure_hits;
+          max_header =
+            {
+              Header.pr = !pr_episodes > 0;
+              dd = Routing.quantise_dd routing !max_dd;
+            };
+          episodes = List.rev !episodes;
+          shortcuts = !shortcuts;
+        };
+      fault;
+      drop;
+      degradations = List.rev !all_degradations;
+    }
+  in
+  let decide_at x arrived_from header ~ttl =
+    ladder_step ?termination ?quantise ?dd_bits ~hops_left:ttl ~budget_guard
+      ~trace ?shortcut:seen_query ~routing ~cycles ~link_up:(believed x) ~dst
+      ~node:x ~arrived_from ~header ()
   in
   let rec walk x arrived_from header ~ttl acc =
-    if x = dst then begin
-      if traced then
-        Trace.emit trace (Trace.Deliver { node = x; hops = ttl0 - ttl });
-      finish Delivered ~ttl acc
-    end
-    else if ttl = 0 then begin
-      if traced then Trace.emit trace (Trace.Expire { node = x; hops = ttl0 });
-      finish Ttl_exceeded ~ttl acc
-    end
-    else begin
-      match timed_step x arrived_from header with
-      | Stuck { outcome; failure_hits = hits } ->
-          failure_hits := !failure_hits + hits;
-          if traced then
-            Trace.emit trace
-              (Trace.Drop
-                 {
-                   node = x;
-                   reason =
-                     (match outcome with
-                     | Dropped_unreachable -> "no-route"
-                     | Dropped_corrupt -> "corrupt"
-                     | Delivered | Dropped_no_interface | Ttl_exceeded ->
-                         "interfaces-down");
-                 });
-          finish outcome ~ttl acc
-      | Transmit
-          { next; header; episode_started; failure_hits = hits; shortcut = sc }
-        ->
-          failure_hits := !failure_hits + hits;
+    if x = dst then finish Delivered ~node:x ~ttl acc
+    else if ttl = 0 then
+      if seeded then
+        finish ~fault:(Walk_blowup { hops = ttl0 }) Dropped_corrupt ~node:x
+          ~ttl acc
+      else finish Ttl_exceeded ~node:x ~ttl acc
+    else
+      let decision =
+        match probe with
+        | None -> decide_at x arrived_from header ~ttl
+        | Some p ->
+            let t0 = Probe.now_ns () in
+            let r = decide_at x arrived_from header ~ttl in
+            Probe.record_latency p ~cls:(decision_class r)
+              ~ns:(Int64.sub (Probe.now_ns ()) t0);
+            r
+      in
+      match decision with
+      | Degraded_drop { reason; failure_hits = hits; degradations } ->
+          account hits degradations;
+          finish ~drop:reason
+            (if reason = No_route then Dropped_unreachable
+             else Dropped_no_interface)
+            ~node:x ~ttl acc
+      | Forwarded
+          {
+            next;
+            header;
+            episode_started;
+            failure_hits = hits;
+            degradations;
+            shortcut = sc;
+          } ->
+          account hits degradations;
           if episode_started then begin
             incr pr_episodes;
             episodes := (x, header.dd_value) :: !episodes;
@@ -523,124 +624,26 @@ let run ?termination ?ttl ?quantise ?(trace = Trace.null) ?probe ?linkload
           (match linkload with
           | None -> ()
           | Some ll ->
-              (* Strict [step] never takes a ladder rung, so hops are
-                 shortest-path, PR-mode by the header on the wire, or a
-                 shortcut exit. *)
+              (* Counted on the wire, before any stale-view death. *)
               Pr_obs.Linkload.record_next ll ~node:x ~next
                 ~cls:
-                  (if sc then Pr_obs.Linkload.cls_shortcut
+                  (if List.exists (( <> ) Dd_saturated) degradations then
+                     Pr_obs.Linkload.cls_rescue
+                   else if sc then Pr_obs.Linkload.cls_shortcut
                    else if header.pr_bit then Pr_obs.Linkload.cls_recycled
                    else Pr_obs.Linkload.cls_shortest));
-          walk next (Some x) header ~ttl:(ttl - 1) (next :: acc)
-    end
-  and finish outcome ~ttl acc =
-    let t =
-      {
-        outcome;
-        path = List.rev acc;
-        pr_episodes = !pr_episodes;
-        failure_hits = !failure_hits;
-        max_header =
-          {
-            Header.pr = !pr_episodes > 0;
-            dd = Routing.quantise_dd routing !max_dd;
-          };
-        episodes = List.rev !episodes;
-        shortcuts = !shortcuts;
-      }
-    in
-    (match probe with
-    | None -> ()
-    | Some p ->
-        let hops = ttl0 - ttl and depth = !pr_episodes in
-        (match outcome with
-        | Delivered ->
-            let stretch =
-              Pr_graph.Paths.cost g t.path
-              /. Routing.distance routing ~node:src ~dst
-            in
-            Probe.record_delivery p ~stretch ~hops ~depth
-        | Ttl_exceeded -> Probe.record_loop p ~hops:ttl0 ~depth
-        | Dropped_unreachable ->
-            Probe.record_drop p ~reason:Probe.reason_no_route ~hops ~depth
-        | Dropped_no_interface ->
-            Probe.record_drop p ~reason:Probe.reason_interfaces_down ~hops
-              ~depth
-        | Dropped_corrupt ->
-            Probe.record_drop p ~reason:Probe.reason_corrupt ~hops ~depth);
-        for _ = 1 to !pr_episodes do
-          Probe.record_episode p
-        done;
-        Probe.add_failure_hits p !failure_hits);
-    t
-  in
-  walk src None fresh_header ~ttl:ttl0 [ src ]
-
-type guarded = {
-  trace : trace;
-  fault : fault option;
-  drop : drop_reason option;
-  degradations : degradation list;
-}
-
-let inject_of_field ~dd_bits field =
-  match Header.decode_result ~dd_bits field with
-  | Error _ -> Error (Bad_field { field })
-  | Ok { Header.pr; dd } -> Ok { pr_bit = pr; dd_value = float_of_int dd }
-
-let run_guarded ?termination ?ttl ?quantise ?dd_bits ?(budget_guard = 0)
-    ?(header = fresh_header) ?arrived_from ?shortcut ~routing ~cycles ~failures
-    ~src ~dst () =
-  let g = Routing.graph routing in
-  let n = Graph.n g in
-  if src < 0 || src >= n || dst < 0 || dst >= n then
-    invalid_arg
-      (Printf.sprintf
-         "Forward.run_guarded: node out of range (src %d, dst %d, topology \
-          has 0..%d)"
-         src dst (n - 1));
-  if src = dst then
-    invalid_arg (Printf.sprintf "Forward.run_guarded: src = dst (node %d)" src);
-  let ttl0 = match ttl with Some t -> t | None -> default_ttl g in
-  (* A walk is corrupt-seeded when any header state was injected; only such
-     walks convert TTL expiry into the walk-blowup fault, so clean guarded
-     traffic keeps the plain {!Ttl_exceeded} verdict of {!run}. *)
-  let seeded = header <> fresh_header || arrived_from <> None in
-  let pr_episodes = ref 0 in
-  let failure_hits = ref 0 in
-  let max_dd = ref 0.0 in
-  let episodes = ref [] in
-  let all_degradations = ref [] in
-  let shortcuts = ref 0 in
-  let seen = Option.map Seen.create shortcut in
-  let seen_query =
-    match seen with None -> None | Some s -> Some (fun v -> Seen.query s v)
-  in
-  let track_seen x (header : hop_header) =
-    match seen with
-    | None -> ()
-    | Some s -> if header.pr_bit then Seen.insert s x else Seen.reset s
-  in
-  let finish ?fault ?drop outcome acc =
-    {
-      trace =
-        {
-          outcome;
-          path = List.rev acc;
-          pr_episodes = !pr_episodes;
-          failure_hits = !failure_hits;
-          max_header =
-            {
-              Header.pr = !pr_episodes > 0;
-              dd = Routing.quantise_dd routing !max_dd;
-            };
-          episodes = List.rev !episodes;
-          shortcuts = !shortcuts;
-        };
-      fault;
-      drop;
-      degradations = List.rev !all_degradations;
-    }
+          (* Only a view can send a packet into a dead link: it dies on the
+             wire, the failed hop kept on the path. *)
+          if Option.is_none view || Failure.link_up failures x next then
+            walk next (Some x) header ~ttl:(ttl - 1) (next :: acc)
+          else begin
+            if traced then
+              Trace.emit trace
+                (Trace.Divergence
+                   { node = x; other = next; believed_up = true });
+            finish ~drop:Stale_view Dropped_no_interface ~node:next
+              ~ttl:(ttl - 1) (next :: acc)
+          end
   in
   (* Entry guards, in the same order the compiled kernel applies them:
      impossible DD first, then the neighbour check on the claimed previous
@@ -666,53 +669,14 @@ let run_guarded ?termination ?ttl ?quantise ?dd_bits ?(budget_guard = 0)
       | _ -> None
   in
   match entry_fault with
-  | Some f -> finish ~fault:f Dropped_corrupt [ src ]
-  | None ->
-      let rec walk x arrived_from header ~ttl acc =
-        if x = dst then finish Delivered acc
-        else if ttl = 0 then
-          if seeded then
-            finish ~fault:(Walk_blowup { hops = ttl0 }) Dropped_corrupt acc
-          else finish Ttl_exceeded acc
-        else begin
-          match
-            ladder_step ?termination ?quantise ?dd_bits ~hops_left:ttl
-              ~budget_guard ?shortcut:seen_query ~routing ~cycles
-              ~link_up:(fun w -> Failure.link_up failures x w)
-              ~dst ~node:x ~arrived_from ~header ()
-          with
-          | Degraded_drop { reason; failure_hits = hits; degradations } ->
-              failure_hits := !failure_hits + hits;
-              all_degradations := List.rev_append degradations !all_degradations;
-              let outcome =
-                match reason with
-                | No_route -> Dropped_unreachable
-                | Interfaces_down | Continuation_lost | Budget_exhausted ->
-                    Dropped_no_interface
-              in
-              finish ~drop:reason outcome acc
-          | Forwarded
-              {
-                next;
-                header;
-                episode_started;
-                failure_hits = hits;
-                degradations;
-                shortcut = sc;
-              } ->
-              failure_hits := !failure_hits + hits;
-              all_degradations := List.rev_append degradations !all_degradations;
-              if episode_started then begin
-                incr pr_episodes;
-                episodes := (x, header.dd_value) :: !episodes;
-                if header.dd_value > !max_dd then max_dd := header.dd_value
-              end;
-              if sc then incr shortcuts;
-              track_seen x header;
-              walk next (Some x) header ~ttl:(ttl - 1) (next :: acc)
-        end
-      in
-      walk src arrived_from header ~ttl:ttl0 [ src ]
+  | Some f -> finish ~fault:f Dropped_corrupt ~node:src ~ttl:ttl0 [ src ]
+  | None -> walk src arrived_from header ~ttl:ttl0 [ src ]
+
+let run ?termination ?ttl ?quantise ?trace ?probe ?linkload ?shortcut ~routing
+    ~cycles ~failures ~src ~dst () =
+  (run_guarded ?termination ?ttl ?quantise ?trace ?probe ?linkload ?shortcut
+     ~routing ~cycles ~failures ~src ~dst ())
+    .trace
 
 let path_cost g trace = Pr_graph.Paths.cost g trace.path
 

@@ -2,9 +2,13 @@
     (paper §4.2–4.3).
 
     {!step} is one router's forwarding decision — the code a line card
-    would run; {!run} chains it into a full path trace under a frozen
-    failure set.  The timed simulator ({!Pr_sim.Timed}) chains the same
-    {!step} across time-varying link state instead.
+    would run — and {!ladder_step} the same decision with the
+    graceful-degradation ladder armed.  {!run_guarded} is the one
+    reference walk: it chains {!ladder_step} from source to verdict under
+    a frozen failure set, optionally on each router's own view of its
+    links.  {!run} is that walk on the true link state with no rung armed
+    — the paper's protocol.  The timed simulator ({!Pr_sim.Timed}) chains
+    the same decisions across time-varying link state instead.
 
     Per-hop behaviour at node [x]:
 
@@ -136,6 +140,11 @@ type drop_reason =
   | Budget_exhausted
       (** the hop-budget guard fired mid-episode and no ladder rung could
           take the packet *)
+  | Stale_view
+      (** the router sent the packet into a link it believed up but that
+          was down: lost on the wire.  Only a walk on a [view] that
+          disagrees with the truth ({!run_guarded}) ends this way; the
+          decision itself never returns it *)
 
 type ladder_result =
   | Forwarded of {
@@ -253,38 +262,30 @@ val run :
   dst:int ->
   unit ->
   trace
-(** Default termination: {!Distance_discriminator}; default TTL:
-    {!default_ttl}.  [quantise] (default false) makes the engine
-    header-faithful: DD values are rounded through {!Routing.quantise_dd}
-    before being written and compared, exactly as the integer DD bits
-    would carry them.  A no-op for the hop discriminator.  Raises
-    [Invalid_argument] if [src = dst] or either is out of range.
-
-    [trace] additionally receives the walk-level events (one [Hop] per
-    transmission, then the [Deliver]/[Expire]/[Drop] verdict); hop
-    counts are TTL-derived so they agree with the compiled kernel.
-    [probe] records the packet's verdict, stretch, hop count and
-    re-cycle depth, and wraps each {!step} call with the monotonic clock
-    to feed the per-class latency histograms.  [linkload] counts every
-    transmission against its directed link, classed by the header on the
-    wire (PR bit set: recycled, else shortest-path — the strict walk
-    never takes a ladder rung; a shortcut exit: shortcut).
-
-    [shortcut] arms the shortcut rung with a {!Seen.plan}: the walk
-    keeps a seen-node hint, inserting each node it departs in PR mode
-    and resetting whenever the PR bit clears, and hands {!step} the
-    deja-vu query.  Same plan, same insertions — the compiled kernel
-    mirrors this walk-level discipline bit for bit. *)
+(** [(run_guarded ... ()).trace]: the reference walk on the true link
+    state, no DD bound, no hop-budget guard and a fresh header — the
+    paper's protocol, where no ladder rung fires (a missing rotation
+    entry, possible only when [routing] and [cycles] are built over
+    different graphs, still takes the ladder).  Default termination:
+    {!Distance_discriminator}; default TTL: {!default_ttl}.  [quantise]
+    (default false) makes the walk header-faithful: DD values are
+    rounded through {!Routing.quantise_dd} before being written and
+    compared, exactly as the integer DD bits would carry them.  A no-op
+    for the hop discriminator.  Raises [Invalid_argument] if
+    [src = dst] or either is out of range.  The sinks and [shortcut] are
+    {!run_guarded}'s. *)
 
 type guarded = {
   trace : trace;
   fault : fault option;
       (** [Some _] iff [trace.outcome = Dropped_corrupt] *)
-  drop : drop_reason option;  (** [Some _] iff a ladder drop ended the walk *)
+  drop : drop_reason option;
+      (** [Some _] iff a ladder drop or a stale-view wire death ended the
+          walk *)
   degradations : degradation list;
       (** every rung taken across the walk, oldest first *)
 }
-(** Verdict of a guarded walk. *)
+(** Verdict of a {!run_guarded} walk. *)
 
 val inject_of_field : dd_bits:int -> int -> (hop_header, fault) result
 (** Decode a wire field into injectable header state, converting an
@@ -299,7 +300,11 @@ val run_guarded :
   ?budget_guard:int ->
   ?header:hop_header ->
   ?arrived_from:int ->
+  ?trace:Pr_telemetry.Trace.sink ->
+  ?probe:Pr_telemetry.Probe.t ->
+  ?linkload:Pr_obs.Linkload.t ->
   ?shortcut:Seen.plan ->
+  ?view:(node:int -> other:int -> bool) ->
   routing:Routing.t ->
   cycles:Cycle_table.t ->
   failures:Failure.t ->
@@ -307,19 +312,51 @@ val run_guarded :
   dst:int ->
   unit ->
   guarded
-(** The bounds-checked reference walk: {!ladder_step} chained over the
-    global truth, with [header]/[arrived_from] (default: fresh, none)
-    injecting possibly-corrupted in-flight state at the source.
+(** The reference walk: {!ladder_step} chained from [src] to a verdict,
+    the one walk loop every reference caller runs and the referee of
+    [Pr_fastpath.Kernel.run_one].  [dd_bits] and [budget_guard] arm the
+    ladder as in {!ladder_step}; with neither, the true link state as
+    the view and a fresh header it is the paper's protocol ({!run}).
 
-    Entry guards run in the kernel's order — an impossible DD
-    (non-finite, negative, or above [Header.max_dd ~dd_bits]) and then a
-    claimed previous hop that is not a neighbour of [src] — and convert
-    the fault into an accounted {!Dropped_corrupt} verdict.  A walk
-    seeded with injected state converts TTL expiry into {!Walk_blowup};
-    clean guarded traffic keeps {!run}'s verdicts exactly (with no
-    [dd_bits] bound and no [budget_guard], verdict-for-verdict).  Raises
+    [view] (default: the truth) is each router's belief about its links,
+    asked once per interface the decision looks at; [failures] stays the
+    truth on the wire.  The wire rule is the kernel's: a hop into a link
+    the view believes up but [failures] has down ends the walk as
+    {!Dropped_no_interface} with drop {!Stale_view}, the failed hop kept
+    on the path.
+
+    [header]/[arrived_from] (default: fresh, none) inject
+    possibly-corrupted in-flight state at the source.  Entry guards run
+    in the kernel's order — an impossible DD (non-finite, negative, or
+    above [Header.max_dd ~dd_bits]) and then a claimed previous hop that
+    is not a neighbour of [src] — and convert the fault into an
+    accounted {!Dropped_corrupt} verdict.  A walk seeded with injected
+    state converts TTL expiry into {!Walk_blowup}.  Raises
     [Invalid_argument] only on caller errors ([src = dst], out-of-range
-    nodes). *)
+    nodes).
+
+    The sinks follow the kernel, one rule each:
+    - [trace] receives each decision's events, one [Hop] per
+      transmission, then the verdict: [Deliver], [Expire], or a [Drop]
+      named by the drop reason ({!drop_reason_name}).  A wire death is
+      [Divergence] then [Drop "stale-view"] at the far end; a corrupt
+      verdict (entry fault or seeded expiry) is [Drop "corrupt"] with no
+      [Expire].  Hop counts are TTL-derived.
+    - [probe] clocks every decision, classed lfa > retry > shortcut >
+      episode > cycle > routed (a drop is [cls_drop]); files the verdict
+      with stretch, hop count and re-cycle depth, a drop in its reason's
+      slot; and counts degradations, episodes, shortcuts and failure
+      hits.
+    - [linkload] counts every transmission against its directed link on
+      the wire, before any stale-view death, classed rescue (a
+      complementary retry or LFA rescue) > shortcut > recycled (PR bit
+      set) > shortest.
+
+    [shortcut] arms the shortcut rung with a {!Seen.plan}: the walk
+    keeps a seen-node hint, inserting each node it departs in PR mode
+    and resetting whenever the PR bit clears, and hands {!ladder_step}
+    the deja-vu query.  Same plan, same insertions — the compiled kernel
+    mirrors this walk-level discipline bit for bit. *)
 
 val path_cost : Pr_graph.Graph.t -> trace -> float
 (** Weighted cost of the traversed walk. *)

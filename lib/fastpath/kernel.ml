@@ -685,9 +685,9 @@ let degradation_of_code c =
 
 (* Link-load class of the hop just forwarded (registers still hot): a
    rescue rung outranks the PR-bit state it left behind; otherwise the
-   header on the wire decides.  Matches the reference classification —
-   {!Pr_core.Forward.run} by [header.pr_bit] (strict [step] never rungs),
-   the engine's ladder walk by the decision's degradation list. *)
+   header on the wire decides.  Matches the reference classification in
+   {!Pr_core.Forward.run_guarded}: rescue > shortcut > recycled >
+   shortest. *)
 let[@inline] hop_cls t =
   let cls =
     ref

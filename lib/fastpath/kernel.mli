@@ -21,9 +21,10 @@
 
     With [view = truth], no DD bound and no budget guard, the kernel
     reproduces {!Pr_core.Forward.run} verdict-for-verdict; with a view,
-    bound and guard it reproduces the {!Pr_core.Forward.ladder_step} walk
-    of {!Pr_sim.Engine}'s detection path — both equalities are pinned by
-    the differential suite (test/test_fastpath.ml).
+    bound and guard it reproduces {!Pr_core.Forward.run_guarded} on the
+    same view — the walk of {!Pr_sim.Engine}'s detection path.  Both
+    equalities are pinned by the differential suites (test/test_fastpath.ml,
+    test/test_telemetry.ml).
 
     A kernel is single-domain state: share the {!Fib} image, give each
     domain its own kernel.

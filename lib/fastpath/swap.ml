@@ -2,17 +2,17 @@
 
    The store is a grow-only array of entries indexed by epoch.  Readers
    pin the entry they forward on; a superseded entry is retired — its
-   grace period ends — when its last pin drops.  All state transitions
-   happen under one mutex: publication and pin churn are control-plane
-   rate (per edit batch / per scenario item), never per packet, so a
-   lock here costs nothing on the forwarding path while keeping the
-   accounting exact under Domain-parallel readers. *)
+   grace period ends — when its last pin drops, and lets go of its image
+   then, so a long session holds only the images still in use.  All
+   state transitions happen under one mutex: publication and pin churn
+   are control-plane rate (per edit batch / per scenario item), never
+   per packet, so a lock here costs nothing on the forwarding path while
+   keeping the accounting exact under Domain-parallel readers. *)
 
 type entry = {
   epoch : int;
-  fib : Fib.t;
+  mutable fib : Fib.t option;  (* [None] once retired *)
   mutable pins : int;
-  mutable retired : bool;
 }
 
 type t = {
@@ -42,18 +42,23 @@ let with_lock t f =
 let create fib =
   {
     mutex = Mutex.create ();
-    entries = [| { epoch = 0; fib; pins = 0; retired = false } |];
+    entries = [| { epoch = 0; fib = Some fib; pins = 0 } |];
     len = 1;
     retired_count = 0;
   }
 
 let[@inline] current_entry t = t.entries.(t.len - 1)
 
+(* An entry's image while it is in use: [pin_at] refuses retired
+   entries, and the current entry never retires. *)
+let image (e : entry) = Option.get e.fib
+
 (* An entry leaves its grace period when it is superseded and unpinned.
    Callers hold the lock. *)
 let maybe_retire t (e : entry) =
-  if (not e.retired) && e.pins = 0 && e.epoch < (current_entry t).epoch then begin
-    e.retired <- true;
+  if Option.is_some e.fib && e.pins = 0 && e.epoch < (current_entry t).epoch
+  then begin
+    e.fib <- None;
     t.retired_count <- t.retired_count + 1
   end
 
@@ -61,13 +66,14 @@ let publish t fib =
   Pr_telemetry.Span.timed "swap.publish" @@ fun () ->
   with_lock t (fun () ->
       let cur = current_entry t in
-      if Fib.n fib <> Fib.n cur.fib || Fib.ports fib <> Fib.ports cur.fib
-         || Fib.dd_bits fib <> Fib.dd_bits cur.fib
+      let live = image cur in
+      if Fib.n fib <> Fib.n live || Fib.ports fib <> Fib.ports live
+         || Fib.dd_bits fib <> Fib.dd_bits live
       then
         invalid_arg
           "Swap.publish: image geometry differs from the published lineage";
       let epoch = t.len in
-      let e = { epoch; fib; pins = 0; retired = false } in
+      let e = { epoch; fib = Some fib; pins = 0 } in
       if t.len = Array.length t.entries then begin
         let grown = Array.make (2 * t.len) e in
         Array.blit t.entries 0 grown 0 t.len;
@@ -81,22 +87,23 @@ let publish t fib =
 
 let epoch t = with_lock t (fun () -> (current_entry t).epoch)
 
-let current t = with_lock t (fun () -> (current_entry t).fib)
+let current t = with_lock t (fun () -> image (current_entry t))
 
 let pin t =
   with_lock t (fun () ->
       let e = current_entry t in
       e.pins <- e.pins + 1;
-      (e.epoch, e.fib))
+      (e.epoch, image e))
 
 let pin_at t ~epoch =
   with_lock t (fun () ->
       if epoch < 0 || epoch >= t.len then
         invalid_arg "Swap.pin_at: epoch never published";
       let e = t.entries.(epoch) in
-      if e.retired then invalid_arg "Swap.pin_at: epoch already retired";
+      if Option.is_none e.fib then
+        invalid_arg "Swap.pin_at: epoch already retired";
       e.pins <- e.pins + 1;
-      e.fib)
+      image e)
 
 let unpin t ~epoch =
   with_lock t (fun () ->

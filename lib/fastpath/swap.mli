@@ -6,9 +6,10 @@
     one pointer move — and never loses the image under its feet because
     readers {!pin} the epoch they forward on.  A superseded epoch sits
     in its {e grace period} until its last pin drops, at which point it
-    is retired; {!stats} exposes the accounting the zero-loss invariant
-    monitor checks (every admitted packet completes on the image it
-    pinned, and images retire only after draining).
+    is retired and the store releases its image, so a long session holds
+    only the images still in use; {!stats} exposes the accounting the
+    zero-loss invariant monitor checks (every admitted packet completes
+    on the image it pinned, and images retire only after draining).
 
     Publication and pin churn happen at control-plane rate (per edit
     batch, per scenario item) under one mutex — nothing here rides the

@@ -42,20 +42,6 @@ let metrics_reason = function
   | Pr_fastpath.Kernel.Stale_view -> Metrics.Stale_view
   | Pr_fastpath.Kernel.Corrupt -> Metrics.Corrupt
 
-let probe_reason = Metrics.probe_reason
-
-(* Latency class of one ladder_step decision: a ladder rung outranks the
-   episode/cycle state it left behind (mirrors the kernel's slow_class). *)
-let ladder_class = function
-  | Forward.Degraded_drop _ -> Probe.cls_drop
-  | Forward.Forwarded { episode_started; header; degradations; _ } ->
-      if List.mem Forward.Lfa_rescue degradations then Probe.cls_lfa
-      else if List.mem Forward.Retry_complementary degradations then
-        Probe.cls_retry
-      else if episode_started then Probe.cls_episode
-      else if header.Forward.pr_bit then Probe.cls_cycle
-      else Probe.cls_routed
-
 type outcome = {
   metrics : Metrics.t;
   spf_runs : int;
@@ -176,7 +162,6 @@ let run ?observer ?detection ?(backend = `Reference) ?control ?probe ?linkload
   let control =
     match config.scheme with Pr_scheme _ -> control | _ -> None
   in
-  let control_on = Option.is_some control in
   (* Administrative liveness by base edge index; all-live = the seed
      regime.  [cur_routing] is the reference backend's recompiled tables
      (and both backends' stretch denominator); the compiled backend
@@ -200,11 +185,11 @@ let run ?observer ?detection ?(backend = `Reference) ?control ?probe ?linkload
   in
   let metrics = Metrics.create () in
   (* Link-load accounting.  Each PR-scheme walk feeds one scratch table
-     (the same hooks both backends use — Forward.run's [?linkload] and
-     the kernel's [set_linkload]); the scratch is then merged into the
-     run-level table and/or the injection-time window of the series and
-     reset.  The walks of the other schemes compute costs, not wire
-     occupancy, so only the PR scheme feeds load. *)
+     (the same hooks both backends use — Forward.run_guarded's
+     [?linkload] and the kernel's [set_linkload]); the scratch is then
+     merged into the run-level table and/or the injection-time window of
+     the series and reset.  The walks of the other schemes compute costs,
+     not wire occupancy, so only the PR scheme feeds load. *)
   let obs_scratch =
     match (linkload, series) with
     | None, None -> None
@@ -280,122 +265,6 @@ let run ?observer ?detection ?(backend = `Reference) ?control ?probe ?linkload
     in
     walk src 0.0 (4 * Graph.n g)
   in
-  (* PR forwarding under per-router beliefs: each hop decides on its own
-     local view through the degradation ladder; a packet sent into a link
-     the sender wrongly believed up dies on the wire (stale view).  Returns
-     a seed-shaped trace, the classified drop reason (when dropped) and the
-     ladder events, oldest first. *)
-  (* Effective liveness: operationally up and administratively live.
-     With control off the admin plane is all-live and this is the wire. *)
-  let effective_up x w = Netstate.is_up net x w && admin_link_up x w in
-  let forward_detected_pr d ~termination ~now ~src ~dst =
-    let routing = !cur_routing in
-    let dd_bits = Pr_core.Routing.dd_bits routing in
-    let budget_guard = (Detector.config d).Detector.budget_guard in
-    let pr_episodes = ref 0 in
-    let failure_hits = ref 0 in
-    let max_dd = ref 0.0 in
-    let episodes = ref [] in
-    let degr_rev = ref [] in
-    let finish outcome ~reason acc =
-      let trace =
-        {
-          Forward.outcome;
-          path = List.rev acc;
-          pr_episodes = !pr_episodes;
-          failure_hits = !failure_hits;
-          max_header =
-            {
-              Pr_core.Header.pr = !pr_episodes > 0;
-              dd = Pr_core.Routing.quantise_dd routing !max_dd;
-            };
-          episodes = List.rev !episodes;
-          shortcuts = 0;
-        }
-      in
-      (trace, reason, List.rev !degr_rev)
-    in
-    let rec walk x arrived_from (header : Forward.hop_header) ~ttl acc =
-      if x = dst then finish Forward.Delivered ~reason:None acc
-      else if ttl = 0 then finish Forward.Ttl_exceeded ~reason:None acc
-      else
-        let link_up =
-          (* The router knows its own administratively removed
-             interfaces whatever its detector believes — mirrored by the
-             kernel's admin plane. *)
-          if control_on then fun w ->
-            Detector.local_view d ~now ~node:x w && admin_link_up x w
-          else Detector.local_view d ~now ~node:x
-        in
-        let decision =
-          match probe with
-          | None ->
-              Forward.ladder_step ~termination ~dd_bits ~hops_left:ttl
-                ~budget_guard ~routing ~cycles ~link_up ~dst ~node:x
-                ~arrived_from ~header ()
-          | Some p ->
-              let t0 = Probe.now_ns () in
-              let r =
-                Forward.ladder_step ~termination ~dd_bits ~hops_left:ttl
-                  ~budget_guard ~routing ~cycles ~link_up ~dst ~node:x
-                  ~arrived_from ~header ()
-              in
-              Probe.record_latency p ~cls:(ladder_class r)
-                ~ns:(Int64.sub (Probe.now_ns ()) t0);
-              r
-        in
-        match decision with
-        | Forward.Degraded_drop { reason; failure_hits = hits; degradations }
-          ->
-            failure_hits := !failure_hits + hits;
-            degr_rev := List.rev_append degradations !degr_rev;
-            let outcome =
-              match reason with
-              | Forward.No_route -> Forward.Dropped_unreachable
-              | Forward.Interfaces_down | Forward.Continuation_lost
-              | Forward.Budget_exhausted ->
-                  Forward.Dropped_no_interface
-            in
-            finish outcome ~reason:(Some (Metrics.reason_of_forward reason)) acc
-        | Forward.Forwarded
-            { next; header; episode_started; failure_hits = hits; degradations; _ }
-          ->
-            failure_hits := !failure_hits + hits;
-            degr_rev := List.rev_append degradations !degr_rev;
-            if episode_started then begin
-              incr pr_episodes;
-              episodes := (x, header.Forward.dd_value) :: !episodes;
-              if header.Forward.dd_value > !max_dd then
-                max_dd := header.Forward.dd_value
-            end;
-            (match obs_scratch with
-            | None -> ()
-            | Some s ->
-                (* Counted on the wire, before any stale-view death; a
-                   rescue rung outranks the PR bit it left behind —
-                   the kernel's classification, decision for decision. *)
-                let cls =
-                  if
-                    List.exists
-                      (function
-                        | Forward.Retry_complementary | Forward.Lfa_rescue ->
-                            true
-                        | Forward.Dd_saturated -> false)
-                      degradations
-                  then Pr_obs.Linkload.cls_rescue
-                  else if header.Forward.pr_bit then
-                    Pr_obs.Linkload.cls_recycled
-                  else Pr_obs.Linkload.cls_shortest
-                in
-                Pr_obs.Linkload.record_next s ~node:x ~next ~cls);
-            if effective_up x next then
-              walk next (Some x) header ~ttl:(ttl - 1) (next :: acc)
-            else
-              finish Forward.Dropped_no_interface
-                ~reason:(Some Metrics.Stale_view) (next :: acc)
-    in
-    walk src None Forward.fresh_header ~ttl:(Forward.default_ttl g) [ src ]
-  in
   (* LFA under per-router beliefs: the seed {!Pr_baselines.Lfa.run} walk,
      with the up-checks asked of the deciding router's detector and a
      truth check on the wire. *)
@@ -456,7 +325,7 @@ let run ?observer ?detection ?(backend = `Reference) ?control ?probe ?linkload
         | Dropped ->
             let r =
               match reason with
-              | Some r -> probe_reason r
+              | Some r -> Metrics.probe_reason r
               | None -> Probe.reason_unclassified
             in
             Probe.record_drop p ~reason:r ~hops ~depth
@@ -497,88 +366,71 @@ let run ?observer ?detection ?(backend = `Reference) ?control ?probe ?linkload
     end
     else
     match config.scheme with
-    | Pr_scheme { termination } -> (
-        match det with
-        | None ->
-            let trace =
-              if use_compiled then begin
-                let k = Lazy.force kernel in
-                Pr_fastpath.Kernel.set_failures k failures;
-                Pr_fastpath.Kernel.set_linkload k obs_scratch;
-                Pr_fastpath.Kernel.to_trace k
-                  (Pr_fastpath.Kernel.run_one ~termination k ~src ~dst)
-              end
-              else
-                Pr_core.Forward.run ~termination ?linkload:obs_scratch
-                  ~routing:!cur_routing ~cycles ~failures ~src ~dst ()
+    | Pr_scheme { termination } ->
+        (* Under detection each router decides on its own beliefs, and
+           knows its administratively removed interfaces whatever its
+           detector says, as the kernel's admin plane does. *)
+        let view, dd_bits, budget_guard =
+          match det with
+          | None -> (None, None, 0)
+          | Some d ->
+              ( Some
+                  (fun ~node ~other ->
+                    Detector.believes_up d ~now:time ~node ~other
+                    && admin_link_up node other),
+                Some (Pr_core.Routing.dd_bits routing),
+                (Detector.config d).Detector.budget_guard )
+        in
+        let trace, reason, degradations =
+          if use_compiled then begin
+            let k = Lazy.force kernel in
+            Pr_fastpath.Kernel.set_failures k failures;
+            Pr_fastpath.Kernel.set_linkload k obs_scratch;
+            Option.iter (Pr_fastpath.Kernel.fill_view k) view;
+            let r =
+              Pr_fastpath.Kernel.run_one ~termination ?dd_bits ~budget_guard k
+                ~src ~dst
             in
-            let verdict =
-              match trace.outcome with
-              | Pr_core.Forward.Delivered ->
-                  let stretch =
-                    Pr_core.Forward.stretch ~routing:!cur_routing ~trace ~src
-                      ~dst
-                  in
-                  Metrics.record_delivery metrics ~stretch;
-                  Delivered { stretch }
-              | Pr_core.Forward.Ttl_exceeded ->
-                  Metrics.record_loop metrics;
-                  Looped
-              | Pr_core.Forward.Dropped_no_interface
-              | Pr_core.Forward.Dropped_unreachable ->
-                  Metrics.record_drop metrics;
-                  Dropped
-              | Pr_core.Forward.Dropped_corrupt ->
-                  Metrics.record_drop ~reason:Metrics.Corrupt metrics;
-                  Dropped
+            ( Pr_fastpath.Kernel.to_trace k r,
+              Option.map metrics_reason r.Pr_fastpath.Kernel.reason,
+              r.Pr_fastpath.Kernel.degradations )
+          end
+          else
+            let r =
+              Forward.run_guarded ~termination ?dd_bits ~budget_guard
+                ?linkload:obs_scratch ?view ~routing:!cur_routing ~cycles
+                ~failures ~src ~dst ()
             in
-            probe_record ~trace ~verdict ~reason:None ~degradations:[];
-            flush_load ~time;
-            notify ~time ~src ~dst ~failures ~verdict ~trace:(Some trace)
-        | Some d ->
-            let trace, reason, degradations =
-              if use_compiled then begin
-                let k = Lazy.force kernel in
-                Pr_fastpath.Kernel.set_failures k failures;
-                Pr_fastpath.Kernel.set_linkload k obs_scratch;
-                Pr_fastpath.Kernel.fill_view k (fun ~node ~other ->
-                    Detector.believes_up d ~now:time ~node ~other);
-                let r =
-                  Pr_fastpath.Kernel.run_one ~termination
-                    ~dd_bits:(Pr_core.Routing.dd_bits routing)
-                    ~budget_guard:(Detector.config d).Detector.budget_guard k
-                    ~src ~dst
-                in
-                ( Pr_fastpath.Kernel.to_trace k r,
-                  Option.map metrics_reason r.Pr_fastpath.Kernel.reason,
-                  r.Pr_fastpath.Kernel.degradations )
-              end
-              else forward_detected_pr d ~termination ~now:time ~src ~dst
-            in
-            Metrics.record_degradations metrics degradations;
-            let verdict =
-              match trace.outcome with
-              | Pr_core.Forward.Delivered ->
-                  let stretch =
-                    Pr_core.Forward.stretch ~routing:!cur_routing ~trace ~src
-                      ~dst
-                  in
-                  Metrics.record_delivery metrics ~stretch;
-                  Delivered { stretch }
-              | Pr_core.Forward.Ttl_exceeded ->
-                  Metrics.record_loop metrics;
-                  Looped
-              | Pr_core.Forward.Dropped_no_interface
-              | Pr_core.Forward.Dropped_unreachable ->
-                  Metrics.record_drop ?reason metrics;
-                  Dropped
-              | Pr_core.Forward.Dropped_corrupt ->
-                  Metrics.record_drop ~reason:Metrics.Corrupt metrics;
-                  Dropped
-            in
-            probe_record ~trace ~verdict ~reason ~degradations;
-            flush_load ~time;
-            notify ~time ~src ~dst ~failures ~verdict ~trace:(Some trace))
+            ( r.Forward.trace,
+              Option.map Metrics.reason_of_forward r.Forward.drop,
+              r.Forward.degradations )
+        in
+        (* Without detection PR drops stay unclassified, as the metrics
+           of the truth-view engine always were. *)
+        let reason = if Option.is_none det then None else reason in
+        Metrics.record_degradations metrics degradations;
+        let verdict =
+          match trace.outcome with
+          | Pr_core.Forward.Delivered ->
+              let stretch =
+                Pr_core.Forward.stretch ~routing:!cur_routing ~trace ~src ~dst
+              in
+              Metrics.record_delivery metrics ~stretch;
+              Delivered { stretch }
+          | Pr_core.Forward.Ttl_exceeded ->
+              Metrics.record_loop metrics;
+              Looped
+          | Pr_core.Forward.Dropped_no_interface
+          | Pr_core.Forward.Dropped_unreachable ->
+              Metrics.record_drop ?reason metrics;
+              Dropped
+          | Pr_core.Forward.Dropped_corrupt ->
+              Metrics.record_drop ~reason:Metrics.Corrupt metrics;
+              Dropped
+        in
+        probe_record ~trace ~verdict ~reason ~degradations;
+        flush_load ~time;
+        notify ~time ~src ~dst ~failures ~verdict ~trace:(Some trace)
     | Lfa_scheme -> (
         match det with
         | None ->

@@ -64,8 +64,8 @@ type swap_info = {
 
 type backend = [ `Reference | `Compiled ]
 (** Which data plane executes {!Pr_scheme} forwarding: the reference
-    walks ({!Pr_core.Forward.run} / {!Pr_core.Forward.ladder_step}), or
-    the compiled FIB image and batch kernel of {!Pr_fastpath}.  Both
+    walk ({!Pr_core.Forward.run_guarded}), or the compiled FIB image and
+    batch kernel of {!Pr_fastpath}.  Both
     produce identical verdicts, traces and metrics — pinned by the
     differential suite.  Schemes other than {!Pr_scheme} have no compiled
     form and ignore the choice. *)
@@ -87,7 +87,7 @@ type outcome = {
 
     A workload can be malformed in ways that would previously crash the
     engine mid-replay ([Not_found] on a non-edge, [Invalid_argument] deep
-    inside {!Pr_core.Forward.run}) or silently misbehave (unsorted
+    inside the forwarding walk) or silently misbehave (unsorted
     streams).  {!run} validates up front and returns a structured error
     instead. *)
 
@@ -169,10 +169,15 @@ val run :
 
     With [detection], routers no longer see the global truth: each
     forwarding decision consults the deciding router's {!Detector} belief.
-    Under {!Pr_scheme} packets walk {!Pr_core.Forward.ladder_step} (DD
-    bounded by the topology's bit budget, the detector's [budget_guard]
-    armed) and a packet sent into a link its sender wrongly believed up is
-    lost on the wire — a [Stale_view] drop in the {!Metrics} breakdown.
+    Under {!Pr_scheme} the reference backend walks
+    {!Pr_core.Forward.run_guarded} with that belief as its [view] (plus
+    the router's administratively removed interfaces, which it knows
+    whatever its detector says), the DD bounded by the topology's bit
+    budget and the detector's [budget_guard] armed; the compiled backend
+    loads the same belief into the kernel's view plane.  A packet sent
+    into a link its sender wrongly believed up is lost on the wire — a
+    [Stale_view] drop in the {!Metrics} breakdown.  Without detection PR
+    drops stay unclassified.
     Under {!Lfa_scheme} the seed walk runs on beliefs with the same
     on-wire truth check.  The reconvergence schemes start their
     convergence timers only after the detection delay.  With
@@ -188,18 +193,19 @@ val run :
     identically on both backends.
 
     [probe] (PR schemes only; the other schemes leave it untouched)
-    records every injection's verdict, stretch, hop count and re-cycle
-    depth into the given {!Pr_telemetry.Probe.t}, and under [detection]
-    wraps each {!Pr_core.Forward.ladder_step} call with the monotonic
-    clock for the per-class latency histograms.
-    {!Metrics.of_probes} on the probe reproduces the outcome's metrics
-    for PR-only workloads — pinned by the telemetry suite.
+    records every injection's verdict, stretch, hop count, re-cycle
+    depth and degradations into the given {!Pr_telemetry.Probe.t}, the
+    same way on both backends; no decision latency is clocked, so its
+    latency histograms stay empty.  {!Metrics.of_probes} on the probe
+    reproduces the outcome's metrics for PR-only workloads — pinned by
+    the telemetry suite.
 
     [linkload] (PR schemes only — the other schemes' walks compute
     costs, not wire occupancy) accumulates one count per transmission
     against its directed link, fed through the same backend hooks as
-    everywhere else (`Forward.run`'s [?linkload], the kernel's
-    [set_linkload]) so reference and compiled runs produce equal tables.
+    everywhere else ({!Pr_core.Forward.run_guarded}'s [?linkload], the
+    kernel's [set_linkload]) so reference and compiled runs produce
+    equal tables.
     [series] buckets each packet's verdict (every scheme) and its hops
     (PR schemes) into the injection-time window, plus link transitions
     and detector-belief churn at their event times — the replayable

@@ -45,6 +45,7 @@ let reason_of_forward = function
   | Pr_core.Forward.Interfaces_down -> Interfaces_down
   | Pr_core.Forward.Continuation_lost -> Continuation_lost
   | Pr_core.Forward.Budget_exhausted -> Budget_exhausted
+  | Pr_core.Forward.Stale_view -> Stale_view
 
 type t = {
   mutable injected : int;

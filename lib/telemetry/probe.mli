@@ -4,18 +4,18 @@
     A probe is a flat record of mutable ints/floats plus preallocated
     int arrays — feeding it never allocates, so it can ride the compiled
     kernel's hot loop ({!Pr_fastpath.Kernel.forward_into}) as well as the
-    reference walks ({!Pr_core.Forward.run}, the {!Pr_sim.Engine} ladder
-    walk).  Both backends feed the same record through the same calls, so
-    probe counts are comparable verdict-for-verdict across backends
-    (latency histograms excepted — they measure wall time).
+    reference walk ({!Pr_core.Forward.run_guarded}).  Both backends feed
+    the same record through the same calls, so probe counts are
+    comparable verdict-for-verdict across backends (latency histograms
+    excepted — they measure wall time).
 
     Per-rung latencies are measured with the monotonic clock
     ({!now_ns}).  The compiled kernel reads it {e only} around slow-path
     decisions (a failure encountered, a ladder rung, a drop), and only
     for one decision in {!lat_sample} — its fault-free hops never touch
     the clock, which is what keeps probe-on overhead inside the CI
-    budget.  The reference walk times every {!Pr_core.Forward.step}
-    call; it is not on any overhead budget.
+    budget.  The reference walk times every decision; it is not on any
+    overhead budget.
 
     Arming [~sketch:true] at {!create} additionally carries streaming
     {!Sketch} quantile estimators (p50/p90/p99 of stretch, hops and

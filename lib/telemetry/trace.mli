@@ -1,8 +1,8 @@
 (** Hop-level packet tracing: the flight recorder under both data planes.
 
     A {!sink} is handed to the forwarding engines
-    ({!Pr_core.Forward.run}, {!Pr_fastpath.Kernel.run_one}); at each
-    decision point the engine emits one {!event}.  The reference and
+    ({!Pr_core.Forward.run_guarded}, {!Pr_fastpath.Kernel.run_one}); at
+    each decision point the engine emits one {!event}.  The reference and
     compiled engines emit at textually matching points, so two runs of the
     same packet produce {e structurally equal} event lists — the
     telemetry differential suite pins this.
@@ -54,8 +54,8 @@ type event =
       (** detector belief at [node] about the link to [other] diverged
           from the truth at the moment it mattered *)
   | Drop of { node : int; reason : string }
-      (** verdict: dropped at [node] ({!Pr_core.Forward.drop_reason_name}
-          / ["stale-view"]) *)
+      (** verdict: dropped at [node] ({!Pr_core.Forward.drop_reason_name},
+          or ["corrupt"]) *)
   | Deliver of { node : int; hops : int }   (** verdict: delivered *)
   | Expire of { node : int; hops : int }
       (** verdict: TTL exhausted at [node] *)

@@ -30,6 +30,24 @@ let test_complement_for_failed () =
   Alcotest.(check int) "rotation successor" 2
     (Cycle_table.complement_for_failed t ~node:0 ~failed:1)
 
+(* A missing entry is [None], never another arc's entry: on the square
+   0-1-2-3, node 0 has no entry for the non-neighbour 2, for itself, or
+   for an out-of-range node (the position key of [(0, 4)] is that of
+   node 1's entry for neighbour 0). *)
+let test_cycle_next_opt () =
+  let g = Graph.unweighted ~n:4 [ (0, 1); (1, 2); (2, 3); (3, 0) ] in
+  let t = Cycle_table.build (Rotation.adjacency g) in
+  Alcotest.(check (option int)) "an entry"
+    (Some (Cycle_table.cycle_next t ~node:0 ~from_:1))
+    (Cycle_table.cycle_next_opt t ~node:0 ~from_:1);
+  List.iter
+    (fun (node, from_) ->
+      Alcotest.(check (option int))
+        (Printf.sprintf "no entry at %d from %d" node from_)
+        None
+        (Cycle_table.cycle_next_opt t ~node ~from_))
+    [ (0, 2); (0, 0); (0, 4); (0, -1); (4, 0); (-1, 0) ]
+
 let test_memory_entries () =
   let g, t = k4_table () in
   Alcotest.(check int) "2m entries network-wide" (2 * Graph.m g)
@@ -74,6 +92,7 @@ let suite =
     Alcotest.test_case "entry count" `Quick test_entry_count;
     Alcotest.test_case "complement = cf^2" `Quick test_complement_is_cf_squared;
     Alcotest.test_case "complement for failed" `Quick test_complement_for_failed;
+    Alcotest.test_case "missing entries are None" `Quick test_cycle_next_opt;
     Alcotest.test_case "memory entries" `Quick test_memory_entries;
     QCheck_alcotest.to_alcotest qcheck_cf_column_is_permutation;
     QCheck_alcotest.to_alcotest qcheck_consistent_with_rotation;

@@ -283,8 +283,9 @@ let qcheck_truth_differential =
 
 (* ---- differential: kernel vs the engine's ladder walk (views) ---- *)
 
-(* The reference walk of Engine's detection path (forward_detected_pr),
-   parameterised by an arbitrary belief plane and the wire truth. *)
+(* A ladder walk over an arbitrary belief plane and the wire truth,
+   written against Forward.ladder_step alone: a referee for the kernel
+   that shares no walk code with Forward.run_guarded. *)
 let reference_ladder_walk ~routing ~cycles ~g ~termination ?dd_bits
     ~budget_guard ~view ~truth_up ~src ~dst () =
   let pr_episodes = ref 0 in
@@ -325,7 +326,7 @@ let reference_ladder_walk ~routing ~cycles ~g ~termination ?dd_bits
             match reason with
             | Forward.No_route -> Forward.Dropped_unreachable
             | Forward.Interfaces_down | Forward.Continuation_lost
-            | Forward.Budget_exhausted ->
+            | Forward.Budget_exhausted | Forward.Stale_view ->
                 Forward.Dropped_no_interface
           in
           finish outcome ~reason:(Some (Forward.drop_reason_name reason)) acc

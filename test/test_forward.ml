@@ -503,6 +503,52 @@ let test_shortcut_simple_termination_noop () =
         armed.Forward.shortcuts;
       Alcotest.(check bool) "identical trace" true (armed = base))
 
+(* The rung-free walk written against {!Forward.step} alone, with the
+   walk-level seen-hint discipline: an independent referee for the ladder
+   walk, which {!Forward.run} itself is a call of. *)
+let step_walk ~plan ~routing ~cycles ~failures ~src ~dst =
+  let seen = Seen.create plan in
+  let rec walk x arrived_from header ~ttl path episodes hits shortcuts =
+    let finish outcome hits =
+      let max_dd =
+        List.fold_left (fun m (_, d) -> Float.max m d) 0.0 episodes
+      in
+      {
+        Forward.outcome;
+        path = List.rev path;
+        pr_episodes = List.length episodes;
+        failure_hits = hits;
+        max_header =
+          {
+            Pr_core.Header.pr = episodes <> [];
+            dd = Routing.quantise_dd routing max_dd;
+          };
+        episodes = List.rev episodes;
+        shortcuts;
+      }
+    in
+    if x = dst then finish Forward.Delivered hits
+    else if ttl = 0 then finish Forward.Ttl_exceeded hits
+    else
+      match
+        Forward.step ~shortcut:(Seen.query seen) ~routing ~cycles ~failures
+          ~dst ~node:x ~arrived_from ~header ()
+      with
+      | Forward.Stuck { outcome; failure_hits } ->
+          finish outcome (hits + failure_hits)
+      | Forward.Transmit
+          { next; header; episode_started; failure_hits; shortcut } ->
+          if header.Forward.pr_bit then Seen.insert seen x else Seen.reset seen;
+          walk next (Some x) header ~ttl:(ttl - 1) (next :: path)
+            (if episode_started then (x, header.Forward.dd_value) :: episodes
+             else episodes)
+            (hits + failure_hits)
+            (if shortcut then shortcuts + 1 else shortcuts)
+  in
+  walk src None Forward.fresh_header
+    ~ttl:(Forward.default_ttl (Routing.graph routing))
+    [ src ] [] 0 0
+
 (* Clean traffic through the guarded ladder with the rung armed keeps
    the strict walk's full trace — grants included — and never invents a
    fault. *)
@@ -511,9 +557,7 @@ let test_shortcut_guarded_clean_traffic () =
     (fun topo ->
       let g, routing, cycles, plan = shortcut_setup topo in
       single_failure_sweep g routing (fun failures ~src ~dst ->
-          let strict =
-            Forward.run ~shortcut:plan ~routing ~cycles ~failures ~src ~dst ()
-          in
+          let strict = step_walk ~plan ~routing ~cycles ~failures ~src ~dst in
           let guarded =
             Forward.run_guarded ~shortcut:plan ~routing ~cycles ~failures ~src
               ~dst ()

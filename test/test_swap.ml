@@ -300,6 +300,34 @@ let test_swap_store_interleaved_pins () =
   Alcotest.(check bool) "store drains to quiescence" true
     (Swap.quiescent swap)
 
+(* A retired epoch lets go of its image: once the last pin on a
+   superseded epoch drops, nothing in the store keeps the image alive,
+   so a long swap session holds only the images still in use.  The
+   store is built in its own frame so that only the store can keep the
+   base image reachable. *)
+let[@inline never] store_past_retired_base weak =
+  let g, base = abilene_fib () in
+  Weak.set weak 0 (Some base);
+  let swap = Swap.create base in
+  let e0, _ = Swap.pin swap in
+  let e = Graph.edge g 0 in
+  let next, _ =
+    Delta.apply_exn base
+      [ { Delta.u = e.Graph.u; v = e.Graph.v; change = Delta.Down } ]
+  in
+  ignore (Swap.publish swap next);
+  Swap.unpin swap ~epoch:e0;
+  swap
+
+let test_swap_store_releases_retired () =
+  let weak = Weak.create 1 in
+  let swap = store_past_retired_base weak in
+  Gc.full_major ();
+  Alcotest.(check bool) "retired image collected" false (Weak.check weak 0);
+  let s = Swap.stats swap in
+  Alcotest.(check bool) "accounting unchanged" true
+    (s.Swap.published = 2 && s.Swap.retired = 1 && Swap.quiescent swap)
+
 (* Geometry mismatches are caught per dimension, not just for whole
    foreign topologies: an image compiled over the same graph but a
    different port width must be rejected. *)
@@ -612,6 +640,8 @@ let suite =
       test_swap_store_lifecycle;
     Alcotest.test_case "epoch store: interleaved pins retire in order" `Quick
       test_swap_store_interleaved_pins;
+    Alcotest.test_case "epoch store: a retired image is released" `Quick
+      test_swap_store_releases_retired;
     Alcotest.test_case "epoch store: port-width mismatch is rejected" `Quick
       test_swap_store_geometry_mismatch;
     Alcotest.test_case "rebound kernel forwards like a fresh one" `Quick

@@ -3,7 +3,9 @@
    - Flight recorder: the reference walk and the compiled kernel (traced
      run_one and traced forward_into alike) emit structurally equal
      hop-event sequences on the Abilene all-pairs single-failure sweep
-     (events carry no timestamps, so this is plain [=]).
+     (events carry no timestamps, so this is plain [=]), and so do
+     ladder walks on a router's own view (Abilene, Géant), with equal
+     verdicts, probes and link loads.
    - Probes: the reference sweep and the batch kernel feed bit-identical
      counts through the shared probe record, and the Domain-parallel
      driver preserves them at any domain count.
@@ -112,6 +114,109 @@ let test_event_differential_abilene () =
   (* Abilene is 2-edge-connected: no pair is ever skipped. *)
   Alcotest.(check int) "pairs compared" (2 * Graph.m g * (Graph.n g * (Graph.n g - 1)))
     !compared
+
+(* ---- the same differential over ladder walks on a router's own view ---- *)
+
+(* Per edge index [i]: link [i] failed but believed up (its packets die
+   on the wire), link [i+1] failed and believed down, link [i+2] live
+   but believed down (the ladder runs on a live link).  The DD field is
+   one bit short of the topology's budget and the TTL short under the
+   hop-budget guard, so the saturation and budget rungs fire too.  Both
+   backends walk every ordered pair under both terminations with trace,
+   probe and link load attached. *)
+let check_ladder_view_differential topo rotation =
+  let g = topo.Pr_topo.Topology.graph in
+  let routing, cycles, fib = compile g rotation in
+  let kernel = Kernel.create fib in
+  let m = Graph.m g in
+  let dd_bits = Routing.dd_bits routing - 1 in
+  let ttl = Graph.n g and budget_guard = Graph.n g / 2 in
+  let ref_ring = Trace.Ring.create () and krn_ring = Trace.Ring.create () in
+  let ref_probe = Probe.create () and krn_probe = Probe.create () in
+  let ref_ll = Pr_obs.Linkload.create g and krn_ll = Pr_obs.Linkload.create g in
+  Kernel.set_trace kernel (Trace.Ring.sink krn_ring);
+  Kernel.set_probe kernel (Some krn_probe);
+  Kernel.set_linkload kernel (Some krn_ll);
+  let divergences = ref 0 and saturations = ref 0 and budget_rungs = ref 0 in
+  for i = 0 to m - 1 do
+    let edge k = Graph.edge g ((i + k) mod m) in
+    let stale = edge 0 and down = edge 1 and suspect = edge 2 in
+    let failures =
+      Failure.of_list g [ (stale.Graph.u, stale.Graph.v); (down.u, down.v) ]
+    in
+    let view ~node ~other =
+      not
+        (List.exists
+           (fun (e : Graph.edge) ->
+             (e.u = node && e.v = other) || (e.v = node && e.u = other))
+           [ down; suspect ])
+    in
+    Kernel.set_failures kernel failures;
+    Kernel.fill_view kernel view;
+    List.iter
+      (fun termination ->
+        List.iter
+          (fun (src, dst) ->
+            Trace.Ring.clear ref_ring;
+            Trace.Ring.clear krn_ring;
+            let expect =
+              Forward.run_guarded ~termination ~dd_bits ~budget_guard ~ttl
+                ~view ~trace:(Trace.Ring.sink ref_ring) ~probe:ref_probe
+                ~linkload:ref_ll ~routing ~cycles ~failures ~src ~dst ()
+            in
+            let got =
+              Kernel.run_one ~termination ~dd_bits ~budget_guard ~ttl kernel
+                ~src ~dst
+            in
+            let events = Trace.Ring.events ref_ring in
+            if events <> Trace.Ring.events krn_ring then
+              Alcotest.failf
+                "%s edge %d: event sequence mismatch %d->%d:\n-- reference\n%s\n-- compiled\n%s"
+                topo.Pr_topo.Topology.name i src dst (Trace.render events)
+                (Trace.render (Trace.Ring.events krn_ring));
+            if
+              expect.Forward.trace.Forward.outcome <> got.Kernel.outcome
+              || Option.map Forward.drop_reason_name expect.Forward.drop
+                 <> Option.map Kernel.reason_name got.Kernel.reason
+              || expect.Forward.degradations <> got.Kernel.degradations
+            then
+              Alcotest.failf
+                "%s edge %d: outcome, drop reason or degradations differ %d->%d"
+                topo.Pr_topo.Topology.name i src dst;
+            List.iter
+              (function
+                | Trace.Divergence _ -> incr divergences
+                | Trace.Dd_saturated _ | Trace.Dd_refused _ -> incr saturations
+                | Trace.Rung { reason = "budget-exhausted"; _ } ->
+                    incr budget_rungs
+                | _ -> ())
+              events)
+          (Helpers.all_pairs g))
+      [ Forward.Distance_discriminator; Forward.Simple ]
+  done;
+  Kernel.set_trace kernel Trace.null;
+  Kernel.set_probe kernel None;
+  Kernel.set_linkload kernel None;
+  Alcotest.(check bool) "probe parity" true
+    (Probe.equal_counts ref_probe krn_probe);
+  Alcotest.(check bool) "link-load parity" true
+    (Pr_obs.Linkload.equal ref_ll krn_ll);
+  List.iter
+    (fun (what, count) ->
+      if count = 0 then
+        Alcotest.failf "%s: the sweep exercised no %s"
+          topo.Pr_topo.Topology.name what)
+    [
+      ("stale-view wire death", !divergences);
+      ("DD saturation", !saturations);
+      ("budget rung", !budget_rungs);
+    ]
+
+let test_event_differential_ladder_views () =
+  List.iter
+    (fun topo ->
+      check_ladder_view_differential topo (Pr_embed.Geometric.of_topology topo))
+    [ Pr_topo.Abilene.topology (); Pr_topo.Geant.topology () ]
 
 (* ---- probes: reference sweep = kernel sweep, at any domain count ---- *)
 
@@ -292,6 +397,8 @@ let suite =
   [
     Alcotest.test_case "event differential: abilene single failures" `Quick
       test_event_differential_abilene;
+    Alcotest.test_case "event differential: ladder walks on views" `Quick
+      test_event_differential_ladder_views;
     Alcotest.test_case "probe parity: reference = kernel = parallel" `Quick
       test_probe_parity_sweep;
     Alcotest.test_case "of_probes round-trips the engine" `Slow
