@@ -26,12 +26,21 @@ let of_nodes g nodes =
     nodes;
   { g; failed }
 
+let iter f t =
+  Pr_util.Bitset.iter
+    (fun i ->
+      let e = Graph.edge t.g i in
+      f e.u e.v)
+    t.failed
+
+(* [b]'s links go in by their endpoints: a structurally equal graph may
+   number its edges in another order. *)
 let combine a b =
   if not (Graph.equal_structure a.g b.g) then
     invalid_arg "Failure.combine: different graphs";
   let failed = Pr_util.Bitset.create (Graph.m a.g) in
   Pr_util.Bitset.iter (Pr_util.Bitset.add failed) a.failed;
-  Pr_util.Bitset.iter (Pr_util.Bitset.add failed) b.failed;
+  iter (fun u v -> Pr_util.Bitset.add failed (Graph.edge_index a.g u v)) b;
   { g = a.g; failed }
 
 let graph t = t.g

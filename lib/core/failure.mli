@@ -17,10 +17,19 @@ val of_nodes : Pr_graph.Graph.t -> int list -> t
     [Invalid_argument] on out-of-range nodes. *)
 
 val combine : t -> t -> t
-(** Union of two failure sets over the same graph ([Invalid_argument]
-    otherwise). *)
+(** Union of two failure sets over structurally equal graphs
+    ([Invalid_argument] otherwise), over the first one's graph.  The
+    second set's links are carried over by their endpoints, so the two
+    graphs may number their edges differently. *)
 
 val graph : t -> Pr_graph.Graph.t
+
+val iter : (int -> int -> unit) -> t -> unit
+(** [iter f t] calls [f u v] once per failed link, with its endpoints in
+    canonical orientation ([u < v]), in increasing edge index of
+    {!graph}.  Costs one read per 63 edges plus a bit scan of each word
+    holding a failed link: no hashtable probe.  Endpoints, unlike edge
+    indices, mean the same link in every structurally equal graph. *)
 
 val is_failed : t -> int -> int -> bool
 (** By endpoints (either orientation). *)

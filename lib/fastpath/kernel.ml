@@ -285,19 +285,24 @@ let set_linkload t linkload =
 
 (* ---- port state ---- *)
 
+(* Both port slots of link [u]-[v] go down in both planes. *)
+let cut_link t u v =
+  let su = (u * t.ports) + t.node_port.((u * t.n) + v)
+  and sv = (v * t.ports) + t.node_port.((v * t.n) + u) in
+  Bytes.set t.view su '\000';
+  Bytes.set t.view sv '\000';
+  Bytes.set t.truth su '\000';
+  Bytes.set t.truth sv '\000'
+
+(* Links are read by their endpoints, never by edge index: the failure
+   set's graph need only be structurally equal to the image's, and may
+   number its edges in another order. *)
 let set_failures t failures =
-  let g = Fib.graph t.fib in
-  if not (Graph.equal_structure g (Pr_core.Failure.graph failures)) then
-    invalid_arg "Kernel.set_failures: failure set over a different graph";
+  if not (Graph.equal_structure (Fib.graph t.fib) (Pr_core.Failure.graph failures))
+  then invalid_arg "Kernel.set_failures: failure set over a different graph";
   Bytes.blit t.admin 0 t.view 0 (Bytes.length t.view);
-  Graph.iter_edges
-    (fun i (e : Graph.edge) ->
-      if Pr_core.Failure.is_failed_index failures i then begin
-        Bytes.set t.view ((e.u * t.ports) + t.node_port.((e.u * t.n) + e.v)) '\000';
-        Bytes.set t.view ((e.v * t.ports) + t.node_port.((e.v * t.n) + e.u)) '\000'
-      end)
-    g;
-  Bytes.blit t.view 0 t.truth 0 (Bytes.length t.view)
+  Bytes.blit t.admin 0 t.truth 0 (Bytes.length t.truth);
+  Pr_core.Failure.iter (cut_link t) failures
 
 let fill_plane t plane f =
   for x = 0 to t.n - 1 do
@@ -463,6 +468,21 @@ let write_dd t ii ~quantise ~max_dd_q =
      else if quantise then float_of_int q
      else Array.unsafe_get t.disc ii)
 
+(* One step of the complementary rotation: forward on [candidate] if it
+   is up, else count the hit and try the next port in the cycle column,
+   [remaining] ports at most. *)
+let rec rotate t base ~deg ~started candidate remaining =
+  if t.guard_mode && (candidate < 0 || candidate >= deg) then
+    corrupt_cell t ~node:(base / t.ports) ~cell:cell_cycle
+  else if remaining = 0 then c_interfaces_down
+  else if up t base candidate then forwarded t candidate ~pr:true ~started
+  else begin
+    t.hits <- t.hits + 1;
+    rotate t base ~deg ~started
+      (Array.unsafe_get t.cycle_col (base + candidate))
+      (remaining - 1)
+  end
+
 (* Walk the rotation from the failed port; forwards with whatever DD is
    in [f_out_dd] (callers stamp it first). *)
 let start_complementary t base ~deg failed_port ~started =
@@ -473,17 +493,9 @@ let start_complementary t base ~deg failed_port ~started =
            node = base / t.ports;
            failed = Array.unsafe_get t.port_node (base + failed_port);
          });
-  let rec rotate candidate remaining =
-    if t.guard_mode && (candidate < 0 || candidate >= deg) then
-      corrupt_cell t ~node:(base / t.ports) ~cell:cell_cycle
-    else if remaining = 0 then c_interfaces_down
-    else if up t base candidate then forwarded t candidate ~pr:true ~started
-    else begin
-      t.hits <- t.hits + 1;
-      rotate (Array.unsafe_get t.cycle_col (base + candidate)) (remaining - 1)
-    end
-  in
-  rotate (Array.unsafe_get t.cycle_col (base + failed_port)) deg
+  rotate t base ~deg ~started
+    (Array.unsafe_get t.cycle_col (base + failed_port))
+    deg
 
 let routed t base ii ~deg ~quantise ~max_dd_q =
   let p = Array.unsafe_get t.next_hop_port ii in
@@ -504,6 +516,28 @@ let routed t base ii ~deg ~quantise ~max_dd_q =
     start_complementary t base ~deg p ~started:true
   end
 
+(* The first live entry of the LFA row [j .. hi - 1] takes the packet. *)
+let rec lfa_scan t base ~deg ~reason j hi =
+  if j >= hi then reason
+  else
+    let w = Array.unsafe_get t.lfa_ports j in
+    if t.guard_mode && (w < 0 || w >= deg) then
+      corrupt_cell t ~node:(base / t.ports) ~cell:cell_lfa_ports
+    else if up t base w then begin
+      note t d_lfa;
+      if traced t then
+        Trace.emit t.trace
+          (Trace.Rung
+             {
+               node = base / t.ports;
+               rung = Trace.Lfa_rescue;
+               reason = drop_name_of_code reason;
+             });
+      Array.unsafe_set t.fbuf f_out_dd 0.0;
+      forwarded t w ~pr:false ~started:false
+    end
+    else lfa_scan t base ~deg ~reason (j + 1) hi
+
 let lfa_rescue t base ii ~deg ~reason =
   if Array.unsafe_get t.next_hop_port ii < 0 then c_no_route
   else begin
@@ -512,29 +546,7 @@ let lfa_rescue t base ii ~deg ~reason =
       t.guard_mode
       && (lo < 0 || hi < lo || hi > Array.length t.lfa_ports)
     then corrupt_cell t ~node:(base / t.ports) ~cell:cell_lfa_off
-    else
-    let rec scan j =
-      if j >= hi then reason
-      else
-        let w = Array.unsafe_get t.lfa_ports j in
-        if t.guard_mode && (w < 0 || w >= deg) then
-          corrupt_cell t ~node:(base / t.ports) ~cell:cell_lfa_ports
-        else if up t base w then begin
-          note t d_lfa;
-          if traced t then
-            Trace.emit t.trace
-              (Trace.Rung
-                 {
-                   node = base / t.ports;
-                   rung = Trace.Lfa_rescue;
-                   reason = drop_name_of_code reason;
-                 });
-          Array.unsafe_set t.fbuf f_out_dd 0.0;
-          forwarded t w ~pr:false ~started:false
-        end
-        else scan (j + 1)
-    in
-    scan lo
+    else lfa_scan t base ~deg ~reason lo hi
   end
 
 let ladder t base ii ~deg ~quantise ~max_dd_q ~reason ~try_complementary =

@@ -57,8 +57,14 @@ val rebind : t -> Fib.t -> unit
 
 val set_failures : t -> Pr_core.Failure.t -> unit
 (** Load a frozen failure set into {e both} truth and view (the
-    global-truth regime).  The failure set must be over the image's
-    graph. *)
+    global-truth regime): both planes are blitted from the admin plane,
+    then the two port slots of each failed link are cleared.  Links are
+    read by their endpoints ({!Pr_core.Failure.iter}), never by edge
+    index, so the failure set may be over any graph structurally equal to
+    the image's ([Invalid_argument] otherwise), whatever its edge order.
+    Costs two blits of [n * ports] bytes plus O(k) in the k failed links;
+    over the image's own graph the structure check is a physical
+    equality. *)
 
 val fill_view : t -> (node:int -> other:int -> bool) -> unit
 (** Overwrite the view plane from a per-router belief function (e.g.
@@ -250,8 +256,10 @@ val forward_into :
   dst:int ->
   unit
 (** {!run_one} without capture: walk the packet and account the verdict
-    straight into [counters].  Allocation-free unless a trace sink is
-    attached.  Delivered
+    straight into [counters].  It allocates only the boxed
+    [stretch_sum] of a delivery (2 words), plus the residue
+    {!Pr_telemetry.Probe} states when a probe is attached; a trace sink
+    allocates its events.  Delivered
     stretch is [walk cost / SPF distance], the engine's definition. *)
 
 val record_unreachable : counters -> unit

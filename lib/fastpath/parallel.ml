@@ -44,39 +44,112 @@ let all_pairs_single_failures fib =
       let e = Graph.edge g i in
       { failures = Failure.of_list g [ (e.u, e.v) ]; pairs })
 
-(* Surviving-graph component labels, one BFS per scenario, so
-   disconnected pairs are accounted without walking (and without a
-   per-pair connectivity probe). *)
-let component_labels failures =
-  let g = Failure.graph failures in
-  let n = Graph.n g in
-  let label = Array.make n (-1) in
-  let stack = Stack.create () in
+(* The port slots of an item's failed links, both ends, sorted: read by
+   endpoints through the image's [node_port], so the failure set's graph
+   may number its edges in another order. *)
+let cut_slots fib failures =
+  let n = Fib.n fib and ports = Fib.ports fib in
+  let node_port = Fib.raw_node_port fib in
+  let cut = Array.make (2 * Failure.count failures) 0 and k = ref 0 in
+  Failure.iter
+    (fun u v ->
+      cut.(!k) <- (u * ports) + node_port.((u * n) + v);
+      cut.(!k + 1) <- (v * ports) + node_port.((v * n) + u);
+      k := !k + 2)
+    failures;
+  Array.sort Int.compare cut;
+  cut
+
+(* First index of [cut.(lo .. hi - 1)] holding a slot [>= key]. *)
+let rec lower_bound cut key lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) lsr 1 in
+    if cut.(mid) < key then lower_bound cut key (mid + 1) hi
+    else lower_bound cut key lo mid
+
+(* [label] codes below 0: not yet reached; [flagged] marks an end of a
+   failed link, the only nodes whose ports are checked against the cut. *)
+let unreached = -1
+
+let flagged = -2
+
+(* Label into component [root], and queue at [tail] (complemented when
+   flagged), every unreached node behind port slots [lo, hi) of one
+   node.  Returns the new tail.  Unchecked reads: [lo, hi) lies within
+   the node's real ports, whose [port_node] cells are node ids, and each
+   node is queued once, so [tail < n]. *)
+let rec scan port_node label queue ~root lo hi tail =
+  if lo >= hi then tail
+  else
+    let w = Array.unsafe_get port_node lo in
+    let l = Array.unsafe_get label w in
+    if l >= 0 then scan port_node label queue ~root (lo + 1) hi tail
+    else begin
+      Array.unsafe_set queue tail (if l = flagged then lnot w else w);
+      Array.unsafe_set label w root;
+      scan port_node label queue ~root (lo + 1) hi (tail + 1)
+    end
+
+(* [scan] over a flagged node's slots [lo, hi), skipping the cut slots
+   from [cut.(j)] on. *)
+let rec scan_cut port_node label queue ~root cut j lo hi tail =
+  if j < Array.length cut && cut.(j) < hi then
+    scan_cut port_node label queue ~root cut (j + 1)
+      (cut.(j) + 1)
+      hi
+      (scan port_node label queue ~root lo cut.(j) tail)
+  else scan port_node label queue ~root lo hi tail
+
+(* Component labels of the image's base graph minus the item's failed
+   links, into [label] (the smallest node of each component), so
+   disconnected pairs are accounted without walking.  One BFS over the
+   image's degree/port_node planes, with [queue] as its queue: array
+   reads only, no hashtable probe.  Administrative state is ignored: a
+   link an edit took down still joins its ends, exactly as the failure
+   set's own graph would. *)
+let component_labels fib failures ~label ~queue =
+  let n = Fib.n fib and ports = Fib.ports fib in
+  let port_node = Fib.raw_port_node fib in
+  let cut = cut_slots fib failures in
+  Array.fill label 0 n unreached;
+  Array.iter (fun slot -> label.(slot / ports) <- flagged) cut;
+  (* Once every node has a label, the queued rest can reach nothing new. *)
+  let labelled = ref 0 in
   for root = 0 to n - 1 do
     if label.(root) < 0 then begin
+      queue.(0) <- (if label.(root) = flagged then lnot root else root);
       label.(root) <- root;
-      Stack.push root stack;
-      while not (Stack.is_empty stack) do
-        let x = Stack.pop stack in
-        Array.iter
-          (fun w ->
-            if label.(w) < 0 && Failure.link_up failures x w then begin
-              label.(w) <- root;
-              Stack.push w stack
-            end)
-          (Graph.neighbours g x)
-      done
+      let head = ref 0 and tail = ref 1 in
+      while !head < !tail && !labelled + !tail < n do
+        let q = queue.(!head) in
+        incr head;
+        let x = if q >= 0 then q else lnot q in
+        let lo = x * ports in
+        let hi = lo + Fib.degree fib x in
+        tail :=
+          if q >= 0 then scan port_node label queue ~root lo hi !tail
+          else
+            scan_cut port_node label queue ~root cut
+              (lower_bound cut lo 0 (Array.length cut))
+              lo hi !tail
+      done;
+      labelled := !labelled + !tail
     end
-  done;
-  label
+  done
 
-let run_item kernel config prepare rng slot probe linkload item =
+let run_item kernel config prepare rng slot probe linkload ~label ~queue item =
   Kernel.set_failures kernel item.failures;
   Kernel.set_probe kernel probe;
   Kernel.set_linkload kernel linkload;
   Kernel.set_shortcut kernel config.shortcut;
   (match prepare with None -> () | Some f -> f kernel ~rng item);
-  let label = component_labels item.failures in
+  component_labels (Kernel.fib kernel) item.failures ~label ~queue;
+  (* Built once here: as labelled arguments each would be a fresh [Some]
+     on every packet. *)
+  let termination = Some config.termination
+  and quantise = Some config.quantise
+  and budget_guard = Some config.budget_guard in
   Array.iter
     (fun (src, dst) ->
       if label.(src) <> label.(dst) then begin
@@ -84,10 +157,8 @@ let run_item kernel config prepare rng slot probe linkload item =
         match probe with None -> () | Some p -> Probe.record_unreachable p
       end
       else
-        Kernel.forward_into ~termination:config.termination
-          ~quantise:config.quantise ?dd_bits:config.dd_bits
-          ~budget_guard:config.budget_guard ?ttl:config.ttl kernel slot ~src
-          ~dst)
+        Kernel.forward_into ?termination ?quantise ?dd_bits:config.dd_bits
+          ?budget_guard ?ttl:config.ttl kernel slot ~src ~dst)
     item.pairs
 
 (* [images], when given, is the image each item forwards on: a worker's
@@ -103,6 +174,7 @@ let run_items ?images ~domains ~config ~prepare ~seed ~probes ~linkloads fib
   let slots = Array.init n_items (fun _ -> Kernel.fresh_counters ()) in
   let work d =
     let kernel = Kernel.create fib in
+    let label = Array.make (Fib.n fib) 0 and queue = Array.make (Fib.n fib) 0 in
     let i = ref d in
     while !i < n_items do
       (match images with
@@ -117,7 +189,7 @@ let run_items ?images ~domains ~config ~prepare ~seed ~probes ~linkloads fib
         match linkloads with None -> None | Some ls -> Some ls.(d)
       in
       run_item kernel config prepare streams.(!i) slots.(!i) probe linkload
-        items.(!i);
+        ~label ~queue items.(!i);
       i := !i + domains
     done
   in

@@ -60,7 +60,18 @@ val run :
     perturb the kernel's view plane (imperfect detection) deterministically.
     Pairs whose endpoints the scenario disconnects are accounted
     unreachable without walking.  Raises [Invalid_argument] if
-    [domains < 1]. *)
+    [domains < 1].
+
+    {b Cost.}  Per call: one {!Kernel.create} and two n-int scratch
+    arrays per domain.  Per item: {!Kernel.set_failures} (O(k) in the k
+    failed links plus two port-plane blits) and one breadth-first
+    labelling over the image's [degree]/[port_node] planes, which runs
+    whether or not the item has pairs — array reads only, no hashtable
+    probe.  The labelling cuts the failure set's links and nothing else:
+    it ignores administrative state, so a link an edit took down still
+    joins its ends there, and a pair only such a link joins is walked,
+    not counted unreachable.  Per packet: the walk, which allocates
+    nothing but the counters' boxed stretch sum. *)
 
 val run_probed :
   ?domains:int ->

@@ -70,6 +70,10 @@ val induced : t -> int list -> t * int array
     together with the mapping from new ids to original ids. *)
 
 val equal_structure : t -> t -> bool
-(** Same node count and same weighted edge set. *)
+(** Same node count and same weighted edge set.  [true] at once when the
+    two are the same graph ([==]); distinct graphs cost one hashtable
+    probe per edge.  Edge order is not compared: two structurally equal
+    graphs may number their edges differently, so an edge index is only
+    meaningful in the graph that issued it. *)
 
 val pp : Format.formatter -> t -> unit

@@ -158,8 +158,8 @@ let of_probes (p : Pr_telemetry.Probe.t) =
   t.dropped <- p.dropped;
   t.looped <- p.looped;
   t.unreachable <- p.unreachable;
-  t.stretch_sum <- p.stretch_sum;
-  t.worst_stretch <- p.worst_stretch;
+  t.stretch_sum <- Pr_telemetry.Probe.stretch_sum p;
+  t.worst_stretch <- Pr_telemetry.Probe.worst_stretch p;
   Array.blit p.drops_by_reason 0 t.drops_by_reason 0
     (Array.length t.drops_by_reason);
   t.complementary_retries <- p.complementary_retries;

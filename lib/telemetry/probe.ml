@@ -35,8 +35,7 @@ type t = {
   mutable dropped : int;
   mutable looped : int;
   mutable unreachable : int;
-  mutable stretch_sum : float;
-  mutable worst_stretch : float;
+  stretch_acc : float array;  (* [s_sum], [s_worst]: writes never box *)
   drops_by_reason : int array;
   mutable complementary_retries : int;
   mutable lfa_rescues : int;
@@ -101,6 +100,11 @@ let hops_edges = [| 1; 2; 4; 8; 16; 32; 64; 128; 256 |]
 
 let max_depth = 8
 
+(* [stretch_acc] slots. *)
+let s_sum = 0
+
+let s_worst = 1
+
 (* Latency buckets: log2(ns), exponents 6 (<= 64 ns) through 24
    (>= ~16.8 ms), clamped at both ends. *)
 let lat_lo = 6
@@ -157,8 +161,7 @@ let create ?(lat_sample = default_lat_sample) ?(sketch = false)
     dropped = 0;
     looped = 0;
     unreachable = 0;
-    stretch_sum = 0.0;
-    worst_stretch = 0.0;
+    stretch_acc = [| 0.0; 0.0 |];
     drops_by_reason = Array.make (Array.length reason_names) 0;
     complementary_retries = 0;
     lfa_rescues = 0;
@@ -174,6 +177,10 @@ let create ?(lat_sample = default_lat_sample) ?(sketch = false)
   }
 
 let lat_sample t = t.lat_sample
+
+let stretch_sum t = t.stretch_acc.(s_sum)
+
+let worst_stretch t = t.stretch_acc.(s_worst)
 
 let sketched t = t.sketch <> None
 
@@ -212,23 +219,19 @@ let feed_series s v =
     Sketch.observe_bank s.bank v
   end
 
-(* Linear scans: the edge arrays are tiny and this allocates nothing.
-   Unsafe accesses — [go] never leaves the array and the bucket index is
-   in range by construction; these run once per packet on the compiled
-   kernel's probe path, which is on the CI overhead budget. *)
-let stretch_bucket v =
-  let n = Array.length stretch_edges in
-  let rec go i =
-    if i >= n || v <= Array.unsafe_get stretch_edges i then i else go (i + 1)
-  in
-  go 0
+(* Linear scans: the edge arrays are tiny.  Top-level loops, not local
+   closures, so a call allocates nothing.  Unsafe accesses — the scan
+   never leaves the array and the bucket index is in range by
+   construction; these run once per packet on the compiled kernel's
+   probe path, which is on the CI overhead budget. *)
+let rec stretch_bucket v i =
+  if i >= Array.length stretch_edges || v <= Array.unsafe_get stretch_edges i
+  then i
+  else stretch_bucket v (i + 1)
 
-let hops_bucket h =
-  let n = Array.length hops_edges in
-  let rec go i =
-    if i >= n || h <= Array.unsafe_get hops_edges i then i else go (i + 1)
-  in
-  go 0
+let rec hops_bucket h i =
+  if i >= Array.length hops_edges || h <= Array.unsafe_get hops_edges i then i
+  else hops_bucket h (i + 1)
 
 let depth_bucket d = if d < 0 then 0 else if d > max_depth then max_depth + 1 else d
 
@@ -244,7 +247,7 @@ let[@inline] bump a i = Array.unsafe_set a i (Array.unsafe_get a i + 1)
    the items are partitioned.  The latency series is already decimated
    by [lat_sample] and feeds unconditionally. *)
 let record_walk t ~hops ~depth =
-  bump t.hops_hist (hops_bucket hops);
+  bump t.hops_hist (hops_bucket hops 0);
   bump t.depth_hist (depth_bucket depth);
   match t.sketch with
   | None -> ()
@@ -259,9 +262,10 @@ let record_walk t ~hops ~depth =
 let record_delivery t ~stretch ~hops ~depth =
   t.injected <- t.injected + 1;
   t.delivered <- t.delivered + 1;
-  t.stretch_sum <- t.stretch_sum +. stretch;
-  if stretch > t.worst_stretch then t.worst_stretch <- stretch;
-  bump t.stretch_hist (stretch_bucket stretch);
+  let acc = t.stretch_acc in
+  acc.(s_sum) <- acc.(s_sum) +. stretch;
+  if stretch > acc.(s_worst) then acc.(s_worst) <- stretch;
+  bump t.stretch_hist (stretch_bucket stretch 0);
   (match t.sketch with
   | None -> ()
   | Some s ->
@@ -334,9 +338,10 @@ let merge ~into c =
   into.dropped <- into.dropped + c.dropped;
   into.looped <- into.looped + c.looped;
   into.unreachable <- into.unreachable + c.unreachable;
-  into.stretch_sum <- into.stretch_sum +. c.stretch_sum;
-  if c.worst_stretch > into.worst_stretch then
-    into.worst_stretch <- c.worst_stretch;
+  into.stretch_acc.(s_sum) <-
+    into.stretch_acc.(s_sum) +. c.stretch_acc.(s_sum);
+  if c.stretch_acc.(s_worst) > into.stretch_acc.(s_worst) then
+    into.stretch_acc.(s_worst) <- c.stretch_acc.(s_worst);
   add_array ~into:into.drops_by_reason c.drops_by_reason;
   into.complementary_retries <-
     into.complementary_retries + c.complementary_retries;
@@ -376,8 +381,9 @@ let merge ~into c =
 let equal_counts a b =
   a.injected = b.injected && a.delivered = b.delivered && a.dropped = b.dropped
   && a.looped = b.looped && a.unreachable = b.unreachable
-  && Int64.bits_of_float a.stretch_sum = Int64.bits_of_float b.stretch_sum
-  && Int64.bits_of_float a.worst_stretch = Int64.bits_of_float b.worst_stretch
+  && Int64.bits_of_float (stretch_sum a) = Int64.bits_of_float (stretch_sum b)
+  && Int64.bits_of_float (worst_stretch a)
+     = Int64.bits_of_float (worst_stretch b)
   && a.drops_by_reason = b.drops_by_reason
   && a.complementary_retries = b.complementary_retries
   && a.lfa_rescues = b.lfa_rescues
@@ -406,9 +412,9 @@ let to_json t =
   Printf.bprintf buf "  \"looped\": %d,\n" t.looped;
   Printf.bprintf buf "  \"unreachable\": %d,\n" t.unreachable;
   Printf.bprintf buf "  \"stretch_sum\": %s,\n"
-    (Pr_util.Json.number t.stretch_sum);
+    (Pr_util.Json.number (stretch_sum t));
   Printf.bprintf buf "  \"worst_stretch\": %s,\n"
-    (Pr_util.Json.number t.worst_stretch);
+    (Pr_util.Json.number (worst_stretch t));
   Printf.bprintf buf "  \"drop_reasons\": %s,\n"
     ("["
     ^ String.concat ","

@@ -1,13 +1,27 @@
 (** Allocation-free counters and fixed-bucket histograms for the
     forwarding engines.
 
-    A probe is a flat record of mutable ints/floats plus preallocated
-    int arrays — feeding it never allocates, so it can ride the compiled
-    kernel's hot loop ({!Pr_fastpath.Kernel.forward_into}) as well as the
-    reference walk ({!Pr_core.Forward.run_guarded}).  Both backends feed
-    the same record through the same calls, so probe counts are
-    comparable verdict-for-verdict across backends (latency histograms
-    excepted — they measure wall time).
+    A probe is a flat record of mutable ints plus preallocated int and
+    float arrays — feeding it never allocates, so it can ride the
+    compiled kernel's hot loop ({!Pr_fastpath.Kernel.forward_into}) as
+    well as the reference walk ({!Pr_core.Forward.run_guarded}).  Both
+    backends feed the same record through the same calls, so probe counts
+    are comparable verdict-for-verdict across backends (latency
+    histograms excepted — they measure wall time).
+
+    {b Residue.}  What a probe still costs the minor heap lies outside
+    the feed calls.  Attached to the compiled kernel, without flambda:
+    - 2 words per delivery: the boxed [~stretch] crossing the library
+      boundary into {!record_delivery};
+    - 9 words per clocked slow-path decision (one in {!lat_sample}): the
+      two boxed {!now_ns} reads and the boxed [~ns];
+    - under [Pr_fastpath.Parallel.run_probed], one probe slot per item
+      and the merge target, ~280 words each with its merge.
+    Over a plain run that is +2.5 words per packet on Géant's planar
+    single-failure sweep, +5.3 on Abilene's (whose items carry 132
+    pairs each, so the slots weigh more) and +7.5 on a Géant call whose
+    every packet recycles; test/test_fastpath.ml bounds it term by
+    term.
 
     Per-rung latencies are measured with the monotonic clock
     ({!now_ns}).  The compiled kernel reads it {e only} around slow-path
@@ -72,8 +86,10 @@ type t = {
   mutable dropped : int;
   mutable looped : int;
   mutable unreachable : int;
-  mutable stretch_sum : float;
-  mutable worst_stretch : float;
+  stretch_acc : float array;
+      (** delivered stretch: its sum, then its maximum.  A float array
+          rather than two float fields, so a write never boxes; read it
+          through {!stretch_sum} and {!worst_stretch} *)
   drops_by_reason : int array;  (** indexed as {!reason_names} *)
   mutable complementary_retries : int;
   mutable lfa_rescues : int;
@@ -101,6 +117,12 @@ val create : ?lat_sample:int -> ?sketch:bool -> ?sketch_sample:int -> unit -> t
     populate them, and per-probe countdowns make sharded sweeps
     bit-identical under any item partition.  [1] feeds every packet;
     the sketch-armed overhead gate is budgeted for the default. *)
+
+val stretch_sum : t -> float
+(** Sum of delivered stretch. *)
+
+val worst_stretch : t -> float
+(** Largest delivered stretch, [0.0] before the first delivery. *)
 
 (** {2 Layout} *)
 

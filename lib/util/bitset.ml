@@ -33,9 +33,17 @@ let popcount x =
 
 let cardinal t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
 
+(* Word by word, skipping zero words: a sparse set over a large capacity
+   costs one read per word plus one step per bit up to a word's highest
+   member.  Members come out in increasing order. *)
 let iter f t =
-  for i = 0 to t.capacity - 1 do
-    if t.words.(i / word_bits) land (1 lsl (i mod word_bits)) <> 0 then f i
+  for w = 0 to Array.length t.words - 1 do
+    let bits = ref t.words.(w) and i = ref (w * word_bits) in
+    while !bits <> 0 do
+      if !bits land 1 <> 0 then f !i;
+      bits := !bits lsr 1;
+      incr i
+    done
   done
 
 let fold f t init =

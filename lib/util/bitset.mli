@@ -22,8 +22,12 @@ val clear : t -> unit
 val cardinal : t -> int
 
 val iter : (int -> unit) -> t -> unit
+(** Members in increasing order.  Zero words are skipped, so a sparse set
+    costs [capacity / 63] word reads plus a bit scan of each non-zero
+    word. *)
 
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
+(** In {!iter}'s order. *)
 
 val to_list : t -> int list
 (** Members in increasing order. *)

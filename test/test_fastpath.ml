@@ -648,6 +648,289 @@ let test_parallel_golden_pins () =
          stretch=7768785.316666666 worst=3866.000000000" );
     ]
 
+(* ---- Parallel: reachability, failure loading, allocation ---- *)
+
+(* The reachability oracle: the surviving graph's component labels by a
+   stack DFS over the failure set's own graph, probing [Failure.link_up]
+   per arc — the labelling [Parallel] used before it read the image's
+   port planes. *)
+let oracle_component_labels failures =
+  let g = Failure.graph failures in
+  let n = Graph.n g in
+  let label = Array.make n (-1) in
+  let stack = Stack.create () in
+  for root = 0 to n - 1 do
+    if label.(root) < 0 then begin
+      label.(root) <- root;
+      Stack.push root stack;
+      while not (Stack.is_empty stack) do
+        let x = Stack.pop stack in
+        Array.iter
+          (fun w ->
+            if label.(w) < 0 && Failure.link_up failures x w then begin
+              label.(w) <- root;
+              Stack.push w stack
+            end)
+          (Graph.neighbours g x)
+      done
+    end
+  done;
+  label
+
+(* [Parallel.run] spelled out on one kernel: the same per-item streams,
+   set-up order and per-item slots merged in item order, with the oracle
+   deciding reachability. *)
+let oracle_run ?prepare ~config ~seed fib (items : Parallel.item array) =
+  let kernel = Kernel.create fib in
+  let master = Rng.create ~seed in
+  let streams = Array.map (fun _ -> Rng.split master) items in
+  let total = Kernel.fresh_counters () in
+  Array.iteri
+    (fun i (item : Parallel.item) ->
+      let slot = Kernel.fresh_counters () in
+      Kernel.set_failures kernel item.failures;
+      Kernel.set_shortcut kernel config.Parallel.shortcut;
+      Option.iter (fun f -> f kernel ~rng:streams.(i) item) prepare;
+      let label = oracle_component_labels item.failures in
+      Array.iter
+        (fun (src, dst) ->
+          if label.(src) <> label.(dst) then Kernel.record_unreachable slot
+          else
+            Kernel.forward_into ~termination:config.termination
+              ~quantise:config.quantise ?dd_bits:config.dd_bits
+              ~budget_guard:config.budget_guard ?ttl:config.ttl kernel slot
+              ~src ~dst)
+        item.pairs;
+      Kernel.add_counters ~into:total slot)
+    items;
+  total
+
+(* A random small graph that need not be 2-connected: a 2-connected core,
+   then a pendant path hung off it by a bridge, and a second component
+   that a coin either leaves apart or joins by one more bridge. *)
+let gen_bridged_graph =
+  QCheck.Gen.(
+    map
+      (fun (seed, n, extra, (tail, join)) ->
+        let rng = Rng.create ~seed in
+        let core =
+          (Pr_topo.Generate.two_connected rng ~n ~extra).Pr_topo.Topology.graph
+        in
+        let side =
+          (Pr_topo.Generate.two_connected rng ~n:3 ~extra:0)
+            .Pr_topo.Topology.graph
+        in
+        let edges g shift =
+          Array.to_list
+            (Array.map
+               (fun (e : Graph.edge) -> (e.u + shift, e.v + shift, e.w))
+               (Graph.edges g))
+        in
+        let path =
+          List.init tail (fun i ->
+              ((if i = 0 then Rng.int rng n else n + i - 1), n + i, 1.0))
+        in
+        let s = n + tail in
+        let bridge = if join then [ (Rng.int rng n, s, 2.0) ] else [] in
+        Graph.create ~n:(s + 3) (edges core 0 @ path @ edges side s @ bridge))
+      (quad (int_bound 1_000_000) (int_range 4 8) (int_bound 6)
+         (pair (int_range 1 3) bool)))
+
+(* Items over [g]: 0-4 random failed links or one or two failed nodes,
+   each with a handful of random pairs. *)
+let random_items rng g =
+  let n = Graph.n g in
+  Array.init 6 (fun _ ->
+      let failures =
+        if Rng.int rng 4 = 0 then
+          Failure.of_nodes g
+            (List.init (1 + Rng.int rng 2) (fun _ -> Rng.int rng n))
+        else
+          Failure.of_list g
+            (List.map
+               (fun i ->
+                 let e = Graph.edge g i in
+                 (e.Graph.u, e.Graph.v))
+               (Rng.sample_without_replacement rng
+                  ~k:(min (Rng.int rng 5) (Graph.m g))
+                  ~n:(Graph.m g)))
+      in
+      let pairs =
+        Array.init 12 (fun _ ->
+            let src = Rng.int rng n in
+            (src, (src + 1 + Rng.int rng (n - 1)) mod n))
+      in
+      { Parallel.failures; pairs })
+
+let qcheck_reachability_oracle =
+  QCheck.Test.make
+    ~name:"parallel reachability matches the labelling oracle" ~count:60
+    QCheck.(
+      pair (make ~print:Helpers.graph_print gen_bridged_graph) (int_bound 1_000_000))
+    (fun (g, seed) ->
+      let rng = Rng.create ~seed in
+      let _, _, fib = compile g (Pr_embed.Rotation.adjacency g) in
+      let e = Graph.edge g (Rng.int rng (Graph.m g)) in
+      let delta, _ =
+        Fib.Delta.apply_exn fib
+          [ { Fib.Delta.u = e.Graph.u; v = e.Graph.v; change = Fib.Delta.Down } ]
+      in
+      let items = random_items rng g in
+      let config =
+        { Parallel.default_config with ttl = Some ((4 * Graph.n g) + 8) }
+      in
+      List.for_all
+        (fun image ->
+          List.for_all
+            (fun prepare ->
+              let got = Parallel.run ?prepare ~config ~seed:5 image items in
+              let expect = oracle_run ?prepare ~config ~seed:5 image items in
+              Kernel.equal_counters got expect)
+            [ None; Some (flip_prepare image) ])
+        [ fib; delta ])
+
+(* Abilene twice: as listed, and with its edge list reversed, so the two
+   structurally equal graphs number every link differently. *)
+let abilene_both_orders () =
+  let topo = Pr_topo.Abilene.topology () in
+  let g = topo.Pr_topo.Topology.graph in
+  let reversed =
+    Graph.create ~n:(Graph.n g)
+      (List.rev_map
+         (fun (e : Graph.edge) -> (e.u, e.v, e.w))
+         (Array.to_list (Graph.edges g)))
+  in
+  let _, _, fib = compile g (Pr_embed.Geometric.of_topology topo) in
+  (g, reversed, fib)
+
+let link_states kernel g =
+  List.concat_map
+    (fun (e : Graph.edge) ->
+      [
+        Kernel.believed_up kernel ~node:e.u ~other:e.v;
+        Kernel.believed_up kernel ~node:e.v ~other:e.u;
+      ])
+    (Array.to_list (Graph.edges g))
+
+let test_reordered_believed_up () =
+  let g, reversed, fib = abilene_both_orders () in
+  let kernel = Kernel.create fib in
+  Graph.iter_edges
+    (fun _ (e : Graph.edge) ->
+      Kernel.set_failures kernel (Failure.of_list g [ (e.u, e.v) ]);
+      let expect = link_states kernel g in
+      Kernel.set_failures kernel (Failure.of_list reversed [ (e.u, e.v) ]);
+      Alcotest.(check (list bool))
+        (Printf.sprintf "link %d-%d fails the same link" e.u e.v)
+        expect (link_states kernel g))
+    g
+
+let test_reordered_parallel () =
+  let g, reversed, fib = abilene_both_orders () in
+  let over graph =
+    Array.map
+      (fun (e : Graph.edge) ->
+        {
+          Parallel.failures = Failure.of_list graph [ (e.u, e.v) ];
+          pairs = Array.of_list (Helpers.all_pairs g);
+        })
+      (Graph.edges g)
+  in
+  let a = Parallel.run ~seed:3 fib (over g) in
+  let b = Parallel.run ~seed:3 fib (over reversed) in
+  Alcotest.(check string) "same counters" (golden_summary a) (golden_summary b);
+  Alcotest.(check bool) "bit-identical" true (Kernel.equal_counters a b)
+
+let test_reordered_combine () =
+  let g, reversed, _ = abilene_both_orders () in
+  let a = Graph.edge g 0 and b = Graph.edge g (Graph.m g - 1) in
+  let union =
+    Failure.combine
+      (Failure.of_list g [ (a.u, a.v) ])
+      (Failure.of_list reversed [ (b.u, b.v) ])
+  in
+  Alcotest.(check (list (pair int int)))
+    "union of the endpoints"
+    (List.sort compare [ (a.u, a.v); (b.u, b.v) ])
+    (Failure.edges union)
+
+(* 2-3-link failures injecting only the pairs they cut: pairs whose
+   primary path crosses a failed link and whose ends stay connected. *)
+let cut_pair_items ~seed ~scenarios routing =
+  let g = Routing.graph routing in
+  let rng = Rng.create ~seed in
+  Array.init scenarios (fun _ ->
+      let failures = random_failures rng g ~k:(2 + Rng.int rng 2) in
+      let rec crosses = function
+        | a :: (b :: _ as rest) ->
+            (not (Failure.link_up failures a b)) || crosses rest
+        | _ -> false
+      in
+      let pairs =
+        List.filter
+          (fun (src, dst) ->
+            Failure.pair_connected failures src dst
+            &&
+            match Routing.shortest_path routing ~src ~dst with
+            | Some path -> crosses path
+            | None -> false)
+          (Helpers.all_pairs g)
+      in
+      { Parallel.failures; pairs = Array.of_list pairs })
+
+(* Minor words one call allocates.  Deterministic for a given build. *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  let r = f () in
+  (Gc.minor_words () -. w0, r)
+
+(* Géant on its planar [Recommend] embedding, the benchmark's image: the
+   paper's single-failure sweep, and a call whose every packet recycles. *)
+let alloc_inputs () =
+  let topo = Pr_topo.Geant.topology () in
+  let routing, _, fib =
+    compile topo.Pr_topo.Topology.graph (Pr_embed.Recommend.rotation topo)
+  in
+  ( fib,
+    [
+      ("geant sweep", Parallel.all_pairs_single_failures fib);
+      ("geant cut pairs", cut_pair_items ~seed:42 ~scenarios:40 routing);
+    ] )
+
+(* The plain call allocates at most 5 words per packet.  A probed call
+   allocates at most the residue probe.mli states on top of it: 2 words
+   per delivery, 9 per clocked slow-path decision, and one probe slot of
+   at most 300 words per item plus the merge target. *)
+let test_parallel_alloc () =
+  let fib, inputs = alloc_inputs () in
+  List.iter
+    (fun (name, items) ->
+      let plain, (c : Kernel.counters) =
+        minor_words (fun () -> Parallel.run ~seed:42 fib items)
+      in
+      let probed, (_, p) =
+        minor_words (fun () -> Parallel.run_probed ~seed:42 fib items)
+      in
+      let packets = float_of_int c.injected in
+      if plain /. packets > 5.0 then
+        Alcotest.failf "%s: %.2f minor words/packet (bound 5)" name
+          (plain /. packets);
+      let clocked =
+        Array.fold_left
+          (Array.fold_left ( + ))
+          0 p.Pr_telemetry.Probe.rung_latency
+      in
+      let residue =
+        float_of_int
+          ((2 * c.delivered) + (9 * clocked)
+          + (300 * (Array.length items + 1)))
+      in
+      if probed -. plain > residue then
+        Alcotest.failf
+          "%s: probed call allocates %.0f words over plain, residue bound %.0f"
+          name (probed -. plain) residue)
+    inputs
+
 (* ---- differential: the shortcut rung ---- *)
 
 module Trace = Pr_telemetry.Trace
@@ -830,6 +1113,14 @@ let suite =
     Alcotest.test_case "parallel seed sensitivity" `Quick
       test_parallel_seed_sensitivity;
     Alcotest.test_case "parallel golden pins" `Quick test_parallel_golden_pins;
+    Alcotest.test_case "reordered graph: set_failures fails the same links"
+      `Quick test_reordered_believed_up;
+    Alcotest.test_case "reordered graph: parallel counters agree" `Quick
+      test_reordered_parallel;
+    Alcotest.test_case "reordered graph: combine by endpoints" `Quick
+      test_reordered_combine;
+    Alcotest.test_case "parallel minor words per packet" `Quick
+      test_parallel_alloc;
     Alcotest.test_case "shortcut differential: single failures" `Slow
       test_shortcut_differential_single;
     Alcotest.test_case "shortcut differential: dual failures" `Quick
@@ -840,4 +1131,5 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_truth_differential;
     QCheck_alcotest.to_alcotest qcheck_view_differential;
     QCheck_alcotest.to_alcotest qcheck_shortcut_differential;
+    QCheck_alcotest.to_alcotest qcheck_reachability_oracle;
   ]
