@@ -344,6 +344,11 @@ let port_of t ~node ~neighbour =
   check_node t neighbour "neighbour";
   t.node_port.((node * t.n) + neighbour)
 
+let slot t ~node ~other =
+  let p = port_of t ~node ~neighbour:other in
+  if p < 0 then invalid_arg "Fib.slot: not a link";
+  (node * t.ports) + p
+
 let neighbour_of t ~node ~port =
   check_node t node "node";
   if port < 0 || port >= t.ports then invalid_arg "Fib: port out of range";
@@ -817,14 +822,13 @@ module Delta = struct
   (* Recompile exactly the dirty rows against the effective topology,
      byte-copying every clean row from the current image. *)
   let rebuild t ~live ~eff ~dirty ~touched =
-    let n = t.n and ports = t.ports in
     let geff = effective_graph t ~live ~eff in
     let port_weight = Array.copy t.port_weight in
     Graph.iter_edges
       (fun i (e : Graph.edge) ->
         let w = eff.(i) in
-        port_weight.((e.u * ports) + t.node_port.((e.u * n) + e.v)) <- w;
-        port_weight.((e.v * ports) + t.node_port.((e.v * n) + e.u)) <- w)
+        port_weight.(slot t ~node:e.u ~other:e.v) <- w;
+        port_weight.(slot t ~node:e.v ~other:e.u) <- w)
       t.g;
     fill
       { t with port_weight; live; eff_weight = eff }

@@ -197,6 +197,12 @@ val lfa_candidates : t -> node:int -> dst:int -> int list
     DESIGN.md "Compiled FIB images" for the layout contract.  Callers
     must not mutate. *)
 
+val slot : t -> node:int -> other:int -> int
+(** Index, in every [n*ports] plane, of [node]'s port to [other]: the
+    one place that knows the slot layout of a link's end.  Raises
+    [Invalid_argument] if either node is out of range or [other] is not
+    a neighbour of [node]. *)
+
 val raw_port_node : t -> int array
 (** [n*ports]: port -> node id, [-1] pad *)
 

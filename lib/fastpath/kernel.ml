@@ -128,8 +128,8 @@ let load_admin t =
   Graph.iter_edges
     (fun i (e : Graph.edge) ->
       if not live.(i) then begin
-        Bytes.set t.admin ((e.u * t.ports) + t.node_port.((e.u * t.n) + e.v)) '\000';
-        Bytes.set t.admin ((e.v * t.ports) + t.node_port.((e.v * t.n) + e.u)) '\000'
+        Bytes.set t.admin (Fib.slot t.fib ~node:e.u ~other:e.v) '\000';
+        Bytes.set t.admin (Fib.slot t.fib ~node:e.v ~other:e.u) '\000'
       end)
     (Fib.graph t.fib)
 
@@ -287,8 +287,8 @@ let set_linkload t linkload =
 
 (* Both port slots of link [u]-[v] go down in both planes. *)
 let cut_link t u v =
-  let su = (u * t.ports) + t.node_port.((u * t.n) + v)
-  and sv = (v * t.ports) + t.node_port.((v * t.n) + u) in
+  let su = Fib.slot t.fib ~node:u ~other:v
+  and sv = Fib.slot t.fib ~node:v ~other:u in
   Bytes.set t.view su '\000';
   Bytes.set t.view sv '\000';
   Bytes.set t.truth su '\000';

@@ -45,61 +45,63 @@ let all_pairs_single_failures fib =
       { failures = Failure.of_list g [ (e.u, e.v) ]; pairs })
 
 (* The port slots of an item's failed links, both ends, sorted: read by
-   endpoints through the image's [node_port], so the failure set's graph
-   may number its edges in another order. *)
+   endpoints, so the failure set's graph may number its edges in another
+   order. *)
 let cut_slots fib failures =
-  let n = Fib.n fib and ports = Fib.ports fib in
-  let node_port = Fib.raw_node_port fib in
   let cut = Array.make (2 * Failure.count failures) 0 and k = ref 0 in
   Failure.iter
     (fun u v ->
-      cut.(!k) <- (u * ports) + node_port.((u * n) + v);
-      cut.(!k + 1) <- (v * ports) + node_port.((v * n) + u);
+      cut.(!k) <- Fib.slot fib ~node:u ~other:v;
+      cut.(!k + 1) <- Fib.slot fib ~node:v ~other:u;
       k := !k + 2)
     failures;
   Array.sort Int.compare cut;
   cut
 
-(* First index of [cut.(lo .. hi - 1)] holding a slot [>= key]. *)
-let rec lower_bound cut key lo hi =
-  if lo >= hi then lo
-  else
-    let mid = (lo + hi) lsr 1 in
-    if cut.(mid) < key then lower_bound cut key (mid + 1) hi
-    else lower_bound cut key lo mid
+(* Whether slot [s] is in the sorted [cut.(lo .. hi - 1)]. *)
+let rec is_cut (cut : int array) s lo hi =
+  lo < hi
+  &&
+  let mid = (lo + hi) lsr 1 in
+  let c = cut.(mid) in
+  c = s || if c < s then is_cut cut s (mid + 1) hi else is_cut cut s lo mid
 
-(* [label] codes below 0: not yet reached; [flagged] marks an end of a
-   failed link, the only nodes whose ports are checked against the cut. *)
+(* [label] codes below 0: not yet reached; [flagged] marks an unreached
+   end of a failed link. *)
 let unreached = -1
 
 let flagged = -2
 
-(* Label into component [root], and queue at [tail] (complemented when
-   flagged), every unreached node behind port slots [lo, hi) of one
-   node.  Returns the new tail.  Unchecked reads: [lo, hi) lies within
-   the node's real ports, whose [port_node] cells are node ids, and each
-   node is queued once, so [tail < n]. *)
-let rec scan port_node label queue ~root lo hi tail =
+(* Label into component [root], and queue at [tail], every unreached node
+   behind port slots [lo, hi) of one node, skipping the cut slots.
+   Returns the new tail.  A cut slot leads to an end of a failed link, so
+   only a port to a node still [flagged] is looked up in [cut], and the
+   lookup sits in [cross]: a call in this loop would spill its registers
+   on every port.  Unchecked reads: [lo, hi) lies within the node's real
+   ports, whose [port_node] cells are node ids, and each node is queued
+   once, so [tail < n]. *)
+let rec scan port_node label queue cut ~root lo hi tail =
   if lo >= hi then tail
   else
     let w = Array.unsafe_get port_node lo in
     let l = Array.unsafe_get label w in
-    if l >= 0 then scan port_node label queue ~root (lo + 1) hi tail
+    if l >= 0 then scan port_node label queue cut ~root (lo + 1) hi tail
+    else if l = flagged then cross port_node label queue cut ~root lo hi tail
     else begin
-      Array.unsafe_set queue tail (if l = flagged then lnot w else w);
+      Array.unsafe_set queue tail w;
       Array.unsafe_set label w root;
-      scan port_node label queue ~root (lo + 1) hi (tail + 1)
+      scan port_node label queue cut ~root (lo + 1) hi (tail + 1)
     end
 
-(* [scan] over a flagged node's slots [lo, hi), skipping the cut slots
-   from [cut.(j)] on. *)
-let rec scan_cut port_node label queue ~root cut j lo hi tail =
-  if j < Array.length cut && cut.(j) < hi then
-    scan_cut port_node label queue ~root cut (j + 1)
-      (cut.(j) + 1)
-      hi
-      (scan port_node label queue ~root lo cut.(j) tail)
-  else scan port_node label queue ~root lo hi tail
+(* Slot [lo] leads to a [flagged] node: skip the slot if it is cut, else
+   unflag the node and let [scan] reach it. *)
+and cross port_node label queue cut ~root lo hi tail =
+  if is_cut cut lo 0 (Array.length cut) then
+    scan port_node label queue cut ~root (lo + 1) hi tail
+  else begin
+    Array.unsafe_set label (Array.unsafe_get port_node lo) unreached;
+    scan port_node label queue cut ~root lo hi tail
+  end
 
 (* Component labels of the image's base graph minus the item's failed
    links, into [label] (the smallest node of each component), so
@@ -113,26 +115,22 @@ let component_labels fib failures ~label ~queue =
   let port_node = Fib.raw_port_node fib in
   let cut = cut_slots fib failures in
   Array.fill label 0 n unreached;
-  Array.iter (fun slot -> label.(slot / ports) <- flagged) cut;
+  for j = 0 to Array.length cut - 1 do
+    label.(cut.(j) / ports) <- flagged
+  done;
   (* Once every node has a label, the queued rest can reach nothing new. *)
   let labelled = ref 0 in
   for root = 0 to n - 1 do
     if label.(root) < 0 then begin
-      queue.(0) <- (if label.(root) = flagged then lnot root else root);
+      queue.(0) <- root;
       label.(root) <- root;
       let head = ref 0 and tail = ref 1 in
       while !head < !tail && !labelled + !tail < n do
-        let q = queue.(!head) in
+        let x = queue.(!head) in
         incr head;
-        let x = if q >= 0 then q else lnot q in
         let lo = x * ports in
-        let hi = lo + Fib.degree fib x in
         tail :=
-          if q >= 0 then scan port_node label queue ~root lo hi !tail
-          else
-            scan_cut port_node label queue ~root cut
-              (lower_bound cut lo 0 (Array.length cut))
-              lo hi !tail
+          scan port_node label queue cut ~root lo (lo + Fib.degree fib x) !tail
       done;
       labelled := !labelled + !tail
     end

@@ -87,7 +87,10 @@ let check_roundtrip kind g rotation =
         Alcotest.(check int) "neighbour_of" w
           (Fib.neighbour_of fib ~node ~port);
         Alcotest.(check int) "port_of" port
-          (Fib.port_of fib ~node ~neighbour:w))
+          (Fib.port_of fib ~node ~neighbour:w);
+        Alcotest.(check int) "slot"
+          ((node * Fib.ports fib) + port)
+          (Fib.slot fib ~node ~other:w))
       (Graph.neighbours g node);
     for port = Graph.degree g node to Fib.ports fib - 1 do
       Alcotest.(check int) "padded port" (-1) (Fib.neighbour_of fib ~node ~port)
