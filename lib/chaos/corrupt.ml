@@ -121,8 +121,6 @@ let table_of fib = function
   | "node_port" -> Some (Fib.raw_node_port fib)
   | "next_hop_port" -> Some (Fib.raw_next_hop_port fib)
   | "cycle_col" -> Some (Fib.raw_cycle_col fib)
-  | "lfa_off" -> Some (Fib.raw_lfa_off fib)
-  | "lfa_ports" -> Some (Fib.raw_lfa_ports fib)
   | _ -> None
 
 let cell_damage st ~event ~base ~dd_bits ~shortcut ~failures rng ~sweep ~table

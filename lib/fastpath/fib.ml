@@ -17,8 +17,6 @@ type t = {
   disc_q : int array;        (* [n*n] *)
   distance : float array;    (* [n*n] *)
   cycle_col : int array;     (* [n*ports] *)
-  lfa_off : int array;       (* [n*n + 1] *)
-  lfa_ports : int array;
   dd_bits : int;
   sc_width : int;            (* effective shortcut-hint width (plan width) *)
   sc_mask : int array;       (* [n]: per-node seen-hint contribution *)
@@ -77,26 +75,6 @@ let find_mismatch g1 g2 =
     check g2 g1;
     match !witness with Some m -> m | None -> Edge { u = -1; v = -1 }
 
-(* LFA candidate ports for one (x, dst) row, best first: RFC 5286 basic
-   inequality over x's live ports, primary excluded, ordered by cost +
-   remaining distance with ties to the smaller port (= neighbour id). *)
-let lfa_row t ~port_live ~dist ~x ~dst ~primary =
-  let n = t.n and base = x * t.ports in
-  let dist_x = dist.((x * n) + dst) in
-  let rec collect p acc =
-    if p < 0 then acc
-    else
-      let acc =
-        if p = primary || not port_live.(p) then acc
-        else
-          let cost = t.port_weight.(base + p) in
-          let dist_w = dist.((t.port_node.(base + p) * n) + dst) in
-          if dist_w < cost +. dist_x then (cost +. dist_w, p) :: acc else acc
-      in
-      collect (p - 1) acc
-  in
-  collect (t.degree.(x) - 1) [] |> List.sort compare |> List.map snd
-
 (* Sampled per-destination compile costs from the most recent
    span-recorded [fill] on this domain: (dst, ns) pairs for every k-th
    recompiled destination column, k sized for at most [cost_samples]
@@ -109,12 +87,11 @@ let last_costs : (int * int64) list ref = ref []
 let last_compile_costs () = List.rev !last_costs
 
 (* The one compiler from SPF trees ([tree dst]) to an image's route
-   columns and LFA CSR, over [t]'s structure and admin state.  Dirty
-   destinations' columns are recomputed, LFA rows re-laid-out at touched
-   nodes and dirty destinations, every other cell copied from [t].  All
-   dirty ({!of_tables}): fresh columns, [t]'s are never read. *)
-let fill t ~tree ~dirty ~touched =
-  let n = t.n and ports = t.ports in
+   columns, over [t]'s structure and admin state.  Dirty destinations'
+   columns are recomputed, every other cell copied from [t].  All dirty
+   ({!of_tables}): fresh columns, [t]'s are never read. *)
+let fill t ~tree ~dirty =
+  let n = t.n in
   let all_dirty = Array.for_all Fun.id dirty in
   let column parent empty =
     if all_dirty then Array.make (n * n) empty else Array.copy parent
@@ -147,64 +124,12 @@ let fill t ~tree ~dirty ~touched =
             last_costs :=
               (dst, Int64.sub (Pr_telemetry.Probe.now_ns ()) t0) :: !last_costs;
             Pr_telemetry.Flight.Progress.tick
-              ~frac:(0.5 *. float_of_int dst /. float_of_int n)
+              ~frac:(float_of_int dst /. float_of_int n)
               ()
           end
         end
       done);
-  (* The CSR is laid out whole (offsets shift), but clean rows —
-     destinations with unchanged columns at nodes whose incident links
-     were not edited — are copied byte-for-byte.  Candidates go into an
-     int buffer grown by doubling, not a list: at 1k nodes a list is
-     millions of cells the major GC must sweep after every compile. *)
-  let lfa_off = Array.make ((n * n) + 1) 0 in
-  let buf = ref (Array.make (max (n * n) (Array.length t.lfa_ports)) 0) in
-  let total = ref 0 in
-  let push p =
-    if !total = Array.length !buf then begin
-      let grown = Array.make (2 * !total) 0 in
-      Array.blit !buf 0 grown 0 !total;
-      buf := grown
-    end;
-    !buf.(!total) <- p;
-    incr total
-  in
-  let port_live = Array.make ports false in
-  Pr_telemetry.Span.timed "fib.compile.lfa" (fun () ->
-      for x = 0 to n - 1 do
-        for p = 0 to t.degree.(x) - 1 do
-          port_live.(p) <-
-            t.live.(Graph.edge_index t.g x t.port_node.((x * ports) + p))
-        done;
-        for dst = 0 to n - 1 do
-          let i = (x * n) + dst in
-          lfa_off.(i) <- !total;
-          if touched.(x) || dirty.(dst) then begin
-            let primary = next_hop_port.(i) in
-            if primary >= 0 then
-              List.iter push
-                (lfa_row t ~port_live ~dist:distance ~x ~dst ~primary)
-          end
-          else
-            for j = t.lfa_off.(i) to t.lfa_off.(i + 1) - 1 do
-              push t.lfa_ports.(j)
-            done
-        done;
-        if recording && x mod sample_every = 0 then
-          Pr_telemetry.Flight.Progress.tick
-            ~frac:(0.5 +. (0.5 *. float_of_int x /. float_of_int n))
-            ()
-      done);
-  lfa_off.(n * n) <- !total;
-  {
-    t with
-    next_hop_port;
-    disc;
-    disc_q;
-    distance;
-    lfa_off;
-    lfa_ports = Array.sub !buf 0 !total;
-  }
+  { t with next_hop_port; disc; disc_q; distance }
 
 let of_tables ?ports routing cycles =
   Pr_telemetry.Span.timed "fib.compile" @@ fun () ->
@@ -245,20 +170,18 @@ let of_tables ?ports routing cycles =
                 (Graph.neighbours g x)
             done);
         let sc_plan = Pr_core.Seen.plan ~nodes:n ~width:default_sc_width in
-        (* Structure and an all-live admin state; the route columns and
-           the LFA CSR are the all-dirty case of [fill]. *)
+        (* Structure and an all-live admin state; the route columns are
+           the all-dirty case of [fill]. *)
         let structure =
           { g; kind = Routing.kind routing; n; ports = width; degree; port_node;
             port_weight; node_port; cycle_col; dd_bits = Routing.dd_bits routing;
             next_hop_port = [||]; disc = [||]; disc_q = [||]; distance = [||];
-            lfa_off = [||]; lfa_ports = [||];
             sc_width = sc_plan.Pr_core.Seen.width;
             sc_mask = Array.init n (Pr_core.Seen.mask_of sc_plan);
             live = Array.make (Graph.m g) true;
             eff_weight = Array.init (Graph.m g) (fun i -> (Graph.edge g i).Graph.w) }
         in
-        let all = Array.make n true in
-        Ok (fill structure ~tree:(Routing.tree routing) ~dirty:all ~touched:all)
+        Ok (fill structure ~tree:(Routing.tree routing) ~dirty:(Array.make n true))
   end
 
 let of_tables_exn ?ports routing cycles =
@@ -309,8 +232,6 @@ let footprint t =
       p "disc_q" (Array.length t.disc_q);
       p "distance" (Array.length t.distance);
       p "cycle_col" (Array.length t.cycle_col);
-      p "lfa_off" (Array.length t.lfa_off);
-      p "lfa_ports" (Array.length t.lfa_ports);
       p "sc_mask" (Array.length t.sc_mask);
       p "live" (Array.length t.live);
       p "eff_weight" (Array.length t.eff_weight);
@@ -400,13 +321,6 @@ let entries t node =
         complementary = cycle_next t ~node ~from_:cycle_following;
       })
 
-let lfa_candidates t ~node ~dst =
-  check_node t node "node";
-  check_node t dst "dst";
-  let i = (node * t.n) + dst in
-  List.init (t.lfa_off.(i + 1) - t.lfa_off.(i)) (fun j ->
-      t.port_node.((node * t.ports) + t.lfa_ports.(t.lfa_off.(i) + j)))
-
 (* ---- administrative state ---- *)
 
 let link_live t ~u ~v = t.live.(Graph.edge_index t.g u v)
@@ -438,8 +352,6 @@ let equal a b =
   && a.degree = b.degree && a.port_node = b.port_node
   && a.node_port = b.node_port && a.next_hop_port = b.next_hop_port
   && a.disc_q = b.disc_q && a.cycle_col = b.cycle_col
-  && a.lfa_off = b.lfa_off
-  && a.lfa_ports = b.lfa_ports
   && a.sc_width = b.sc_width && a.sc_mask = b.sc_mask
   && a.live = b.live
   && float_arrays_equal a.port_weight b.port_weight
@@ -455,15 +367,13 @@ let raw_disc t = t.disc
 let raw_disc_q t = t.disc_q
 let raw_distance t = t.distance
 let raw_cycle_col t = t.cycle_col
-let raw_lfa_off t = t.lfa_off
-let raw_lfa_ports t = t.lfa_ports
 let raw_sc_mask t = t.sc_mask
 let raw_live t = t.live
 
 (* ---- the checkpoint codec ---- *)
 
 module Codec = struct
-  let magic = "PRFIB3"
+  let magic = "PRFIB4"
 
   (* FNV-1a, 64 bit — cheap, dependency-free, and plenty to catch torn or
      bit-flipped checkpoints (this is corruption detection, not crypto). *)
@@ -518,8 +428,6 @@ module Codec = struct
     add_ints buf "disc_q" t.disc_q;
     add_floats buf "distance" t.distance;
     add_ints buf "cycle_col" t.cycle_col;
-    add_ints buf "lfa_off" t.lfa_off;
-    add_ints buf "lfa_ports" t.lfa_ports;
     add_ints buf "sc_mask" t.sc_mask;
     add_bools buf "live" t.live;
     add_floats buf "eff_weight" t.eff_weight;
@@ -623,27 +531,17 @@ module Codec = struct
               Ok (rest, degree, port_node, port_weight, node_port, next_hop_port)
           | _ -> fail "truncated image"
         in
-        let* rows, disc, disc_q, distance, cycle_col, lfa_off =
+        let* disc, disc_q, distance, cycle_col, sc_mask, live, eff_weight =
           match rows with
-          | r1 :: r2 :: r3 :: r4 :: r5 :: rest ->
+          | r1 :: r2 :: r3 :: r4 :: r5 :: r6 :: r7 :: ([] | [ [ "" ] ]) ->
               let* disc = parse_row "disc" (n * n) ~default:0.0 float_of r1 in
               let* disc_q = parse_row "disc_q" (n * n) ~default:0 int_of r2 in
               let* distance = parse_row "distance" (n * n) ~default:0.0 float_of r3 in
               let* cycle_col = parse_row "cycle_col" (n * ports) ~default:0 int_of r4 in
-              let* lfa_off = parse_row "lfa_off" ((n * n) + 1) ~default:0 int_of r5 in
-              Ok (rest, disc, disc_q, distance, cycle_col, lfa_off)
-          | _ -> fail "truncated image"
-        in
-        let* lfa_ports, sc_mask, live, eff_weight =
-          match rows with
-          | r1 :: r2 :: r3 :: r4 :: ([] | [ [ "" ] ]) ->
-              let* lfa_ports =
-                parse_row "lfa_ports" lfa_off.((n * n)) ~default:0 int_of r1
-              in
-              let* sc_mask = parse_row "sc_mask" n ~default:0 int_of r2 in
-              let* live = parse_row "live" m ~default:true bool_of r3 in
-              let* eff_weight = parse_row "eff_weight" m ~default:0.0 float_of r4 in
-              Ok (lfa_ports, sc_mask, live, eff_weight)
+              let* sc_mask = parse_row "sc_mask" n ~default:0 int_of r5 in
+              let* live = parse_row "live" m ~default:true bool_of r6 in
+              let* eff_weight = parse_row "eff_weight" m ~default:0.0 float_of r7 in
+              Ok (disc, disc_q, distance, cycle_col, sc_mask, live, eff_weight)
           | _ -> fail "truncated image"
         in
         Ok
@@ -664,8 +562,6 @@ module Codec = struct
             disc_q;
             distance;
             cycle_col;
-            lfa_off;
-            lfa_ports;
             live;
             eff_weight;
           }
@@ -821,7 +717,7 @@ module Delta = struct
 
   (* Recompile exactly the dirty rows against the effective topology,
      byte-copying every clean row from the current image. *)
-  let rebuild t ~live ~eff ~dirty ~touched =
+  let rebuild t ~live ~eff ~dirty =
     let geff = effective_graph t ~live ~eff in
     let port_weight = Array.copy t.port_weight in
     Graph.iter_edges
@@ -833,7 +729,7 @@ module Delta = struct
     fill
       { t with port_weight; live; eff_weight = eff }
       ~tree:(fun dst -> Dijkstra.tree geff ~root:dst)
-      ~dirty ~touched
+      ~dirty
 
   let apply ?(threshold = 0.5) t edits =
     Pr_telemetry.Span.timed "fib.delta.apply" @@ fun () ->
@@ -846,16 +742,8 @@ module Delta = struct
         let count = Array.fold_left (fun a d -> if d then a + 1 else a) 0 dirty in
         let full = float_of_int count > threshold *. float_of_int n in
         if full then Array.fill dirty 0 n true;
-        let touched = Array.make n false in
-        if full then Array.fill touched 0 n true
-        else
-          List.iter
-            (fun (_, u, v, _) ->
-              touched.(u) <- true;
-              touched.(v) <- true)
-            edits;
         Ok
-          ( rebuild t ~live ~eff ~dirty ~touched,
+          ( rebuild t ~live ~eff ~dirty,
             { edits = List.length edits; dirty = count; full } )
 
   let apply_exn ?threshold t edits =
@@ -867,5 +755,5 @@ module Delta = struct
     Pr_telemetry.Span.timed "fib.recompile" @@ fun () ->
     let n = t.n in
     rebuild t ~live:(Array.copy t.live) ~eff:(Array.copy t.eff_weight)
-      ~dirty:(Array.make n true) ~touched:(Array.make n true)
+      ~dirty:(Array.make n true)
 end

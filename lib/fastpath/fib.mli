@@ -54,10 +54,10 @@ val of_tables :
     assertion.  The tables must be built over the same graph.
 
     Only the structure (ports, cycle column, shortcut masks, an all-live
-    admin state) is laid out here; the route columns and LFA candidates
-    come from the per-destination fill {!Delta} recompiles with, run
-    over [Routing.tree] with every destination dirty.  Sub-spans: [fib.compile.ports],
-    [.cycles], [.routes], [.lfa]. *)
+    admin state) is laid out here; the route columns come from the
+    per-destination fill {!Delta} recompiles with, run over
+    [Routing.tree] with every destination dirty.  Sub-spans:
+    [fib.compile.ports], [.cycles], [.routes]. *)
 
 val of_tables_exn :
   ?ports:int -> Pr_core.Routing.t -> Pr_core.Cycle_table.t -> t
@@ -185,12 +185,6 @@ val entries : t -> int -> Pr_core.Cycle_table.entry list
     {!Pr_core.Cycle_table.entries} but ordered by incoming neighbour id
     (port order) rather than rotation order. *)
 
-val lfa_candidates : t -> node:int -> dst:int -> int list
-(** The precomputed loop-free-alternate ports for [(node, dst)], decoded
-    to neighbour ids, best first: RFC 5286 basic-inequality neighbours
-    (primary excluded) ordered by [cost + distance] with ties to the
-    smaller id — the order in which the kernel's LFA rung probes them. *)
-
 (** {2 Raw layout (read-only)}
 
     Exposed for the kernel and for tests that pin the array shapes; see
@@ -227,12 +221,6 @@ val raw_distance : t -> float array
 val raw_cycle_col : t -> int array
 (** [n*ports]: in-port -> cycle-following out-port; indexed by a failed
     port instead, the first port of its complementary cycle *)
-
-val raw_lfa_off : t -> int array
-(** [n*n+1]: candidate-range offsets *)
-
-val raw_lfa_ports : t -> int array
-(** concatenated LFA candidate ports *)
 
 val raw_sc_mask : t -> int array
 (** [n]: each node's seen-hint contribution under the image's shortcut
@@ -281,8 +269,8 @@ end
     the same effective topology — same bytes, different cost.
 
     Recompiled rows come from {!of_tables}' fill over an SPF of the
-    effective topology, which files the [fib.compile.routes] and [.lfa]
-    sub-spans and {!last_compile_costs} samples here too.
+    effective topology, which files the [fib.compile.routes] sub-span
+    and {!last_compile_costs} samples here too.
 
     The DD bit budget ([dd_bits]) is a header-format deployment
     constant: it stays the base image's whatever the edits do, exactly

@@ -28,8 +28,6 @@ type t = {
   mutable disc_q : int array;
   mutable distance : float array;
   mutable cycle_col : int array;
-  mutable lfa_off : int array;
-  mutable lfa_ports : int array;
   view : Bytes.t;
   truth : Bytes.t;
   admin : Bytes.t;
@@ -84,8 +82,8 @@ type t = {
   mutable cap_episodes : (int * float) list;
   mutable cap_degr : Forward.degradation list;
   (* Per-walk registers, loaded by [prepare_walk] and read by the walk
-     off [t] so that [walk]/[transmit] keep few enough arguments to
-     tail-call each other in registers. *)
+     and the rungs off [t] so that [walk]/[transmit] keep few enough
+     arguments to tail-call each other in registers. *)
   mutable walk_src : int;
   mutable walk_dd_term : bool;
   mutable walk_quantise : bool;
@@ -121,6 +119,8 @@ let f_out_dd = 1  (* DD stamped on the forwarded header by [decide] *)
 
 let f_cost = 2    (* weighted cost of the walk so far *)
 
+let f_lfa_best = 3 (* cost + distance of the LFA rung's best candidate *)
+
 (* Repaint [t.admin] from the image's administrative link state. *)
 let load_admin t =
   Bytes.fill t.admin 0 (Bytes.length t.admin) '\001';
@@ -132,6 +132,11 @@ let load_admin t =
         Bytes.set t.admin (Fib.slot t.fib ~node:e.v ~other:e.u) '\000'
       end)
     (Fib.graph t.fib)
+
+(* No failures: both port planes are the admin plane. *)
+let clear_failures t =
+  Bytes.blit t.admin 0 t.view 0 (Bytes.length t.view);
+  Bytes.blit t.admin 0 t.truth 0 (Bytes.length t.truth)
 
 let create fib =
   let n = Fib.n fib and ports = Fib.ports fib in
@@ -149,14 +154,12 @@ let create fib =
     disc_q = Fib.raw_disc_q fib;
     distance = Fib.raw_distance fib;
     cycle_col = Fib.raw_cycle_col fib;
-    lfa_off = Fib.raw_lfa_off fib;
-    lfa_ports = Fib.raw_lfa_ports fib;
     view = Bytes.make (n * ports) '\001';
     truth = Bytes.make (n * ports) '\001';
     admin = Bytes.make (n * ports) '\001';
     default_ttl = Forward.default_ttl (Fib.graph fib);
     degr = Array.make 8 0;
-    fbuf = Array.make 3 0.0;
+    fbuf = Array.make 4 0.0;
     degr_len = 0;
     out_port = -1;
     out_pr = false;
@@ -194,6 +197,7 @@ let create fib =
   }
   in
   load_admin t;
+  clear_failures t;
   t
 
 let fib t = t.fib
@@ -211,8 +215,6 @@ let rebind t fib =
   t.disc_q <- Fib.raw_disc_q fib;
   t.distance <- Fib.raw_distance fib;
   t.cycle_col <- Fib.raw_cycle_col fib;
-  t.lfa_off <- Fib.raw_lfa_off fib;
-  t.lfa_ports <- Fib.raw_lfa_ports fib;
   t.default_ttl <- Forward.default_ttl (Fib.graph fib);
   load_admin t;
   (* Keep the port-state planes sound until the caller reloads them: the
@@ -300,8 +302,7 @@ let cut_link t u v =
 let set_failures t failures =
   if not (Graph.equal_structure (Fib.graph t.fib) (Pr_core.Failure.graph failures))
   then invalid_arg "Kernel.set_failures: failure set over a different graph";
-  Bytes.blit t.admin 0 t.view 0 (Bytes.length t.view);
-  Bytes.blit t.admin 0 t.truth 0 (Bytes.length t.truth);
+  clear_failures t;
   Pr_core.Failure.iter (cut_link t) failures
 
 let fill_plane t plane f =
@@ -373,23 +374,11 @@ let cell_next_hop = 0
 
 let cell_cycle = 1
 
-let cell_lfa_off = 2
+let cell_port_node = 2
 
-let cell_lfa_ports = 3
+let cell_node_port = 3
 
-let cell_port_node = 4
-
-let cell_node_port = 5
-
-let cell_names =
-  [|
-    "next-hop-port";
-    "cycle-col";
-    "lfa-off";
-    "lfa-ports";
-    "port-node";
-    "node-port";
-  |]
+let cell_names = [| "next-hop-port"; "cycle-col"; "port-node"; "node-port" |]
 
 let fault_of t =
   if t.fault_code = fc_impossible_dd then
@@ -455,17 +444,18 @@ let drop_name_of_code c = reason_name (reason_of_code c)
 
 (* Forward.decide's [write_dd]: stamp the local discriminator (saturated
    at the bound) into [f_out_dd]. *)
-let write_dd t ii ~quantise ~max_dd_q =
+let write_dd t ii =
   let q = Array.unsafe_get t.disc_q ii in
   Array.unsafe_set t.fbuf f_out_dd
-    (if carried_sat ~max_dd_q q then begin
+    (if carried_sat ~max_dd_q:t.walk_max_dd_q q then begin
        note t d_ddsat;
        if traced t then
          Trace.emit t.trace
-           (Trace.Dd_saturated { node = ii / t.n; dd = float_of_int max_dd_q });
-       float_of_int max_dd_q
+           (Trace.Dd_saturated
+              { node = ii / t.n; dd = float_of_int t.walk_max_dd_q });
+       float_of_int t.walk_max_dd_q
      end
-     else if quantise then float_of_int q
+     else if t.walk_quantise then float_of_int q
      else Array.unsafe_get t.disc ii)
 
 (* One step of the complementary rotation: forward on [candidate] if it
@@ -497,7 +487,7 @@ let start_complementary t base ~deg failed_port ~started =
     (Array.unsafe_get t.cycle_col (base + failed_port))
     deg
 
-let routed t base ii ~deg ~quantise ~max_dd_q =
+let routed t base ii ~deg =
   let p = Array.unsafe_get t.next_hop_port ii in
   if t.guard_mode && (p < -1 || p >= deg) then
     corrupt_cell t ~node:(base / t.ports) ~cell:cell_next_hop
@@ -508,7 +498,7 @@ let routed t base ii ~deg ~quantise ~max_dd_q =
   end
   else begin
     t.hits <- t.hits + 1;
-    write_dd t ii ~quantise ~max_dd_q;
+    write_dd t ii;
     if traced t then
       Trace.emit t.trace
         (Trace.Pr_set
@@ -516,14 +506,17 @@ let routed t base ii ~deg ~quantise ~max_dd_q =
     start_complementary t base ~deg p ~started:true
   end
 
-(* The first live entry of the LFA row [j .. hi - 1] takes the packet. *)
-let rec lfa_scan t base ~deg ~reason j hi =
-  if j >= hi then reason
-  else
-    let w = Array.unsafe_get t.lfa_ports j in
-    if t.guard_mode && (w < 0 || w >= deg) then
-      corrupt_cell t ~node:(base / t.ports) ~cell:cell_lfa_ports
-    else if up t base w then begin
+(* Forward.decide's [lfa_rescue], the last rung: among the live ports
+   other than the primary whose neighbour [w] passes RFC 5286's basic
+   inequality [dist w < cost w + dist x], the cheapest [cost + dist w]
+   takes the packet, ties to the smaller port.  One pass over the
+   node's ports with the best key in [f_lfa_best].  The [up] test skips
+   the primary, which the ladder only leaves when it is down, and the
+   administratively down links, which the view masks. *)
+let rec lfa_scan t base ii ~deg ~dst ~reason p best =
+  if p >= deg then
+    if best < 0 then reason
+    else begin
       note t d_lfa;
       if traced t then
         Trace.emit t.trace
@@ -534,22 +527,33 @@ let rec lfa_scan t base ~deg ~reason j hi =
                reason = drop_name_of_code reason;
              });
       Array.unsafe_set t.fbuf f_out_dd 0.0;
-      forwarded t w ~pr:false ~started:false
+      forwarded t best ~pr:false ~started:false
     end
-    else lfa_scan t base ~deg ~reason (j + 1) hi
-
-let lfa_rescue t base ii ~deg ~reason =
-  if Array.unsafe_get t.next_hop_port ii < 0 then c_no_route
+  else if not (up t base p) then
+    lfa_scan t base ii ~deg ~dst ~reason (p + 1) best
   else begin
-    let lo = t.lfa_off.(ii) and hi = t.lfa_off.(ii + 1) in
-    if
-      t.guard_mode
-      && (lo < 0 || hi < lo || hi > Array.length t.lfa_ports)
-    then corrupt_cell t ~node:(base / t.ports) ~cell:cell_lfa_off
-    else lfa_scan t base ~deg ~reason lo hi
+    let w = Array.unsafe_get t.port_node (base + p) in
+    if t.guard_mode && (w < 0 || w >= t.n) then
+      corrupt_cell t ~node:(base / t.ports) ~cell:cell_port_node
+    else begin
+      let cost = Array.unsafe_get t.port_weight (base + p) in
+      let dist_w = Array.unsafe_get t.distance ((w * t.n) + dst) in
+      let key = cost +. dist_w in
+      if
+        dist_w < cost +. Array.unsafe_get t.distance ii
+        && (best < 0 || key < Array.unsafe_get t.fbuf f_lfa_best)
+      then begin
+        Array.unsafe_set t.fbuf f_lfa_best key;
+        lfa_scan t base ii ~deg ~dst ~reason (p + 1) p
+      end
+      else lfa_scan t base ii ~deg ~dst ~reason (p + 1) best
+    end
   end
 
-let ladder t base ii ~deg ~quantise ~max_dd_q ~reason ~try_complementary =
+let lfa_rescue t base ii ~deg ~reason =
+  lfa_scan t base ii ~deg ~dst:(ii - (base / t.ports * t.n)) ~reason 0 (-1)
+
+let ladder t base ii ~deg ~reason ~try_complementary =
   let p = Array.unsafe_get t.next_hop_port ii in
   if t.guard_mode && (p < -1 || p >= deg) then
     corrupt_cell t ~node:(base / t.ports) ~cell:cell_next_hop
@@ -578,7 +582,7 @@ let ladder t base ii ~deg ~quantise ~max_dd_q ~reason ~try_complementary =
                rung = Trace.Retry_complementary;
                reason = drop_name_of_code reason;
              });
-      write_dd t ii ~quantise ~max_dd_q;
+      write_dd t ii;
       if traced t then
         Trace.emit t.trace
           (Trace.Pr_set
@@ -590,18 +594,17 @@ let ladder t base ii ~deg ~quantise ~max_dd_q ~reason ~try_complementary =
   end
 
 (* The carried DD is read from [f_in_dd]; the out header's DD is left in
-   [f_out_dd]. *)
-let decide t ~dd_term ~quantise ~max_dd_q ~hops_left ~guard ~dst ~x
-    ~arrived_port ~pr =
+   [f_out_dd].  The walk's termination scheme, quantiser, DD bound and
+   budget guard are read from the [walk_*] registers. *)
+let decide t ~hops_left ~dst ~x ~arrived_port ~pr =
   let base = x * t.ports in
   let ii = (x * t.n) + dst in
   let deg = Array.unsafe_get t.degree x in
   t.out_shortcut <- false;
-  if pr && guard > 0 && hops_left <= guard then
-    ladder t base ii ~deg ~quantise ~max_dd_q ~reason:c_budget_exhausted
-      ~try_complementary:false
-  else if not pr then routed t base ii ~deg ~quantise ~max_dd_q
-  else if arrived_port < 0 then routed t base ii ~deg ~quantise ~max_dd_q
+  if pr && t.walk_guard > 0 && hops_left <= t.walk_guard then
+    ladder t base ii ~deg ~reason:c_budget_exhausted ~try_complementary:false
+  else if not pr then routed t base ii ~deg
+  else if arrived_port < 0 then routed t base ii ~deg
   else begin
     (* Cycle following. *)
     let w = Array.unsafe_get t.cycle_col (base + arrived_port) in
@@ -609,7 +612,7 @@ let decide t ~dd_term ~quantise ~max_dd_q ~hops_left ~guard ~dst ~x
       corrupt_cell t ~node:x ~cell:cell_cycle
     else if up t base w then begin
       let m =
-        if dd_term && t.sc_on && not t.sc_sat then
+        if t.walk_dd_term && t.sc_on && not t.sc_sat then
           Array.unsafe_get t.sc_masks x
         else 0
       in
@@ -620,11 +623,12 @@ let decide t ~dd_term ~quantise ~max_dd_q ~hops_left ~guard ~dst ~x
            kernel running with no hint at all. *)
         let dd = Array.unsafe_get t.fbuf f_in_dd in
         let q = Array.unsafe_get t.disc_q ii in
+        let max_dd_q = t.walk_max_dd_q in
         let local_sat = carried_sat ~max_dd_q q in
         let header_sat = max_dd_q >= 0 && dd >= float_of_int max_dd_q in
         let local =
           if local_sat then float_of_int max_dd_q
-          else if quantise then float_of_int q
+          else if t.walk_quantise then float_of_int q
           else Array.unsafe_get t.disc ii
         in
         let p = Array.unsafe_get t.next_hop_port ii in
@@ -657,22 +661,23 @@ let decide t ~dd_term ~quantise ~max_dd_q ~hops_left ~guard ~dst ~x
     end
     else begin
       t.hits <- t.hits + 1;
-      if not dd_term then routed t base ii ~deg ~quantise ~max_dd_q
+      if not t.walk_dd_term then routed t base ii ~deg
       else begin
         let dd = Array.unsafe_get t.fbuf f_in_dd in
         let q = Array.unsafe_get t.disc_q ii in
+        let max_dd_q = t.walk_max_dd_q in
         let local_sat = carried_sat ~max_dd_q q in
         let header_sat = max_dd_q >= 0 && dd >= float_of_int max_dd_q in
         if local_sat && header_sat then begin
           note t d_ddsat;
           if traced t then Trace.emit t.trace (Trace.Dd_refused { node = x });
-          ladder t base ii ~deg ~quantise ~max_dd_q
-            ~reason:c_continuation_lost ~try_complementary:true
+          ladder t base ii ~deg ~reason:c_continuation_lost
+            ~try_complementary:true
         end
         else begin
           let local =
             if local_sat then float_of_int max_dd_q
-            else if quantise then float_of_int q
+            else if t.walk_quantise then float_of_int q
             else Array.unsafe_get t.disc ii
           in
           let cleared = local < dd in
@@ -680,7 +685,7 @@ let decide t ~dd_term ~quantise ~max_dd_q ~hops_left ~guard ~dst ~x
             Trace.emit t.trace
               (Trace.Dd_compare
                  { node = x; local_dd = local; header_dd = dd; cleared });
-          if cleared then routed t base ii ~deg ~quantise ~max_dd_q
+          if cleared then routed t base ii ~deg
           else begin
             Array.unsafe_set t.fbuf f_out_dd dd;
             start_complementary t base ~deg w ~started:false
@@ -1022,11 +1027,7 @@ and decide_hop t c ~dst x arrived_port pr ttl =
         true
   in
   let t0 = if clocked then Probe.now_ns () else 0L in
-  let code =
-    decide t ~dd_term:t.walk_dd_term ~quantise:t.walk_quantise
-      ~max_dd_q:t.walk_max_dd_q ~hops_left:ttl ~guard:t.walk_guard ~dst ~x
-      ~arrived_port ~pr
-  in
+  let code = decide t ~hops_left:ttl ~dst ~x ~arrived_port ~pr in
   (match t.probe with
   | Some prb when clocked ->
       Probe.record_latency prb ~cls:(slow_class t code)

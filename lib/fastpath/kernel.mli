@@ -40,6 +40,8 @@
 type t
 
 val create : Fib.t -> t
+(** A kernel on [fib] with no failures loaded: both port planes start as
+    the image's administrative plane. *)
 
 val fib : t -> Fib.t
 
@@ -83,9 +85,10 @@ val believed_up : t -> node:int -> other:int -> bool
 val set_guard : t -> bool -> unit
 (** Toggle bounds-checked forwarding (default off).  Guard mode validates
     every FIB-cell read whose value is used as an index — next-hop and
-    cycle columns, LFA offsets and ports, port-node
-    and node-port maps — and converts an out-of-range value into an
-    accounted {!Pr_core.Forward.Dropped_corrupt} verdict with a
+    cycle columns, port-node and node-port maps, including the port-node
+    cells the LFA rung reads to index the distance plane — and converts
+    an out-of-range value into an accounted
+    {!Pr_core.Forward.Dropped_corrupt} verdict with a
     {!Pr_core.Forward.Corrupt_cell} locus instead of an unsafe read.  A
     corrupt-seeded {!run_one} walk (injected header state) additionally
     converts TTL expiry into {!Pr_core.Forward.Walk_blowup}.  On clean

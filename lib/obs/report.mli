@@ -100,7 +100,7 @@ type compile_profile = {
   compile : Pr_telemetry.Span.node;  (** the recorded [fib.compile] span *)
   planes : Pr_telemetry.Span.node list;
       (** its per-plane children: the structural [fib.compile.ports]
-          and [.cycles], then the fill's [.routes] and [.lfa] *)
+          and [.cycles], then the fill's [.routes] *)
   costs : (int * int64) list;
       (** sampled (dst, wall ns) route-column costs, destination
           order — {!Pr_fastpath.Fib.last_compile_costs} *)

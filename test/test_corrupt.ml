@@ -7,7 +7,8 @@
      claimed previous hops — and never raise;
    - damaged FIB cells: junk written into any index-bearing table of a
      codec-copied image is delivered-or-accounted under guard, never an
-     exception, with the Corrupt_cell locus naming the table;
+     exception, with the Corrupt_cell locus naming the table, including
+     the port-node cell the LFA rung reads;
    - the campaign: Corrupt.run holds every invariant on Abilene, Géant
      and Teleglobe, and its generator is deterministic in the seed. *)
 
@@ -201,8 +202,6 @@ let test_cell_damage_never_raises () =
           | "node_port" -> Fib.raw_node_port scratch
           | "next_hop_port" -> Fib.raw_next_hop_port scratch
           | "cycle_col" -> Fib.raw_cycle_col scratch
-          | "lfa_off" -> Fib.raw_lfa_off scratch
-          | "lfa_ports" -> Fib.raw_lfa_ports scratch
           | t -> Alcotest.fail ("unknown damage table " ^ t)
         in
         let slot = Rng.int rng (Array.length arr) in
@@ -235,6 +234,53 @@ let test_cell_damage_never_raises () =
         done
       done)
     Gen.damage_tables
+
+(* ---- the LFA rung's port-node read ---- *)
+
+(* The LFA rung reads the [port_node] cell of every live port to index
+   [distance], so a damaged cell there must be an accounted verdict
+   under guard.  At KSCY (4) towards ATLA (8) the primary is HSTN (5),
+   and of the other neighbours only IPLS (6) is loop-free; DNVR (3) is
+   not.  With 4-5 failed, a packet entering 4 with the budget guard
+   exhausted is rescued through 6.  Damage the node cell of the live,
+   non-primary port to 3, which no walk here transmits on, and the same
+   walk drops at 4 with the port-node locus, before any hop and before
+   the rung can rescue it. *)
+let test_lfa_scan_port_node_guard () =
+  let topo = Pr_topo.Abilene.topology () in
+  let g, _, _, fib = setup topo (Pr_embed.Geometric.of_topology topo) in
+  let failures = Failure.of_list g [ (4, 5) ] in
+  let run image =
+    let kernel = Kernel.create image in
+    Kernel.set_guard kernel true;
+    Kernel.set_failures kernel failures;
+    Kernel.run_one ~ttl:32 ~budget_guard:32
+      ~header:{ Forward.pr_bit = true; dd_value = 0.0 }
+      kernel ~src:4 ~dst:8
+  in
+  let clean = run fib in
+  Alcotest.(check (list string)) "the rung fires" [ "lfa-rescue" ]
+    (List.map Forward.degradation_name clean.Kernel.degradations);
+  Alcotest.(check (list int)) "through IPLS" [ 4; 6 ]
+    (List.filteri (fun i _ -> i < 2) clean.Kernel.path);
+  let scratch =
+    match Fib.Codec.decode ~base:fib (Fib.Codec.encode fib) with
+    | Ok s -> s
+    | Error msg -> Alcotest.fail msg
+  in
+  (Fib.raw_port_node scratch).(Fib.slot scratch ~node:4 ~other:3) <-
+    Graph.n g + 3;
+  let r = run scratch in
+  Alcotest.(check bool) "dropped corrupt" true
+    (r.Kernel.outcome = Forward.Dropped_corrupt);
+  Alcotest.(check (list int)) "before any hop" [ 4 ] r.Kernel.path;
+  Alcotest.(check (list string)) "before any rescue" []
+    (List.map Forward.degradation_name r.Kernel.degradations);
+  match r.Kernel.fault with
+  | Some (Forward.Corrupt_cell { node = 4; cell = "port-node" }) -> ()
+  | f ->
+      Alcotest.failf "expected a port-node cell at 4, got %s"
+        (Option.fold ~none:"no fault" ~some:Forward.describe_fault f)
 
 (* ---- locus messages: the style satellite ---- *)
 
@@ -349,6 +395,8 @@ let suite =
       test_legal_injection_keeps_plain_verdicts;
     Alcotest.test_case "damaged FIB cells never raise under guard" `Quick
       test_cell_damage_never_raises;
+    Alcotest.test_case "LFA rung: damaged port-node cell under guard" `Quick
+      test_lfa_scan_port_node_guard;
     Alcotest.test_case "fault messages carry their loci" `Quick
       test_fault_descriptions_carry_loci;
     Alcotest.test_case "corrupt storm is deterministic and well-formed" `Quick

@@ -139,27 +139,7 @@ let check_roundtrip kind g rotation =
         (Fib.disc_q fib ~node ~dst);
       Alcotest.(check (float 0.0)) "distance"
         (Routing.distance routing ~node ~dst)
-        (Fib.distance fib ~node ~dst);
-      (* The LFA candidate list: RFC 5286 basic inequality, primary
-         excluded, ordered by cost + distance with ties to the smaller
-         id — recomputed here straight from the reference tables. *)
-      let expect_lfa =
-        match Routing.next_hop routing ~node ~dst with
-        | None -> []
-        | Some primary ->
-            Array.to_list (Graph.neighbours g node)
-            |> List.filter_map (fun w ->
-                   let cost = Graph.weight g node w in
-                   let dist_w = Routing.distance routing ~node:w ~dst in
-                   if
-                     w <> primary
-                     && dist_w < cost +. Routing.distance routing ~node ~dst
-                   then Some (cost +. dist_w, w)
-                   else None)
-            |> List.sort compare |> List.map snd
-      in
-      Alcotest.(check (list int)) "lfa candidates" expect_lfa
-        (Fib.lfa_candidates fib ~node ~dst)
+        (Fib.distance fib ~node ~dst)
     done
   done;
   List.iter
@@ -352,8 +332,9 @@ let reference_ladder_walk ~routing ~cycles ~g ~termination ?dd_bits
   in
   walk src None Forward.fresh_header ~ttl:(Forward.default_ttl g) [ src ]
 
-let check_view_differential g rotation ~seed ~k ~budget_guard =
-  let routing, cycles, fib = compile g rotation in
+(* Returns the number of LFA rescues the walks made. *)
+let check_view_differential ?kind g rotation ~seed ~k ~budget_guard =
+  let routing, cycles, fib = compile ?kind g rotation in
   let n = Graph.n g in
   let rng = Rng.create ~seed in
   let failures = random_failures rng g ~k in
@@ -374,6 +355,7 @@ let check_view_differential g rotation ~seed ~k ~budget_guard =
   let kernel = Kernel.create fib in
   Kernel.set_failures kernel failures;
   Kernel.fill_view kernel (fun ~node ~other -> view node other);
+  let rescues = ref 0 in
   List.iter
     (fun termination ->
       List.iter
@@ -394,9 +376,13 @@ let check_view_differential g rotation ~seed ~k ~budget_guard =
           Alcotest.(check (list string))
             (Printf.sprintf "degradations %d->%d" src dst)
             (List.map Forward.degradation_name expect_degr)
-            (List.map Forward.degradation_name r.Kernel.degradations))
+            (List.map Forward.degradation_name r.Kernel.degradations);
+          List.iter
+            (fun d -> if d = Forward.Lfa_rescue then incr rescues)
+            r.Kernel.degradations)
         (Helpers.all_pairs g))
-    [ Forward.Distance_discriminator; Forward.Simple ]
+    [ Forward.Distance_discriminator; Forward.Simple ];
+  !rescues
 
 let qcheck_view_differential =
   QCheck.Test.make
@@ -406,19 +392,90 @@ let qcheck_view_differential =
         (triple (int_bound 1_000_000) (int_range 4 10) (int_bound 12))
         (int_range 0 5) (int_range 0 6))
     (fun (params, k, budget_guard) ->
-      let g, rotation = random_instance params in
       let seed, _, _ = params in
-      check_view_differential g rotation ~seed:(seed + 7) ~k ~budget_guard;
+      let g, rotation = random_instance params in
+      ignore
+        (check_view_differential g rotation ~seed:(seed + 7) ~k ~budget_guard
+          : int);
+      (* Fractional weights, so [port_weight] can decide a rescue. *)
+      let g, rotation = reweighted_instance params in
+      ignore
+        (check_view_differential ~kind:Pr_core.Discriminator.Weighted g
+           rotation ~seed:(seed + 7) ~k ~budget_guard
+          : int);
       true)
 
 let test_view_differential_abilene () =
   let topo = Pr_topo.Abilene.topology () in
   let rotation = Pr_embed.Geometric.of_topology topo in
-  List.iter
-    (fun seed ->
-      check_view_differential topo.Pr_topo.Topology.graph rotation ~seed ~k:2
-        ~budget_guard:6)
-    [ 1; 2; 3 ]
+  let rescues =
+    List.fold_left
+      (fun acc seed ->
+        acc
+        + check_view_differential topo.Pr_topo.Topology.graph rotation ~seed
+            ~k:2 ~budget_guard:6)
+      0 [ 1; 2; 3 ]
+  in
+  (* The wall must keep reaching the last rung. *)
+  if rescues = 0 then Alcotest.fail "no walk reached the LFA rung"
+
+(* The LFA rung by hand on Géant.  At node 0 towards 7 the primary is 6,
+   and the two cheapest loop-free alternates, 3 and 5, tie on cost +
+   distance: the rung takes the smaller port, neighbour 3.  With 0-3
+   administratively down it takes 5.  The expectation is RFC 5286's
+   inequality over the image's live links, read off its planes. *)
+let lfa_alternates fib ~node ~dst =
+  let primary = Fib.next_hop fib ~node ~dst in
+  List.init (Fib.degree fib node) (fun port -> Fib.neighbour_of fib ~node ~port)
+  |> List.filter_map (fun w ->
+         let cost = Fib.eff_weight fib ~u:node ~v:w in
+         let dist_w = Fib.distance fib ~node:w ~dst in
+         if
+           Some w <> primary
+           && Fib.link_live fib ~u:node ~v:w
+           && dist_w < cost +. Fib.distance fib ~node ~dst
+         then Some (cost +. dist_w, w)
+         else None)
+  |> List.sort compare
+
+(* The neighbour the rung hands the packet to when [node]'s primary link
+   fails under an exhausted budget guard. *)
+let lfa_rescuer fib ~node ~dst =
+  let kernel = Kernel.create fib in
+  let primary = Option.get (Fib.next_hop fib ~node ~dst) in
+  Kernel.set_failures kernel (Failure.of_list (Fib.graph fib) [ (node, primary) ]);
+  let r =
+    Kernel.run_one ~ttl:64 ~budget_guard:64
+      ~header:{ Forward.pr_bit = true; dd_value = 0.0 }
+      kernel ~src:node ~dst
+  in
+  Alcotest.(check bool) "delivered" true (r.Kernel.outcome = Forward.Delivered);
+  Alcotest.(check (list string)) "one LFA rescue" [ "lfa-rescue" ]
+    (List.map Forward.degradation_name r.Kernel.degradations);
+  List.nth r.Kernel.path 1
+
+let test_lfa_rung_geant_tie () =
+  let topo = Pr_topo.Geant.topology () in
+  let _, _, fib =
+    compile topo.Pr_topo.Topology.graph (Pr_embed.Geometric.of_topology topo)
+  in
+  let node = 0 and dst = 7 in
+  Alcotest.(check (option int)) "primary" (Some 6) (Fib.next_hop fib ~node ~dst);
+  (match lfa_alternates fib ~node ~dst with
+  | (k3, 3) :: (k5, 5) :: _ ->
+      Alcotest.(check (float 0.0)) "3 and 5 tie" k3 k5
+  | _ -> Alcotest.fail "expected alternates 3 and 5 first");
+  Alcotest.(check int) "tie to the smaller port" 3 (lfa_rescuer fib ~node ~dst);
+  let next, _ =
+    Fib.Delta.apply_exn fib
+      [ { Fib.Delta.u = node; v = 3; change = Fib.Delta.Down } ]
+  in
+  Alcotest.(check (option int)) "primary kept" (Some 6)
+    (Fib.next_hop next ~node ~dst);
+  (match lfa_alternates next ~node ~dst with
+  | (_, 5) :: _ -> ()
+  | _ -> Alcotest.fail "expected alternate 5 first once 0-3 is down");
+  Alcotest.(check int) "the other alternate" 5 (lfa_rescuer next ~node ~dst)
 
 let test_kernel_invalid_args () =
   let topo = Pr_topo.Abilene.topology () in
@@ -962,11 +1019,57 @@ let shortcut_ctx ?(width = Fib.default_sc_width) topo =
     sc_width = width;
   }
 
+(* What the DD argument proves about one pair's armed walk, given its
+   events and the DD-only walk [base].  The two walks share every hop up
+   to the armed walk's first grant, at [x]; with no grant they are one
+   walk.  An armed walk that sets no PR bit after that grant routes from
+   [x] on shortest paths, so it delivers at the shared prefix's cost plus
+   [distance x dst], and a delivered DD-only walk, which pays the prefix
+   plus some path from [x], costs no less.  Nothing bounds an armed walk
+   whose grant leads onto another failed link: its next episode can tour
+   further than the DD-only walk. *)
+let check_grant_bound ~g ~routing ~events ~src ~dst (armed : Forward.trace)
+    (base : Forward.trace) =
+  let rec first_grant hops = function
+    | [] -> None
+    | Trace.Shortcut { node; _ } :: rest -> Some (hops, node, rest)
+    | Trace.Hop _ :: rest -> first_grant (hops + 1) rest
+    | _ :: rest -> first_grant hops rest
+  in
+  match first_grant 0 events with
+  | None ->
+      if not (traces_equal armed base) then
+        Alcotest.failf "walks differ with no grant %d->%d" src dst
+  | Some (hops, x, after) ->
+      let upto path = List.filteri (fun i _ -> i <= hops) path in
+      let prefix = upto armed.Forward.path in
+      if upto base.Forward.path <> prefix || List.nth prefix hops <> x then
+        Alcotest.failf "walks part before the first grant %d->%d" src dst;
+      let recycles =
+        List.exists (function Trace.Hop { pr; _ } -> pr | _ -> false) after
+      in
+      if not recycles then begin
+        let bound =
+          Pr_graph.Paths.cost g prefix +. Routing.distance routing ~node:x ~dst
+        in
+        if
+          armed.Forward.outcome <> Forward.Delivered
+          || not (Helpers.close (Forward.path_cost g armed) bound)
+        then
+          Alcotest.failf "granted walk %d->%d is not prefix + distance %.6f"
+            src dst bound;
+        if
+          base.Forward.outcome = Forward.Delivered
+          && Forward.path_cost g base < bound -. 1e-9
+        then
+          Alcotest.failf "DD-only walk %d->%d beats prefix + distance %.6f"
+            src dst bound
+      end
+
 (* One scenario through both backends with the hint armed and disarmed,
    under both termination schemes: verdicts, fault classes, Trace event
-   sequences and Probe histograms must agree pairwise, and on every
-   delivered walk the armed run may not stretch past the DD-only one —
-   the shortcut is a pure improvement filter over the DD walk. *)
+   sequences and Probe histograms must agree pairwise, and every armed
+   walk meets {!check_grant_bound} against the DD-only one. *)
 let check_shortcut_differential ctx failures =
   let { sc_g = g; sc_routing = routing; sc_cycles = cycles; sc_kernel = kernel;
         sc_plan = plan; sc_width = width } = ctx in
@@ -1002,22 +1105,11 @@ let check_shortcut_differential ctx failures =
               Kernel.set_probe kernel (Some probe_krn);
               Kernel.forward_into ~termination kernel counters ~src ~dst;
               Kernel.set_probe kernel None;
-              if armed && expect.Forward.outcome = Forward.Delivered then begin
-                let base =
-                  Forward.run ~termination ~routing ~cycles ~failures ~src
-                    ~dst ()
-                in
-                (* A DD-only walk that loops or drops while the armed one
-                   delivers is the shortcut rescuing it — strictly
-                   better, no stretch to compare. *)
-                if base.Forward.outcome = Forward.Delivered then begin
-                  let s = Forward.stretch ~routing ~trace:expect ~src ~dst in
-                  let s0 = Forward.stretch ~routing ~trace:base ~src ~dst in
-                  if s > s0 +. 1e-9 then
-                    Alcotest.failf "shortcut stretched %d->%d: %.6f > %.6f"
-                      src dst s s0
-                end
-              end)
+              if armed then
+                check_grant_bound ~g ~routing
+                  ~events:(Trace.Ring.events ref_ring) ~src ~dst expect
+                  (Forward.run ~termination ~routing ~cycles ~failures ~src
+                     ~dst ()))
             (Helpers.all_pairs g);
           if not (Probe.equal_counts probe_ref probe_krn) then
             Alcotest.failf "probe histograms diverged (armed %b)" armed)
@@ -1045,6 +1137,48 @@ let test_shortcut_differential_dual () =
       done)
     [ (Pr_topo.Abilene.topology (), 20); (Pr_topo.Geant.topology (), 6) ]
 
+(* One draw of the random shortcut property: the instance, its failure
+   set and a hint of [width] bits. *)
+let random_shortcut_case params ~k ~width =
+  let g, rotation = random_instance params in
+  let seed, _, _ = params in
+  let routing, cycles, fib = compile g rotation in
+  ( {
+      sc_g = g;
+      sc_routing = routing;
+      sc_cycles = cycles;
+      sc_kernel = Kernel.create fib;
+      sc_plan = Seen.plan ~nodes:(Graph.n g) ~width;
+      sc_width = width;
+    },
+    random_failures (Rng.create ~seed:(seed + 3)) g ~k )
+
+(* The draw on which a grant leads onto a second failed link.  Both walks
+   run 4 -> 9 -> 7 -> 1 -> 0 -> 5 -> 1 in the episode for the failed 4-7
+   link.  At 1 the grant is sound (local DD 2 < header DD 3, primary up),
+   but the primary path 1 -> 2 meets the failed 2-3 link and a second
+   episode (DD 1) tours back through 4 before it delivers, at stretch
+   20/3.  The DD-only walk stays on the cycle to 7 and delivers at 3. *)
+let test_shortcut_second_episode () =
+  let ctx, failures = random_shortcut_case (252604, 10, 5) ~k:4 ~width:10 in
+  Alcotest.(check (list (pair int int)))
+    "failed links"
+    [ (2, 3); (4, 5); (4, 7); (7, 8) ]
+    (Failure.edges failures);
+  let walk ?shortcut () =
+    Forward.run ?shortcut ~routing:ctx.sc_routing ~cycles:ctx.sc_cycles
+      ~failures ~src:4 ~dst:3 ()
+  in
+  let armed = walk ~shortcut:ctx.sc_plan () and base = walk () in
+  Alcotest.(check (list int)) "armed walk"
+    [ 4; 9; 7; 1; 0; 5; 1; 2; 9; 4; 9; 7; 1; 0; 5; 1; 7; 6; 8; 6; 3 ]
+    armed.Forward.path;
+  Alcotest.(check int) "one grant" 1 armed.Forward.shortcuts;
+  Alcotest.(check (list int)) "DD-only walk"
+    [ 4; 9; 7; 1; 0; 5; 1; 7; 6; 3 ]
+    base.Forward.path;
+  check_shortcut_differential ctx failures
+
 let qcheck_shortcut_differential =
   QCheck.Test.make
     ~name:"shortcut differential holds on random graphs and failure sets"
@@ -1054,21 +1188,8 @@ let qcheck_shortcut_differential =
         (triple (int_bound 1_000_000) (int_range 4 10) (int_bound 12))
         (pair (int_range 0 4) (int_range 2 24)))
     (fun (params, (k, width)) ->
-      let g, rotation = random_instance params in
-      let seed, _, _ = params in
-      let routing, cycles, fib = compile g rotation in
-      let ctx =
-        {
-          sc_g = g;
-          sc_routing = routing;
-          sc_cycles = cycles;
-          sc_kernel = Kernel.create fib;
-          sc_plan = Seen.plan ~nodes:(Graph.n g) ~width;
-          sc_width = width;
-        }
-      in
-      check_shortcut_differential ctx
-        (random_failures (Rng.create ~seed:(seed + 3)) g ~k);
+      let ctx, failures = random_shortcut_case params ~k ~width in
+      check_shortcut_differential ctx failures;
       true)
 
 let test_shortcut_golden_exits () =
@@ -1104,6 +1225,8 @@ let suite =
       test_truth_differential_named;
     Alcotest.test_case "view differential: abilene" `Quick
       test_view_differential_abilene;
+    Alcotest.test_case "LFA rung: Géant tie and admin-down alternate" `Quick
+      test_lfa_rung_geant_tie;
     Alcotest.test_case "kernel argument validation" `Quick
       test_kernel_invalid_args;
     Alcotest.test_case "forward_into = run_one" `Quick
@@ -1128,6 +1251,8 @@ let suite =
       test_shortcut_differential_single;
     Alcotest.test_case "shortcut differential: dual failures" `Quick
       test_shortcut_differential_dual;
+    Alcotest.test_case "shortcut: a grant meets a second failure" `Quick
+      test_shortcut_second_episode;
     Alcotest.test_case "shortcut golden exits + domain determinism" `Quick
       test_shortcut_golden_exits;
     QCheck_alcotest.to_alcotest qcheck_roundtrip_random;

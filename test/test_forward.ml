@@ -428,10 +428,14 @@ let single_failure_sweep g routing visit =
         (Pr_core.Scenario.connected_affected_pairs routing failures))
     (Pr_core.Scenario.single_links g)
 
-(* The rung is a pure improvement filter: arming it never loses a walk
-   the DD argument delivered, and a granted delivered walk is never
-   costlier than the ungranted one.  Locked over the full single-failure
-   sweep of both planar paper topologies. *)
+(* Under one failed link the rung is a pure improvement: arming it
+   never loses a walk the DD argument delivered, and a granted delivered
+   walk is never costlier than the ungranted one.  A grant puts the
+   packet at a node closer to [dst] than the one that met the failure,
+   so its primary path avoids that link.  With more failures the path
+   can meet another one and start a longer episode (test_fastpath's
+   second-episode case), so the claim is about single failures.  Locked
+   over the single-failure sweep of both planar paper topologies. *)
 let test_shortcut_pure_improvement () =
   List.iter
     (fun topo ->

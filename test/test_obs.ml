@@ -644,7 +644,7 @@ let test_profile_compile () =
       if not (List.mem name children) then
         Alcotest.failf "fib.compile lacks the %s child (has %s)" name
           (String.concat ", " children))
-    [ "ports"; "routes"; "cycles"; "lfa" ];
+    [ "ports"; "routes"; "cycles" ];
   Alcotest.(check bool) "cost samples recorded" true (p.Report.costs <> []);
   let dsts = List.map fst p.Report.costs in
   Alcotest.(check (list int)) "samples in destination order"

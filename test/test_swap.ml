@@ -396,6 +396,8 @@ let test_admin_down_is_masked () =
       [ { Delta.u = e.Graph.u; v = e.Graph.v; change = Delta.Down } ]
   in
   let kernel = Kernel.create next in
+  Alcotest.(check bool) "a new kernel starts with the link down" false
+    (Kernel.believed_up kernel ~node:e.Graph.u ~other:e.Graph.v);
   Kernel.set_believed kernel ~node:e.Graph.u ~other:e.Graph.v ~up:true;
   Alcotest.(check bool) "belief cannot override the admin plane" false
     (Kernel.believed_up kernel ~node:e.Graph.u ~other:e.Graph.v);
