@@ -1,16 +1,29 @@
+module Dijkstra = Pr_graph.Dijkstra
+
 type kind = Hops | Weighted
 
-let value kind tree v =
+(* The DD rule.  Inlined where it is read, so its float stays unboxed. *)
+let[@inline] of_tree kind (tree : Dijkstra.tree) v =
   match kind with
   | Hops ->
-      let h = Pr_graph.Dijkstra.hop_count tree v in
+      let h = tree.hops.(v) in
       if h = max_int then infinity else float_of_int h
-  | Weighted -> Pr_graph.Dijkstra.distance tree v
+  | Weighted -> tree.dist.(v)
 
-let quantise kind v =
+let[@inline] quantise kind v =
   match kind with
   | Hops -> int_of_float v
   | Weighted -> int_of_float (Float.ceil v)
+
+let value kind tree v = of_tree kind tree v
+
+let column kind (tree : Dijkstra.tree) ~disc ~disc_q ~first ~stride =
+  for x = 0 to Array.length tree.dist - 1 do
+    let v = of_tree kind tree x in
+    let i = first + (x * stride) in
+    disc.(i) <- v;
+    disc_q.(i) <- quantise kind v
+  done
 
 let bits_for_range max_value =
   (* Smallest b with 2^b > max_value, i.e. values 0..max_value encodable. *)
@@ -21,15 +34,17 @@ let bits_for_range max_value =
 
 let bits_of_trees kind trees =
   let widest = ref 0.0 in
-  Array.iter
-    (fun tree ->
-      for v = 0 to Array.length tree.Pr_graph.Dijkstra.dist - 1 do
-        if Pr_graph.Dijkstra.reachable tree v then
-          widest := Float.max !widest (value kind tree v)
-      done)
-    trees;
+  for t = 0 to Array.length trees - 1 do
+    let tree : Dijkstra.tree = trees.(t) in
+    for v = 0 to Array.length tree.dist - 1 do
+      if tree.dist.(v) < infinity then begin
+        let d = of_tree kind tree v in
+        if d > !widest then widest := d
+      end
+    done
+  done;
   bits_for_range (quantise kind !widest)
 
-let bits_needed kind g = bits_of_trees kind (Pr_graph.Dijkstra.all_roots g)
+let bits_needed kind g = bits_of_trees kind (Dijkstra.all_roots g)
 
 let to_string = function Hops -> "hops" | Weighted -> "weighted"

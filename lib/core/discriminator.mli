@@ -19,6 +19,19 @@ val quantise : kind -> float -> int
 (** A value as carried in the DD bits: the identity for hop counts, the
     integer ceiling for weighted costs.  The one DD quantiser. *)
 
+val column :
+  kind ->
+  Pr_graph.Dijkstra.tree ->
+  disc:float array ->
+  disc_q:int array ->
+  first:int ->
+  stride:int ->
+  unit
+(** [column kind tree ~disc ~disc_q ~first ~stride] stores every node
+    [x]'s {!value} at [disc.(first + x * stride)] and its {!quantise}d
+    value at the same index of [disc_q]: the tree's column of a
+    node-major table, without allocating. *)
+
 val bits_of_trees : kind -> Pr_graph.Dijkstra.tree array -> int
 (** DD bits to carry the largest quantised value the trees assign to a
     reachable node, [d]: [ceil (log2 (d + 1))]. *)

@@ -32,7 +32,8 @@ val iter : (int -> int -> unit) -> t -> unit
     indices, mean the same link in every structurally equal graph. *)
 
 val is_failed : t -> int -> int -> bool
-(** By endpoints (either orientation). *)
+(** By endpoints (either orientation).  Raises [Not_found] when they are
+    not adjacent. *)
 
 val is_failed_index : t -> int -> bool
 (** By dense edge index; usable as Dijkstra's [blocked]. *)

@@ -108,18 +108,16 @@ let fill t ~tree ~dirty =
         if dirty.(dst) then begin
           let sampled = recording && dst mod sample_every = 0 in
           let t0 = if sampled then Pr_telemetry.Probe.now_ns () else 0L in
-          let tree = tree dst in
+          let tree : Dijkstra.tree = tree dst in
+          let parent = tree.parent and dist = tree.dist in
           for x = 0 to n - 1 do
-            let i = (x * n) + dst in
+            let i = (x * n) + dst and p = parent.(x) in
+            (* No next hop at the destination itself or when unreachable. *)
             next_hop_port.(i) <-
-              (match Dijkstra.next_hop tree x with
-              | Some w -> t.node_port.((x * n) + w)
-              | None -> -1);
-            let v = Pr_core.Discriminator.value t.kind tree x in
-            disc.(i) <- v;
-            disc_q.(i) <- Pr_core.Discriminator.quantise t.kind v;
-            distance.(i) <- Dijkstra.distance tree x
+              (if x = dst || p < 0 then -1 else t.node_port.((x * n) + p));
+            distance.(i) <- dist.(x)
           done;
+          Pr_core.Discriminator.column t.kind tree ~disc ~disc_q ~first:dst ~stride:n;
           if sampled then begin
             last_costs :=
               (dst, Int64.sub (Pr_telemetry.Probe.now_ns ()) t0) :: !last_costs;
@@ -153,12 +151,13 @@ let of_tables ?ports routing cycles =
         let node_port = Array.make (n * n) (-1) in
         Pr_telemetry.Span.timed "fib.compile.ports" (fun () ->
             for x = 0 to n - 1 do
-              Array.iteri
-                (fun p w ->
-                  port_node.((x * width) + p) <- w;
-                  port_weight.((x * width) + p) <- Graph.weight g x w;
-                  node_port.((x * n) + w) <- p)
-                (Graph.neighbours g x)
+              let row = Graph.neighbours g x and weights = Graph.slot_weights g x in
+              for p = 0 to Array.length row - 1 do
+                let w = row.(p) in
+                port_node.((x * width) + p) <- w;
+                port_weight.((x * width) + p) <- weights.(p);
+                node_port.((x * n) + w) <- p
+              done
             done);
         let cycle_col = Array.make (n * width) (-1) in
         Pr_telemetry.Span.timed "fib.compile.cycles" (fun () ->
@@ -728,7 +727,7 @@ module Delta = struct
       t.g;
     fill
       { t with port_weight; live; eff_weight = eff }
-      ~tree:(fun dst -> Dijkstra.tree geff ~root:dst)
+      ~tree:(Dijkstra.spf geff)
       ~dirty
 
   let apply ?(threshold = 0.5) t edits =

@@ -58,9 +58,8 @@ let lowlinks g =
       let v, cursor = Stack.top stack in
       let nbrs = Graph.neighbours g v in
       if !cursor < Array.length nbrs then begin
-        let w = nbrs.(!cursor) in
+        let w = nbrs.(!cursor) and via = (Graph.slot_edges g v).(!cursor) in
         incr cursor;
-        let via = Graph.edge_index g v w in
         if disc.(w) = -1 then begin
           parent_edge.(w) <- via;
           disc.(w) <- !time;
@@ -152,9 +151,10 @@ let blocks g =
     disc.(v) <- !time;
     low.(v) <- !time;
     incr time;
-    Array.iter
-      (fun w ->
-        let via = Graph.edge_index g v w in
+    let edges = Graph.slot_edges g v in
+    Array.iteri
+      (fun s w ->
+        let via = edges.(s) in
         if disc.(w) = -1 then begin
           parent_edge.(w) <- via;
           Stack.push (canon v w) edge_stack;

@@ -5,50 +5,145 @@ type tree = {
   hops : int array;
 }
 
-let tree ?(blocked = fun _ -> false) g ~root =
-  let n = Graph.n g in
+(* The queue is an indexed binary min-heap over flat arrays: [heap] holds
+   the queued nodes, ordered by their [dist], and [pos] every node's slot
+   in it, or one of the two states below.  Both arrays are scratch, shared
+   by every root of one [all_roots] or [spf]. *)
+let unseen = -1
+
+let settled = -2
+
+(* Move the node at heap slot [i] up to its place. *)
+let sift_up heap pos (dist : float array) i =
+  let v = heap.(i) in
+  let dv = dist.(v) in
+  let i = ref i in
+  while
+    !i > 0
+    &&
+    let u = heap.((!i - 1) / 2) in
+    dv < dist.(u)
+  do
+    let p = (!i - 1) / 2 in
+    let u = heap.(p) in
+    heap.(!i) <- u;
+    pos.(u) <- !i;
+    i := p
+  done;
+  heap.(!i) <- v;
+  pos.(v) <- !i
+
+(* Move the node at heap slot [i] down to its place in a heap of [size]. *)
+let sift_down heap pos (dist : float array) size i =
+  let v = heap.(i) in
+  let dv = dist.(v) in
+  let i = ref i and sinking = ref true in
+  while !sinking do
+    let l = (2 * !i) + 1 in
+    if l >= size then sinking := false
+    else begin
+      let c =
+        if l + 1 < size && dist.(heap.(l + 1)) < dist.(heap.(l)) then l + 1 else l
+      in
+      let u = heap.(c) in
+      if dist.(u) < dv then begin
+        heap.(!i) <- u;
+        pos.(u) <- !i;
+        i := c
+      end
+      else sinking := false
+    end
+  done;
+  heap.(!i) <- v;
+  pos.(v) <- !i
+
+(* Solve [t.root] into [t]'s arrays, which must read (infinity, -1,
+   max_int) at every node, with [heap] and [pos] as the queue. *)
+let solve blocked g heap pos t =
+  let n = Graph.n g and { root; dist; parent; hops } = t in
   if root < 0 || root >= n then invalid_arg "Dijkstra.tree: root out of range";
-  let dist = Array.make n infinity in
-  let parent = Array.make n (-1) in
-  let hops = Array.make n max_int in
-  let settled = Array.make n false in
-  let heap = Pr_util.Heap.create () in
+  Array.fill pos 0 n unseen;
   dist.(root) <- 0.0;
   parent.(root) <- root;
   hops.(root) <- 0;
-  Pr_util.Heap.push heap 0.0 root;
-  let rec drain () =
-    match Pr_util.Heap.pop heap with
-    | None -> ()
-    | Some (d, v) ->
-        if not settled.(v) && d <= dist.(v) then begin
-          settled.(v) <- true;
-          let relax w =
-            if not settled.(w) && not (blocked (Graph.edge_index g v w)) then begin
-              let candidate = dist.(v) +. Graph.weight g v w in
-              if candidate < dist.(w) then begin
-                dist.(w) <- candidate;
-                parent.(w) <- v;
-                hops.(w) <- hops.(v) + 1;
-                Pr_util.Heap.push heap candidate w
-              end
-              else if candidate = dist.(w) && v < parent.(w) then begin
-                (* Deterministic tie-break: among equal-cost predecessors pick
-                   the smallest id.  Distances are unchanged so the heap needs
-                   no update. *)
-                parent.(w) <- v;
-                hops.(w) <- hops.(v) + 1
-              end
-            end
-          in
-          Array.iter relax (Graph.neighbours g v)
-        end;
-        drain ()
-  in
-  drain ();
-  { root; dist; parent; hops }
+  heap.(0) <- root;
+  pos.(root) <- 0;
+  let size = ref 1 in
+  while !size > 0 do
+    let v = heap.(0) in
+    decr size;
+    pos.(v) <- settled;
+    if !size > 0 then begin
+      heap.(0) <- heap.(!size);
+      sift_down heap pos dist !size 0
+    end;
+    let dv = dist.(v) and hv = hops.(v) + 1 in
+    let nbrs = Graph.neighbours g v in
+    let weights = Graph.slot_weights g v and edges = Graph.slot_edges g v in
+    for s = 0 to Array.length nbrs - 1 do
+      let w = nbrs.(s) in
+      let at = pos.(w) in
+      if at <> settled
+         && match blocked with None -> true | Some b -> not (b edges.(s))
+      then begin
+        let c = dv +. weights.(s) in
+        if c < dist.(w) then begin
+          dist.(w) <- c;
+          parent.(w) <- v;
+          hops.(w) <- hv;
+          if at = unseen then begin
+            heap.(!size) <- w;
+            incr size;
+            sift_up heap pos dist (!size - 1)
+          end
+          else sift_up heap pos dist at
+        end
+        else if c = dist.(w) && v < parent.(w) then begin
+          (* Deterministic tie-break: among equal-cost predecessors pick
+             the smallest id.  Every one of them settles before [w]
+             (weights are positive), so the choice does not depend on the
+             pop order, and the heap needs no update. *)
+          parent.(w) <- v;
+          hops.(w) <- hv
+        end
+      end
+    done
+  done
 
-let all_roots ?blocked g = Array.init (Graph.n g) (fun root -> tree ?blocked g ~root)
+let queue n = (Array.make n 0, Array.make n unseen)
+
+let fresh n root =
+  {
+    root;
+    dist = Array.make n infinity;
+    parent = Array.make n (-1);
+    hops = Array.make n max_int;
+  }
+
+let tree ?blocked g ~root =
+  let n = Graph.n g in
+  let heap, pos = queue n and t = fresh n root in
+  solve blocked g heap pos t;
+  t
+
+let all_roots ?blocked g =
+  let n = Graph.n g in
+  let heap, pos = queue n in
+  Array.init n (fun root ->
+      let t = fresh n root in
+      solve blocked g heap pos t;
+      t)
+
+let spf ?blocked g =
+  let n = Graph.n g in
+  let heap, pos = queue n and out = fresh n 0 in
+  fun root ->
+    Array.fill out.dist 0 n infinity;
+    Array.fill out.parent 0 n (-1);
+    Array.fill out.hops 0 n max_int;
+    let t = { out with root } in
+    solve blocked g heap pos t;
+    t
 
 let reachable t v = t.dist.(v) < infinity
 

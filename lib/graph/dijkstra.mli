@@ -8,7 +8,9 @@
     OSPF/IS-IS SPF run.
 
     Ties are broken towards the smaller parent id so that the forwarding
-    tables — and therefore every experiment — are reproducible. *)
+    tables — and therefore every experiment — are reproducible.  Weights
+    are positive, so every equal-cost predecessor of a node settles before
+    it: the chosen parent does not depend on the queue's pop order. *)
 
 type tree = private {
   root : int;
@@ -19,10 +21,20 @@ type tree = private {
 
 val tree : ?blocked:(int -> bool) -> Graph.t -> root:int -> tree
 (** [blocked i] hides edge index [i] (used to model failed links without
-    rebuilding the graph). *)
+    rebuilding the graph).  The queue is an indexed binary heap over flat
+    arrays: relaxing an arc reads the graph's slot rows and allocates
+    nothing. *)
 
 val all_roots : ?blocked:(int -> bool) -> Graph.t -> tree array
-(** One tree per root; index = root id. *)
+(** One tree per root; index = root id.  The roots share one queue, so a
+    tree costs only its own three arrays. *)
+
+val spf : ?blocked:(int -> bool) -> Graph.t -> int -> tree
+(** [spf g root] reads as [tree g ~root], for trees read once and
+    dropped: the calls of one [spf g] share the queue {e and} the three
+    arrays, so a call's tree is overwritten by the next call.  A FIB
+    recompile solves its dirty destinations this way and allocates no
+    tree.  One [spf g] must not be called from two domains at once. *)
 
 val reachable : tree -> int -> bool
 

@@ -1,13 +1,26 @@
 type edge = { u : int; v : int; w : float }
 
+(* Three rows per node, slot for slot: the neighbours in increasing id
+   order (slot p is port p), the weight of the link to each and its edge
+   index.  An edge lookup is a binary search of [adj] plus a slot read. *)
 type t = {
   n : int;
   edge_array : edge array;
   adj : int array array;
-  edge_of : (int, int) Hashtbl.t; (* key u * n + v, both orientations *)
+  slot_w : float array array;
+  slot_e : int array array;
 }
 
-let key t u v = (u * t.n) + v
+(* [w]'s slot in a sorted row, -1 when absent. *)
+let search row w =
+  let rec go lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) lsr 1 in
+      let x = Array.unsafe_get row mid in
+      if x = w then mid else if x < w then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length row)
 
 let create ~n edge_list =
   if n < 0 then invalid_arg "Graph.create: negative node count";
@@ -45,13 +58,17 @@ let create ~n edge_list =
       fill.(e.v) <- fill.(e.v) + 1)
     edge_array;
   Array.iter (fun row -> Array.sort compare row) adj;
-  let t = { n; edge_array; adj; edge_of = Hashtbl.create (4 * Array.length edge_array) } in
+  let slot_w = Array.map (fun row -> Array.make (Array.length row) 0.0) adj in
+  let slot_e = Array.map (fun row -> Array.make (Array.length row) (-1)) adj in
   Array.iteri
     (fun i e ->
-      Hashtbl.replace t.edge_of (key t e.u e.v) i;
-      Hashtbl.replace t.edge_of (key t e.v e.u) i)
+      let pu = search adj.(e.u) e.v and pv = search adj.(e.v) e.u in
+      slot_w.(e.u).(pu) <- e.w;
+      slot_e.(e.u).(pu) <- i;
+      slot_w.(e.v).(pv) <- e.w;
+      slot_e.(e.v).(pv) <- i)
     edge_array;
-  t
+  { n; edge_array; adj; slot_w; slot_e }
 
 let unweighted ~n pairs = create ~n (List.map (fun (u, v) -> (u, v, 1.0)) pairs)
 
@@ -65,16 +82,15 @@ let neighbours t v =
 
 let degree t v = Array.length (neighbours t v)
 
-let port t v w =
-  let row = neighbours t v in
-  let rec search lo hi =
-    if lo >= hi then -1
-    else
-      let mid = (lo + hi) lsr 1 in
-      let x = Array.unsafe_get row mid in
-      if x = w then mid else if x < w then search (mid + 1) hi else search lo mid
-  in
-  search 0 (Array.length row)
+let port t v w = search (neighbours t v) w
+
+let slot_weights t v =
+  if v < 0 || v >= t.n then invalid_arg "Graph.slot_weights: node out of range";
+  t.slot_w.(v)
+
+let slot_edges t v =
+  if v < 0 || v >= t.n then invalid_arg "Graph.slot_edges: node out of range";
+  t.slot_e.(v)
 
 let max_degree t =
   let best = ref 0 in
@@ -83,17 +99,23 @@ let max_degree t =
   done;
   !best
 
-let has_edge t u v =
-  u >= 0 && u < t.n && v >= 0 && v < t.n && Hashtbl.mem t.edge_of (key t u v)
+(* [v]'s slot at [u]; -1 when they are not adjacent, either of them out
+   of range included. *)
+let slot t u v = if u < 0 || u >= t.n then -1 else search t.adj.(u) v
+
+let has_edge t u v = slot t u v >= 0
 
 let edge_index t u v =
-  match Hashtbl.find_opt t.edge_of (key t u v) with
-  | Some i -> i
-  | None -> raise Not_found
+  let p = slot t u v in
+  if p < 0 then raise Not_found;
+  t.slot_e.(u).(p)
 
 let edge t i = t.edge_array.(i)
 
-let weight t u v = (edge t (edge_index t u v)).w
+let weight t u v =
+  let p = slot t u v in
+  if p < 0 then raise Not_found;
+  t.slot_w.(u).(p)
 
 let edges t = t.edge_array
 
@@ -145,7 +167,11 @@ let equal_structure a b =
   || n a = n b
      && m a = m b
      && fold_edges
-          (fun _ e acc -> acc && has_edge b e.u e.v && weight b e.u e.v = e.w)
+          (fun _ e acc ->
+            acc
+            &&
+            let p = slot b e.u e.v in
+            p >= 0 && b.slot_w.(e.u).(p) = e.w)
           a true
 
 let pp ppf t =

@@ -36,17 +36,30 @@ val port : t -> int -> int -> int
     [v] — or [-1] when [w] is not adjacent to [v].  A binary search of
     the sorted row.  Raises [Invalid_argument] if [v] is out of range. *)
 
+val slot_weights : t -> int -> float array
+(** [slot_weights g v] holds, slot for slot with [neighbours g v], the
+    weight of the link to each neighbour: [(slot_weights g v).(p)] is
+    [weight g v (neighbours g v).(p)].  Owned by the graph, must not be
+    mutated.  Raises [Invalid_argument] if [v] is out of range. *)
+
+val slot_edges : t -> int -> int array
+(** [slot_edges g v] holds, slot for slot with [neighbours g v], the
+    edge index of the link to each neighbour.  Owned by the graph, must
+    not be mutated.  Raises [Invalid_argument] if [v] is out of range. *)
+
 val max_degree : t -> int
 
 val has_edge : t -> int -> int -> bool
 
 val weight : t -> int -> int -> float
-(** Weight of the edge between two adjacent nodes.  Raises [Not_found] if
-    they are not adjacent. *)
+(** Weight of the edge between two adjacent nodes: {!port} plus a slot
+    read.  Raises [Not_found] if they are not adjacent, an out-of-range
+    node included. *)
 
 val edge_index : t -> int -> int -> int
 (** Dense index in [\[0, m)] of the edge between two adjacent nodes (raises
-    [Not_found] otherwise).  Stable across both orientations. *)
+    [Not_found] otherwise, an out-of-range node included).  Stable across
+    both orientations. *)
 
 val edge : t -> int -> edge
 (** Edge by dense index. *)
@@ -71,8 +84,8 @@ val induced : t -> int list -> t * int array
 
 val equal_structure : t -> t -> bool
 (** Same node count and same weighted edge set.  [true] at once when the
-    two are the same graph ([==]); distinct graphs cost one hashtable
-    probe per edge.  Edge order is not compared: two structurally equal
+    two are the same graph ([==]); distinct graphs cost one binary search
+    per edge.  Edge order is not compared: two structurally equal
     graphs may number their edges differently, so an edge index is only
     meaningful in the graph that issued it. *)
 

@@ -8,13 +8,14 @@ let bfs ?(blocked = fun _ -> false) g ~source ~visit =
   while not (Queue.is_empty queue) do
     let v = Queue.take queue in
     visit v;
-    let expand w =
-      if hops.(w) = max_int && not (blocked (Graph.edge_index g v w)) then begin
+    let edges = Graph.slot_edges g v in
+    let expand s w =
+      if hops.(w) = max_int && not (blocked edges.(s)) then begin
         hops.(w) <- hops.(v) + 1;
         Queue.add w queue
       end
     in
-    Array.iter expand (Graph.neighbours g v)
+    Array.iteri expand (Graph.neighbours g v)
   done;
   hops
 

@@ -134,6 +134,7 @@ let case sp ~domains ~scenarios ~pairs ~repeat ~ba_k ~waxman_alpha ~waxman_beta
       Pr_obs.Linkload.footprint_bytes (Pr_obs.Linkload.create g)
     in
     let items, scenarios, pairs =
+      Span.timed "workload.sample" @@ fun () ->
       sample_workload rng ~scenarios ~pairs g
     in
     let packets = scenarios * pairs in

@@ -1,7 +1,9 @@
 (** Mutable binary min-heap keyed by float priorities.
 
-    Used by Dijkstra's algorithm; supports lazy deletion (duplicate inserts
-    of the same payload are allowed and the consumer skips stale entries). *)
+    Used by the simulator's event queue ([Pr_sim.Event]), whose events
+    pop in time order and, at equal times, in scheduling order.  Duplicate
+    inserts of the same payload are allowed.  (Dijkstra keeps its own
+    indexed heap over flat arrays.) *)
 
 type 'a t
 

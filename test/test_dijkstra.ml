@@ -102,6 +102,94 @@ let qcheck_hops_consistent =
           | Some path -> List.length path - 1 = Dijkstra.hop_count t src)
         (Helpers.all_pairs g))
 
+(* Connected graphs whose weights come from {0.5, 1, 2}: every path cost
+   is an exact sum, so equal-cost paths tie exactly and often.  About one
+   link in four is blocked, which leaves some nodes unreachable. *)
+let arb_ties =
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun (seed, n, extra) ->
+          let rng = Pr_util.Rng.create ~seed in
+          let skeleton =
+            (Pr_topo.Generate.two_connected rng ~n ~extra).Pr_topo.Topology.graph
+          in
+          let weights = [| 0.5; 1.0; 2.0 |] in
+          let g =
+            Graph.create ~n
+              (Graph.fold_edges
+                 (fun _ (e : Graph.edge) acc ->
+                   (e.u, e.v, Pr_util.Rng.pick rng weights) :: acc)
+                 skeleton [])
+          in
+          (g, Array.init (Graph.m g) (fun _ -> Pr_util.Rng.int rng 4 = 0)))
+        (triple (int_bound 1_000_000) (int_range 4 16) (int_bound 24)))
+  in
+  let print (g, blocked) =
+    let cut = List.filter (fun i -> blocked.(i)) (List.init (Graph.m g) Fun.id) in
+    Printf.sprintf "%s\nblocked edges: %s" (Helpers.graph_print g)
+      (String.concat " " (List.map string_of_int cut))
+  in
+  QCheck.make ~print gen
+
+(* Every tree against an oracle over the unblocked links: Floyd-Warshall
+   distances bit for bit, the smallest-id tight neighbour as parent, one
+   hop more than the parent, and (infinity, -1, max_int) where the root
+   cannot be reached.  [spf], whose calls share their arrays, solves the
+   roots in reverse and must match [all_roots] cell for cell. *)
+let qcheck_tie_break_oracle =
+  QCheck.Test.make ~name:"tie-break oracle under exact ties and blocked links"
+    ~count:200 arb_ties (fun (g, blocked) ->
+      let n = Graph.n g in
+      let open_ =
+        Graph.fold_edges
+          (fun i (e : Graph.edge) acc -> if blocked.(i) then acc else (e.u, e.v, e.w) :: acc)
+          g []
+      in
+      let reference = Helpers.floyd_warshall (Graph.create ~n open_) in
+      let trees = Dijkstra.all_roots ~blocked:(Array.get blocked) g in
+      let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      let check root (t : Dijkstra.tree) v =
+        let d = reference.(v).(root) in
+        let fail what =
+          QCheck.Test.fail_reportf "root %d node %d: %s (dist %g parent %d hops %d)" root
+            v what t.dist.(v) t.parent.(v) t.hops.(v)
+        in
+        if not (same_bits t.dist.(v) d) then fail (Printf.sprintf "distance, want %g" d)
+        else if d = infinity then begin
+          if t.parent.(v) <> -1 || t.hops.(v) <> max_int then fail "unreachable"
+        end
+        else if v = root then begin
+          if t.parent.(v) <> root || t.hops.(v) <> 0 then fail "root"
+        end
+        else begin
+          let nbrs = Graph.neighbours g v and edges = Graph.slot_edges g v in
+          let tight = ref (-1) in
+          Array.iteri
+            (fun s u ->
+              if !tight < 0 && (not blocked.(edges.(s)))
+                 && reference.(u).(root) +. Graph.weight g u v = d
+              then tight := u)
+            nbrs;
+          if t.parent.(v) <> !tight then fail (Printf.sprintf "parent, want %d" !tight)
+          else if t.hops.(v) <> t.hops.(t.parent.(v)) + 1 then fail "hops"
+        end
+      in
+      Array.iteri
+        (fun root t ->
+          for v = 0 to n - 1 do
+            check root t v
+          done)
+        trees;
+      let solve = Dijkstra.spf ~blocked:(Array.get blocked) g in
+      for root = n - 1 downto 0 do
+        let t = solve root and want = trees.(root) in
+        if t.root <> root || t.dist <> want.dist || t.parent <> want.parent
+           || t.hops <> want.hops
+        then QCheck.Test.fail_reportf "spf root %d differs from all_roots" root
+      done;
+      true)
+
 let suite =
   [
     Alcotest.test_case "distances" `Quick test_distances;
@@ -115,4 +203,5 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_matches_floyd_warshall;
     QCheck_alcotest.to_alcotest qcheck_next_hop_walk_reaches_root;
     QCheck_alcotest.to_alcotest qcheck_hops_consistent;
+    QCheck_alcotest.to_alcotest qcheck_tie_break_oracle;
   ]

@@ -39,7 +39,22 @@ let test_edge_lookup () =
   Alcotest.(check int) "edge_index symmetric" (Graph.edge_index g 0 2) (Graph.edge_index g 2 0);
   Alcotest.check_raises "weight of non-edge" Not_found (fun () ->
       let g2 = Graph.unweighted ~n:3 [ (0, 1) ] in
-      ignore (Graph.weight g2 0 2))
+      ignore (Graph.weight g2 0 2));
+  (* An out-of-range endpoint is no link, even where [u * n + v] would
+     name one: on the path 0-1-2-3, 0*4+6 = 1*4+2 and -1*4+5 = 0*4+1. *)
+  let path = Graph.unweighted ~n:4 [ (0, 1); (1, 2); (2, 3) ] in
+  List.iter
+    (fun (u, v) ->
+      let what = Printf.sprintf "(%d,%d)" u v in
+      Alcotest.(check bool) ("no edge " ^ what) false (Graph.has_edge path u v);
+      Alcotest.check_raises ("edge_index " ^ what) Not_found (fun () ->
+          ignore (Graph.edge_index path u v));
+      Alcotest.check_raises ("weight " ^ what) Not_found (fun () ->
+          ignore (Graph.weight path u v)))
+    [ (0, 6); (-1, 5); (6, 0); (4, 0) ];
+  let failed = Pr_core.Failure.of_list path [ (1, 2) ] in
+  Alcotest.check_raises "is_failed out of range" Not_found (fun () ->
+      ignore (Pr_core.Failure.is_failed failed 0 6))
 
 let test_edges_canonical () =
   let g = Graph.create ~n:3 [ (2, 0, 1.5) ] in
@@ -92,14 +107,32 @@ let qcheck_degree_sum =
       done;
       !sum = 2 * Graph.m g)
 
+(* Every edge's index round-trips through [edge_index] both ways, and
+   every slot of every row names its link's edge index and weight. *)
 let qcheck_edge_index_roundtrip =
   QCheck.Test.make ~name:"edge / edge_index round-trip" ~count:100
-    (Helpers.arb_two_connected ())
+    (Helpers.arb_weighted_connected ~max_n:14 ())
     (fun g ->
       Graph.fold_edges
         (fun i (e : Graph.edge) acc ->
           acc && Graph.edge_index g e.u e.v = i && Graph.edge_index g e.v e.u = i)
-        g true)
+        g true
+      && List.for_all
+           (fun v ->
+             let row = Graph.neighbours g v in
+             let weights = Graph.slot_weights g v and edges = Graph.slot_edges g v in
+             Array.length weights = Array.length row
+             && Array.length edges = Array.length row
+             && Array.for_all Fun.id
+                  (Array.mapi
+                     (fun p w ->
+                       let e = Graph.edge g edges.(p) in
+                       ((e.u, e.v) = (v, w) || (e.u, e.v) = (w, v))
+                       && edges.(p) = Graph.edge_index g v w
+                       && weights.(p) = e.w
+                       && weights.(p) = Graph.weight g v w)
+                     row))
+           (List.init (Graph.n g) Fun.id))
 
 (* [Graph.port] inverts [neighbours] at every node, answers -1 for every
    non-neighbour (the node itself included) and rejects an out-of-range
