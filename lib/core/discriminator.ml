@@ -2,8 +2,8 @@ module Dijkstra = Pr_graph.Dijkstra
 
 type kind = Hops | Weighted
 
-(* The DD rule.  Inlined where it is read, so its float stays unboxed. *)
-let[@inline] of_tree kind (tree : Dijkstra.tree) v =
+(* The DD rule.  Inlined in this module, so its float stays unboxed. *)
+let[@inline] value kind (tree : Dijkstra.tree) v =
   match kind with
   | Hops ->
       let h = tree.hops.(v) in
@@ -15,11 +15,9 @@ let[@inline] quantise kind v =
   | Hops -> int_of_float v
   | Weighted -> int_of_float (Float.ceil v)
 
-let value kind tree v = of_tree kind tree v
-
 let column kind (tree : Dijkstra.tree) ~disc ~disc_q ~first ~stride =
   for x = 0 to Array.length tree.dist - 1 do
-    let v = of_tree kind tree x in
+    let v = value kind tree x in
     let i = first + (x * stride) in
     disc.(i) <- v;
     disc_q.(i) <- quantise kind v
@@ -38,7 +36,7 @@ let bits_of_trees kind trees =
     let tree : Dijkstra.tree = trees.(t) in
     for v = 0 to Array.length tree.dist - 1 do
       if tree.dist.(v) < infinity then begin
-        let d = of_tree kind tree v in
+        let d = value kind tree v in
         if d > !widest then widest := d
       end
     done
