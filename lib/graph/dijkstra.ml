@@ -100,9 +100,9 @@ let solve blocked g heap pos t =
         end
         else if c = dist.(w) && v < parent.(w) then begin
           (* Deterministic tie-break: among equal-cost predecessors pick
-             the smallest id.  Every one of them settles before [w]
-             (weights are positive), so the choice does not depend on the
-             pop order, and the heap needs no update. *)
+             the smallest id.  When no weight is lost to rounding in a
+             path sum, every one of them settles before [w], so the choice
+             does not depend on the pop order; the heap needs no update. *)
           parent.(w) <- v;
           hops.(w) <- hv
         end
@@ -134,15 +134,12 @@ let all_roots ?blocked g =
       solve blocked g heap pos t;
       t)
 
-let spf ?blocked g =
+let spf g =
   let n = Graph.n g in
-  let heap, pos = queue n and out = fresh n 0 in
+  let heap, pos = queue n in
   fun root ->
-    Array.fill out.dist 0 n infinity;
-    Array.fill out.parent 0 n (-1);
-    Array.fill out.hops 0 n max_int;
-    let t = { out with root } in
-    solve blocked g heap pos t;
+    let t = fresh n root in
+    solve None g heap pos t;
     t
 
 let reachable t v = t.dist.(v) < infinity

@@ -8,9 +8,13 @@
     OSPF/IS-IS SPF run.
 
     Ties are broken towards the smaller parent id so that the forwarding
-    tables — and therefore every experiment — are reproducible.  Weights
-    are positive, so every equal-cost predecessor of a node settles before
-    it: the chosen parent does not depend on the queue's pop order. *)
+    tables — and therefore every experiment — are reproducible.  When no
+    link weight is lost to rounding in a path sum, every equal-cost
+    predecessor of a node has a smaller distance and settles before it, so
+    the chosen parent does not depend on the queue's pop order.  A weight
+    below half an ulp of the path cost it is added to ([d +. w = d]) breaks
+    this: the parent is then still a tight neighbour, but not always the
+    smallest-id one. *)
 
 type tree = private {
   root : int;
@@ -29,12 +33,11 @@ val all_roots : ?blocked:(int -> bool) -> Graph.t -> tree array
 (** One tree per root; index = root id.  The roots share one queue, so a
     tree costs only its own three arrays. *)
 
-val spf : ?blocked:(int -> bool) -> Graph.t -> int -> tree
-(** [spf g root] reads as [tree g ~root], for trees read once and
-    dropped: the calls of one [spf g] share the queue {e and} the three
-    arrays, so a call's tree is overwritten by the next call.  A FIB
-    recompile solves its dirty destinations this way and allocates no
-    tree.  One [spf g] must not be called from two domains at once. *)
+val spf : Graph.t -> int -> tree
+(** [spf g root] is [tree g ~root]; the calls of one [spf g] share one
+    queue, as the roots of [all_roots] do.  A FIB recompile solves its
+    dirty destinations this way.  One [spf g] must not be called from two
+    domains at once. *)
 
 val reachable : tree -> int -> bool
 

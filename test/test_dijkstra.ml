@@ -105,7 +105,7 @@ let qcheck_hops_consistent =
 (* Connected graphs whose weights come from {0.5, 1, 2}: every path cost
    is an exact sum, so equal-cost paths tie exactly and often.  About one
    link in four is blocked, which leaves some nodes unreachable. *)
-let arb_ties =
+let arb_weighted weights =
   let gen =
     QCheck.Gen.(
       map
@@ -114,7 +114,6 @@ let arb_ties =
           let skeleton =
             (Pr_topo.Generate.two_connected rng ~n ~extra).Pr_topo.Topology.graph
           in
-          let weights = [| 0.5; 1.0; 2.0 |] in
           let g =
             Graph.create ~n
               (Graph.fold_edges
@@ -132,11 +131,14 @@ let arb_ties =
   in
   QCheck.make ~print gen
 
+let arb_ties = arb_weighted [| 0.5; 1.0; 2.0 |]
+
 (* Every tree against an oracle over the unblocked links: Floyd-Warshall
    distances bit for bit, the smallest-id tight neighbour as parent, one
    hop more than the parent, and (infinity, -1, max_int) where the root
-   cannot be reached.  [spf], whose calls share their arrays, solves the
-   roots in reverse and must match [all_roots] cell for cell. *)
+   cannot be reached.  [spf], whose calls share one queue, solves the
+   roots of the unblocked graph in reverse and must match [all_roots]
+   cell for cell. *)
 let qcheck_tie_break_oracle =
   QCheck.Test.make ~name:"tie-break oracle under exact ties and blocked links"
     ~count:200 arb_ties (fun (g, blocked) ->
@@ -181,13 +183,51 @@ let qcheck_tie_break_oracle =
             check root t v
           done)
         trees;
-      let solve = Dijkstra.spf ~blocked:(Array.get blocked) g in
+      let solve = Dijkstra.spf g and unblocked = Dijkstra.all_roots g in
       for root = n - 1 downto 0 do
-        let t = solve root and want = trees.(root) in
+        let t = solve root and want = unblocked.(root) in
         if t.root <> root || t.dist <> want.dist || t.parent <> want.parent
            || t.hops <> want.hops
         then QCheck.Test.fail_reportf "spf root %d differs from all_roots" root
       done;
+      true)
+
+(* Weights from {1, 1e-17}: once a path costs 1, a tiny link adds nothing
+   ([1. +. 1e-17 = 1.]), so a tight neighbour can share a node's distance
+   and settle after it, and the parent is not always the smallest-id tight
+   neighbour.  What still holds: the parent is a tight open neighbour, no
+   open neighbour offers less, and the hop count follows the parent. *)
+let qcheck_absorbed_weights =
+  QCheck.Test.make ~name:"absorbed weights: a tight parent, no shorter neighbour"
+    ~count:200 (arb_weighted [| 1.0; 1e-17 |]) (fun (g, blocked) ->
+      let n = Graph.n g in
+      let trees = Dijkstra.all_roots ~blocked:(Array.get blocked) g in
+      let holds root (t : Dijkstra.tree) v =
+        let d = t.dist.(v) and p = t.parent.(v) in
+        if d = infinity then p = -1 && t.hops.(v) = max_int
+        else if v = root then d = 0.0 && p = root && t.hops.(v) = 0
+        else begin
+          let weights = Graph.slot_weights g v and edges = Graph.slot_edges g v in
+          let tight = ref false and shorter = ref false in
+          Array.iteri
+            (fun s u ->
+              if not blocked.(edges.(s)) then begin
+                let c = t.dist.(u) +. weights.(s) in
+                if c < d then shorter := true;
+                if u = p && c = d then tight := true
+              end)
+            (Graph.neighbours g v);
+          !tight && (not !shorter) && t.hops.(v) = t.hops.(p) + 1
+        end
+      in
+      Array.iteri
+        (fun root t ->
+          for v = 0 to n - 1 do
+            if not (holds root t v) then
+              QCheck.Test.fail_reportf "root %d node %d: dist %g parent %d hops %d" root v
+                t.dist.(v) t.parent.(v) t.hops.(v)
+          done)
+        trees;
       true)
 
 let suite =
@@ -204,4 +244,5 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_next_hop_walk_reaches_root;
     QCheck_alcotest.to_alcotest qcheck_hops_consistent;
     QCheck_alcotest.to_alcotest qcheck_tie_break_oracle;
+    QCheck_alcotest.to_alcotest qcheck_absorbed_weights;
   ]
