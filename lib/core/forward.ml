@@ -472,6 +472,9 @@ let run_guarded ?termination ?ttl ?quantise ?dd_bits ?(budget_guard = 0)
   if src = dst then
     invalid_arg (Printf.sprintf "Forward.run_guarded: src = dst (node %d)" src);
   let ttl0 = match ttl with Some t -> t | None -> default_ttl g in
+  (* The walk ends when its TTL reaches exactly 0. *)
+  if ttl0 < 0 then
+    invalid_arg (Printf.sprintf "Forward.run_guarded: negative TTL %d" ttl0);
   (* A walk is corrupt-seeded when any header state was injected; only such
      walks convert TTL expiry into the walk-blowup fault, so clean traffic
      keeps the plain {!Ttl_exceeded} verdict. *)

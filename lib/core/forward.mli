@@ -272,8 +272,8 @@ val run :
     rounded through {!Routing.quantise_dd} before being written and
     compared, exactly as the integer DD bits would carry them.  A no-op
     for the hop discriminator.  Raises [Invalid_argument] if
-    [src = dst] or either is out of range.  The sinks and [shortcut] are
-    {!run_guarded}'s. *)
+    [src = dst], either is out of range, or [ttl] is negative.  The sinks
+    and [shortcut] are {!run_guarded}'s. *)
 
 type guarded = {
   trace : trace;
@@ -333,7 +333,8 @@ val run_guarded :
     accounted {!Dropped_corrupt} verdict.  A walk seeded with injected
     state converts TTL expiry into {!Walk_blowup}.  Raises
     [Invalid_argument] only on caller errors ([src = dst], out-of-range
-    nodes).
+    nodes, a negative [ttl]: the walk ends when its TTL reaches exactly
+    0, and TTL 0 expires at the source).
 
     The sinks follow the kernel, one rule each:
     - [trace] receives each decision's events, one [Hop] per

@@ -110,6 +110,27 @@ type t = {
   mutable fault_node : int;
   mutable fault_aux : int;
   mutable fault_dd : float;
+  (* Loop fast-forward ([skip_step]), last so that no hot field moves.
+     [skip_gate] is the TTL at or below which a slow-path decision calls
+     [skip_step]: [max_int] once the skip is armed, and 0 once it is off,
+     as a deciding walk always has a hop left.  The rest is Brent's
+     checkpoint: the walk state, its TTL and the integer counters as they
+     stood there, with the carried DD in [fbuf]. *)
+  mutable skip_gate : int;
+  mutable skip_power : int;
+  mutable skip_steps : int;
+  mutable skip_x : int;
+  mutable skip_port : int;
+  mutable skip_pr : bool;
+  mutable skip_bits : int;
+  mutable skip_sat : bool;
+  mutable skip_ttl : int;
+  mutable skip_hits : int;
+  mutable skip_episodes : int;
+  mutable skip_retries : int;
+  mutable skip_rescues : int;
+  mutable skip_saturations : int;
+  mutable skip_exits : int;
 }
 
 (* [fbuf] slots. *)
@@ -120,6 +141,8 @@ let f_out_dd = 1  (* DD stamped on the forwarded header by [decide] *)
 let f_cost = 2    (* weighted cost of the walk so far *)
 
 let f_lfa_best = 3 (* cost + distance of the LFA rung's best candidate *)
+
+let f_skip_dd = 4 (* carried DD at the fast-forward checkpoint *)
 
 (* Repaint [t.admin] from the image's administrative link state. *)
 let load_admin t =
@@ -159,7 +182,7 @@ let create fib =
     admin = Bytes.make (n * ports) '\001';
     default_ttl = Forward.default_ttl (Fib.graph fib);
     degr = Array.make 8 0;
-    fbuf = Array.make 4 0.0;
+    fbuf = Array.make 5 0.0;
     degr_len = 0;
     out_port = -1;
     out_pr = false;
@@ -194,6 +217,21 @@ let create fib =
     fault_node = -1;
     fault_aux = -1;
     fault_dd = 0.0;
+    skip_gate = 0;
+    skip_power = 0;
+    skip_steps = 0;
+    skip_x = -1;
+    skip_port = -1;
+    skip_pr = false;
+    skip_bits = 0;
+    skip_sat = false;
+    skip_ttl = 0;
+    skip_hits = 0;
+    skip_episodes = 0;
+    skip_retries = 0;
+    skip_rescues = 0;
+    skip_saturations = 0;
+    skip_exits = 0;
   }
   in
   load_admin t;
@@ -868,11 +906,99 @@ let[@inline] track_seen t x =
       t.sc_sat <- false
     end
 
+(* ---- loop fast-forward ---- *)
+
+(* The walk is deterministic.  At a slow-path decision, everything the
+   rest of the walk reads is the node, the arrival port, the PR bit, the
+   carried DD and the shortcut hint bits and latch: the planes do not
+   change during a walk, and the TTL is read only to end the walk and by
+   the budget guard.  So once that state repeats [period] hops apart, the
+   walk repeats those hops until its TTL runs out, never delivering or
+   dropping.  The skip jumps over the whole periods that fit, adds their
+   integer counts, and leaves the last part period to the ordinary walk
+   and its TTL expiry, so verdicts and counters equal the full walk's.
+   The float cost is not carried over: a looping walk never delivers, so
+   it is never read.
+
+   Only a walk that nothing watches hop by hop skips: a trace, link load
+   or {!run_one}'s capture must see every transmission, and a probe every
+   decision.  Nor one under a budget guard, whose routed-resume rung
+   reads the TTL and can turn the loop into a delivery whose cost sums
+   every hop.  That is decided at the walk's first decision past the
+   warm-up, when {!run_one} has long armed its capture; before it, a
+   walk pays one store and, per slow-path decision, the gate test. *)
+
+(* Hops a walk makes before it looks for a repeat: a delivered walk
+   seldom gets this far. *)
+let skip_warmup = 64
+
+(* Move Brent's checkpoint here: the state before this decision, [ttl]
+   and the counters before it counts; the next [skip_power] decisions
+   are compared against it. *)
+let checkpoint t c ~x ~arrived_port ~pr ~ttl =
+  t.skip_x <- x;
+  t.skip_port <- arrived_port;
+  t.skip_pr <- pr;
+  t.skip_bits <- t.sc_bits;
+  t.skip_sat <- t.sc_sat;
+  Array.unsafe_set t.fbuf f_skip_dd (Array.unsafe_get t.fbuf f_in_dd);
+  t.skip_ttl <- ttl;
+  t.skip_hits <- t.hits;
+  t.skip_episodes <- c.pr_episodes;
+  t.skip_retries <- c.complementary_retries;
+  t.skip_rescues <- c.lfa_rescues;
+  t.skip_saturations <- c.dd_saturations;
+  t.skip_exits <- c.shortcut_exits;
+  t.skip_power <- 2 * t.skip_power;
+  t.skip_steps <- 0
+
+(* One step of Brent's cycle detection at a slow-path decision with
+   [ttl] hops left; returns the TTL the walk goes on with.  On a repeat
+   of the checkpoint it jumps the whole periods. *)
+let skip_step t c ~x ~arrived_port ~pr ~ttl =
+  if t.skip_gate < max_int then begin
+    (* The first decision past the warm-up: arm, or turn the skip off. *)
+    let watched = match t.probe with None -> t.armed | Some _ -> true in
+    if watched || t.walk_guard > 0 then t.skip_gate <- 0
+    else begin
+      t.skip_gate <- max_int;
+      t.skip_power <- 1;
+      checkpoint t c ~x ~arrived_port ~pr ~ttl
+    end;
+    ttl
+  end
+  else if
+    x = t.skip_x && arrived_port = t.skip_port && pr = t.skip_pr
+    && t.sc_bits = t.skip_bits && t.sc_sat = t.skip_sat
+    && Array.unsafe_get t.fbuf f_in_dd = Array.unsafe_get t.fbuf f_skip_dd
+  then begin
+    let period = t.skip_ttl - ttl in
+    (* The state recurs at ttl - k * period while that is >= 1. *)
+    let k = (ttl - 1) / period in
+    t.hits <- t.hits + (k * (t.hits - t.skip_hits));
+    c.pr_episodes <- c.pr_episodes + (k * (c.pr_episodes - t.skip_episodes));
+    c.complementary_retries <-
+      c.complementary_retries + (k * (c.complementary_retries - t.skip_retries));
+    c.lfa_rescues <- c.lfa_rescues + (k * (c.lfa_rescues - t.skip_rescues));
+    c.dd_saturations <-
+      c.dd_saturations + (k * (c.dd_saturations - t.skip_saturations));
+    c.shortcut_exits <-
+      c.shortcut_exits + (k * (c.shortcut_exits - t.skip_exits));
+    (* Under one period is left: no repeat can follow. *)
+    t.skip_gate <- 0;
+    ttl - (k * period)
+  end
+  else begin
+    t.skip_steps <- t.skip_steps + 1;
+    if t.skip_steps = t.skip_power then checkpoint t c ~x ~arrived_port ~pr ~ttl;
+    ttl
+  end
+
 (* ---- the walk ---- *)
 
-(* Check the endpoints, load the per-walk registers and account the
-   injection.  Inlined: as a call it is a measurable share of a short
-   walk. *)
+(* Check the endpoints and the TTL, load the per-walk registers and
+   account the injection.  Inlined: as a call it is a measurable share of
+   a short walk. *)
 let[@inline] prepare_walk t c ~termination ~quantise ~dd_bits ~budget_guard
     ~ttl ~src ~dst =
   if src < 0 || src >= t.n || dst < 0 || dst >= t.n then
@@ -882,6 +1008,9 @@ let[@inline] prepare_walk t c ~termination ~quantise ~dd_bits ~budget_guard
          (t.n - 1));
   if src = dst then
     invalid_arg (Printf.sprintf "Kernel: src = dst (node %d)" src);
+  let ttl0 = match ttl with Some v -> v | None -> t.default_ttl in
+  (* The walk ends when its TTL reaches exactly 0. *)
+  if ttl0 < 0 then invalid_arg (Printf.sprintf "Kernel: negative TTL %d" ttl0);
   t.hits <- 0;
   t.fault_code <- 0;
   t.sc_bits <- 0;
@@ -893,7 +1022,8 @@ let[@inline] prepare_walk t c ~termination ~quantise ~dd_bits ~budget_guard
   t.walk_max_dd_q <-
     (match dd_bits with None -> -1 | Some b -> Pr_core.Header.max_dd ~dd_bits:b);
   t.walk_guard <- budget_guard;
-  t.walk_ttl0 <- (match ttl with Some v -> v | None -> t.default_ttl);
+  t.walk_ttl0 <- ttl0;
+  t.skip_gate <- ttl0 - skip_warmup;
   t.walk_ep0 <- c.pr_episodes;
   c.injected <- c.injected + 1;
   t.fbuf.(f_in_dd) <- 0.0;
@@ -1011,6 +1141,9 @@ let rec walk t c ~dst x arrived_port pr ttl =
   end
 
 and decide_hop t c ~dst x arrived_port pr ttl =
+  let ttl =
+    if ttl <= t.skip_gate then skip_step t c ~x ~arrived_port ~pr ~ttl else ttl
+  in
   t.degr_len <- 0;
   (* On loop-heavy sweeps one walk can make thousands of slow-path decides
      (TTL-bounded cycle following), so the per-decide probe work is itself

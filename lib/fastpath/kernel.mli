@@ -29,6 +29,31 @@
     A kernel is single-domain state: share the {!Fib} image, give each
     domain its own kernel.
 
+    {b Loop fast-forward.}  The walk is deterministic, so a packet whose
+    state at a slow-path decision repeats is in a loop it can only leave
+    by TTL expiry.  That state is the node, the arrival port, the PR bit,
+    the carried DD and the shortcut hint bits and latch: the port planes
+    do not change during a walk, and the TTL is read only to end it.
+    After 64 hops a walk looks for such a repeat with Brent's cycle
+    detection (checkpoints at power-of-two decision counts); on finding
+    one [λ] hops apart it jumps every whole period that fits in its TTL,
+    adds their failure hits, episodes, ladder rungs and shortcut exits,
+    and walks the last part period to the ordinary expiry.  Verdicts and
+    counters equal the full walk's bit for bit, at any TTL; a looping walk
+    costs about [64 + 3λ] hops instead of its TTL.  Only integers are
+    carried over: the cost of a walk is read only when it delivers, and a
+    looping walk never does.
+
+    The skip is off for a walk that something watches hop by hop — a
+    trace sink, a link-load table, {!run_one}'s capture or a probe — since
+    each must see every period.  It is also off under a budget guard,
+    whose routed-resume rung reads the TTL and can turn a loop into a
+    delivery whose cost sums every hop.  Both are read at the walk's
+    first decision past 64 hops, when {!run_one} has armed its capture.
+    The fault-free routed hop is untouched; a walk pays one store, and a
+    slow-path decision one compare against the walk's gate, until 64 hops
+    are used.
+
     {b The administrative plane.}  Every image carries administrative
     link state ({!Fib.link_live}); the kernel masks it into both port
     planes, so the ladder can never forward into an administratively
@@ -199,7 +224,9 @@ val run_one :
     reference engines: {!Pr_core.Forward.Distance_discriminator}, no
     quantisation, unbounded DD, guard off, TTL
     {!Pr_core.Forward.default_ttl}.  Raises [Invalid_argument] if
-    [src = dst] or either is out of range.
+    [src = dst], either is out of range, or [ttl] is negative (a walk ends
+    when its TTL reaches exactly 0; TTL 0 expires at the source).  The
+    capture walks every hop: a loop is never fast-forwarded here.
 
     [header]/[arrived_from] inject possibly-corrupted in-flight state at
     the source — the corruption-campaign entry point, mirroring
@@ -259,11 +286,15 @@ val forward_into :
   dst:int ->
   unit
 (** {!run_one} without capture: walk the packet and account the verdict
-    straight into [counters].  It allocates only the boxed
+    straight into [counters], fast-forwarding a loop when nothing watches
+    the walk and no budget guard is set (see {i Loop fast-forward}
+    above).  It allocates only the boxed
     [stretch_sum] of a delivery (2 words), plus the residue
     {!Pr_telemetry.Probe} states when a probe is attached; a trace sink
     allocates its events.  Delivered
-    stretch is [walk cost / SPF distance], the engine's definition. *)
+    stretch is [walk cost / SPF distance], the engine's definition.
+    Raises [Invalid_argument] as {!run_one} does, before accounting
+    anything. *)
 
 val record_unreachable : counters -> unit
 (** Account a packet whose endpoints the caller found disconnected (the

@@ -165,6 +165,11 @@ let run_item kernel config prepare rng slot probe linkload ~label ~queue item =
 let run_items ?images ~domains ~config ~prepare ~seed ~probes ~linkloads fib
     items =
   if domains < 1 then invalid_arg "Parallel.run: domains must be >= 1";
+  (* Checked here too, so no domain is spawned for a batch that cannot
+     run, and a batch that walks no packet is refused all the same. *)
+  (match config.ttl with
+  | Some ttl when ttl < 0 -> invalid_arg "Parallel.run: negative TTL"
+  | _ -> ());
   Pr_telemetry.Span.timed "parallel.batch" @@ fun () ->
   let n_items = Array.length items in
   let master = Rng.create ~seed in

@@ -71,7 +71,11 @@ val run :
     it ignores administrative state, so a link an edit took down still
     joins its ends there, and a pair only such a link joins is walked,
     not counted unreachable.  Per packet: the walk, which allocates
-    nothing but the counters' boxed stretch sum. *)
+    nothing but the counters' boxed stretch sum; a looping packet costs
+    about [64 + 3λ] hops for a loop of [λ] hops, whatever the TTL, as
+    {!Kernel.forward_into} fast-forwards its loop — the instrumented
+    calls below walk every hop.  Raises [Invalid_argument] on a negative
+    [config.ttl]. *)
 
 val run_probed :
   ?domains:int ->

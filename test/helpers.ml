@@ -7,6 +7,14 @@ module Graph = Pr_graph.Graph
 let graph_print g =
   Format.asprintf "%a" Graph.pp g
 
+(* [QCheck.int_range lo hi] whose shrinker stays in [lo, hi]: QCheck's own
+   shrinks towards 0, below [lo], so a failing property would be
+   reported on an input its generators reject. *)
+let int_range lo hi =
+  QCheck.make ~print:string_of_int
+    ~shrink:(fun x -> QCheck.Iter.map (( + ) lo) (QCheck.Shrink.int (x - lo)))
+    (QCheck.Gen.int_range lo hi)
+
 (* A random 2-connected unweighted graph, fully determined by (seed, n,
    extra) so failures shrink and reproduce. *)
 let gen_two_connected ~max_n =

@@ -68,7 +68,7 @@ let brute_force_bridges g =
 
 let qcheck_bridges_match_brute_force =
   QCheck.Test.make ~name:"bridges = edges whose removal disconnects" ~count:80
-    QCheck.(pair (int_bound 1_000_000) (int_range 4 12))
+    QCheck.(pair (int_bound 1_000_000) (Helpers.int_range 4 12))
     (fun (seed, n) ->
       (* A sparse random graph likely to contain bridges. *)
       let rng = Pr_util.Rng.create ~seed in

@@ -160,7 +160,7 @@ let test_roundtrip_named () =
 let qcheck_roundtrip_random =
   QCheck.Test.make ~name:"FIB image round-trips the reference tables"
     ~count:30
-    QCheck.(triple (int_bound 1_000_000) (int_range 4 12) (int_bound 12))
+    QCheck.(triple (int_bound 1_000_000) (Helpers.int_range 4 12) (int_bound 12))
     (fun params ->
       let g, rotation = random_instance params in
       check_roundtrip Pr_core.Discriminator.Hops g rotation;
@@ -255,8 +255,8 @@ let qcheck_truth_differential =
     ~name:"kernel = Forward.run on random graphs and failure sets" ~count:60
     QCheck.(
       pair
-        (triple (int_bound 1_000_000) (int_range 4 10) (int_bound 12))
-        (int_range 0 5))
+        (triple (int_bound 1_000_000) (Helpers.int_range 4 10) (int_bound 12))
+        (Helpers.int_range 0 5))
     (fun (params, k) ->
       let g, rotation = random_instance params in
       let seed, _, _ = params in
@@ -389,8 +389,8 @@ let qcheck_view_differential =
     ~name:"kernel = engine ladder walk under random stale views" ~count:60
     QCheck.(
       triple
-        (triple (int_bound 1_000_000) (int_range 4 10) (int_bound 12))
-        (int_range 0 5) (int_range 0 6))
+        (triple (int_bound 1_000_000) (Helpers.int_range 4 10) (int_bound 12))
+        (Helpers.int_range 0 5) (Helpers.int_range 0 6))
     (fun (params, k, budget_guard) ->
       let seed, _, _ = params in
       let g, rotation = random_instance params in
@@ -483,32 +483,54 @@ let test_kernel_invalid_args () =
   let _, _, fib = compile g (Pr_embed.Geometric.of_topology topo) in
   let kernel = Kernel.create fib in
   Kernel.set_failures kernel (Failure.none g);
-  (match Kernel.run_one kernel ~src:0 ~dst:0 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "src = dst accepted");
-  match Kernel.run_one kernel ~src:0 ~dst:99 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "out of range accepted"
+  let rejects what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | () -> Alcotest.failf "%s accepted" what
+  in
+  rejects "src = dst" (fun () -> ignore (Kernel.run_one kernel ~src:0 ~dst:0));
+  rejects "out of range" (fun () -> ignore (Kernel.run_one kernel ~src:0 ~dst:99));
+  (* The walk ends when its TTL reaches exactly 0, so a negative TTL
+     would never end a looping walk. *)
+  let c = Kernel.fresh_counters () in
+  rejects "negative TTL (run_one)" (fun () ->
+      ignore (Kernel.run_one ~ttl:(-1) kernel ~src:0 ~dst:5));
+  rejects "negative TTL (forward_into)" (fun () ->
+      Kernel.forward_into ~ttl:(-1) kernel c ~src:0 ~dst:5);
+  (* Refused before any walk, even by a batch with no packet to walk. *)
+  rejects "negative TTL (Parallel.run)" (fun () ->
+      ignore
+        (Parallel.run
+           ~config:{ Parallel.default_config with ttl = Some (-1) }
+           ~seed:1 fib
+           [| { Parallel.failures = Failure.none g; pairs = [||] } |]));
+  Alcotest.(check bool) "a rejected walk accounts nothing" true
+    (Kernel.equal_counters c (Kernel.fresh_counters ()));
+  (* TTL 0 stays valid: the packet expires at its source. *)
+  let r = Kernel.run_one ~ttl:0 kernel ~src:0 ~dst:5 in
+  Alcotest.(check bool) "TTL 0 expires" true
+    (r.Kernel.outcome = Forward.Ttl_exceeded);
+  Alcotest.(check (list int)) "at the source" [ 0 ] r.Kernel.path
 
 (* ---- forward_into is run_one without the trace ---- *)
 
-let test_forward_into_matches_run_one () =
-  let topo = Pr_topo.Abilene.topology () in
-  let g = topo.Pr_topo.Topology.graph in
-  let _, _, fib = compile g (Pr_embed.Geometric.of_topology topo) in
-  let kernel = Kernel.create fib in
-  let e = Graph.edge g 0 in
-  Kernel.set_failures kernel (Failure.of_list g [ (e.Graph.u, e.Graph.v) ]);
-  (* A couple of stale beliefs so every drop class is reachable. *)
-  Kernel.set_believed kernel ~node:e.Graph.u ~other:e.Graph.v ~up:true;
-  let dd_bits = Fib.dd_bits fib in
-  let budget_guard = 6 in
+(* [forward_into] over [pairs] accounts what [run_one]'s results add up
+   to.  [run_one] captures every hop, so it walks every loop in full;
+   [forward_into] fast-forwards a loop when no guard is set.  Returns the
+   expected counters. *)
+let check_forward_into_matches_run_one ?termination ?quantise ?dd_bits
+    ~budget_guard kernel pairs =
+  let fib = Kernel.fib kernel in
   let got = Kernel.fresh_counters () in
   let expect = Kernel.fresh_counters () in
   List.iter
     (fun (src, dst) ->
-      Kernel.forward_into ~dd_bits ~budget_guard kernel got ~src ~dst;
-      let r = Kernel.run_one ~dd_bits ~budget_guard kernel ~src ~dst in
+      Kernel.forward_into ?termination ?quantise ?dd_bits ~budget_guard kernel
+        got ~src ~dst;
+      let r =
+        Kernel.run_one ?termination ?quantise ?dd_bits ~budget_guard kernel
+          ~src ~dst
+      in
       expect.Kernel.injected <- expect.Kernel.injected + 1;
       (match r.Kernel.outcome with
       | Forward.Delivered ->
@@ -540,11 +562,151 @@ let test_forward_into_matches_run_one () =
         r.Kernel.degradations;
       expect.Kernel.pr_episodes <-
         expect.Kernel.pr_episodes + r.Kernel.pr_episodes;
+      expect.Kernel.shortcut_exits <-
+        expect.Kernel.shortcut_exits + r.Kernel.shortcuts;
       expect.Kernel.failure_hits <-
         expect.Kernel.failure_hits + r.Kernel.failure_hits)
-    (Helpers.all_pairs g);
+    pairs;
   Alcotest.(check bool) "counters identical" true
-    (Kernel.equal_counters got expect)
+    (Kernel.equal_counters got expect);
+  expect
+
+(* A non-planar map as bench/e2e draws its synthetic workloads:
+   Barabási–Albert (k = 3) or Waxman on [n] nodes, embedded from the
+   nodes' coordinates, so some failures make packets loop. *)
+let geometric_instance ~ba ~seed ~n =
+  let rng = Rng.create ~seed in
+  let topo =
+    if ba then Pr_topo.Generate.barabasi_albert rng ~n ~k:3
+    else
+      Pr_topo.Generate.waxman rng ~n
+        ~alpha:(Float.min 1.0 (50.0 /. float_of_int n))
+        ~beta:0.15
+  in
+  compile topo.Pr_topo.Topology.graph (Pr_embed.Geometric.of_topology topo)
+
+(* BA n = 60 from seed 1 with its link 27-59 failed, under which the
+   packet 44 -> 27 loops. *)
+let looping_instance () =
+  let _, _, fib = geometric_instance ~ba:true ~seed:1 ~n:60 in
+  (fib, Failure.of_list (Fib.graph fib) [ (27, 59) ])
+
+(* A small random core (2-connected, with a random rotation, so often of
+   high genus) and a path of 70 nodes hung off its node 0.  A packet from
+   the far end of the path spends the fast-forward's 64-hop warm-up on
+   the way in, so the skip meets the core's short loops, and the rungs and
+   grants around them, from their first hop. *)
+let tailed_instance (seed, n, extra) =
+  let rng = Rng.create ~seed in
+  let core =
+    (Pr_topo.Generate.two_connected rng ~n ~extra).Pr_topo.Topology.graph
+  in
+  let tail = 70 in
+  let path =
+    List.init tail (fun i -> ((if i = 0 then 0 else n + i - 1), n + i, 1.0))
+  in
+  let g =
+    Graph.create ~n:(n + tail)
+      (List.map
+         (fun (e : Graph.edge) -> (e.u, e.v, e.w))
+         (Array.to_list (Graph.edges core))
+      @ path)
+  in
+  let _, _, fib = compile g (Pr_embed.Rotation.random rng g) in
+  (core, fib, rng)
+
+(* A copy of [fib] that shares no array with it, so its cells can be
+   damaged. *)
+let private_copy fib =
+  match Fib.Codec.decode ~base:fib (Fib.Codec.encode fib) with
+  | Ok image -> image
+  | Error msg -> Alcotest.fail msg
+
+(* [check_forward_into_matches_run_one] over every pair of [fib] under
+   [failures]; returns the counters. *)
+let all_pairs_match ?dd_bits ~budget_guard fib failures =
+  let kernel = Kernel.create fib in
+  Kernel.set_failures kernel failures;
+  check_forward_into_matches_run_one ?dd_bits ~budget_guard kernel
+    (Helpers.all_pairs (Fib.graph fib))
+
+let test_forward_into_matches_run_one () =
+  (* Abilene under a stale view and a budget guard: every drop class is
+     reachable, and no walk fast-forwards. *)
+  let topo = Pr_topo.Abilene.topology () in
+  let g = topo.Pr_topo.Topology.graph in
+  let _, _, fib = compile g (Pr_embed.Geometric.of_topology topo) in
+  let kernel = Kernel.create fib in
+  let e = Graph.edge g 0 in
+  Kernel.set_failures kernel (Failure.of_list g [ (e.Graph.u, e.Graph.v) ]);
+  Kernel.set_believed kernel ~node:e.Graph.u ~other:e.Graph.v ~up:true;
+  ignore
+    (check_forward_into_matches_run_one ~dd_bits:(Fib.dd_bits fib)
+       ~budget_guard:6 kernel (Helpers.all_pairs g)
+      : Kernel.counters);
+  (* A non-planar map with no budget guard: forward_into fast-forwards
+     the loops. *)
+  let fib, failures = looping_instance () in
+  let c = all_pairs_match ~budget_guard:0 fib failures in
+  if c.Kernel.looped = 0 then Alcotest.fail "no walk looped";
+  (* Under a 1-bit DD bound, loops whose every period saturates the DD
+     and retries the complementary cycle, as 6 -> 15 does here. *)
+  let _, _, fib = geometric_instance ~ba:false ~seed:1 ~n:47 in
+  let c =
+    all_pairs_match ~dd_bits:1 ~budget_guard:0 fib
+      (Failure.of_list (Fib.graph fib) [ (29, 30); (13, 43) ])
+  in
+  if c.Kernel.looped = 0 || c.Kernel.complementary_retries = 0 then
+    Alcotest.fail "no walk looped through the retry rung";
+  (* The LFA rung inside a loop.  On an intact image it cannot fire
+     there: with no budget guard the ladder tries it only after the
+     complementary rotation, which visits every port, found them all
+     down.  Here a damaged cycle column, whose cell for 24's port to 7
+     names that port again, leaves 24's other ports unvisited when 7-24
+     fails, so every period of the loop 23 -> 10 takes the rung. *)
+  let _, _, fib = geometric_instance ~ba:false ~seed:87 ~n:29 in
+  let image = private_copy fib in
+  let slot = Fib.slot image ~node:24 ~other:7 in
+  (Fib.raw_cycle_col image).(slot) <- slot mod Fib.ports image;
+  let c =
+    all_pairs_match ~dd_bits:1 ~budget_guard:0 image
+      (Failure.of_list (Fib.graph image) [ (10, 26); (7, 24) ])
+  in
+  if c.Kernel.looped = 0 || c.Kernel.lfa_rescues = 0 then
+    Alcotest.fail "no walk looped through the LFA rung";
+  (* The hint bits are part of the state.  On this core, 77 -> 4 meets
+     an earlier state again with more hint bits set, and takes a grant
+     the earlier pass did not: a key without the hint would skip periods
+     the walk never makes. *)
+  let _, fib, _ = tailed_instance (131, 8, 5) in
+  let kernel = Kernel.create fib in
+  Kernel.set_failures kernel
+    (Failure.of_list (Fib.graph fib) [ (0, 2); (0, 3) ]);
+  Kernel.set_shortcut kernel (Some 16);
+  let c =
+    check_forward_into_matches_run_one ~budget_guard:0 kernel [ (77, 4) ]
+  in
+  if c.Kernel.shortcut_exits <> 1 then Alcotest.fail "expected one grant";
+  (* Shortcut grants inside a loop.  On an intact image a grant cannot
+     recur: the walk routes on from it, and every later episode starts
+     from a smaller DD.  Damaged next-hop cells at 0 and 1 towards 4 lead
+     the routed walk back into the failure, so 74 -> 4 takes a grant in
+     every period. *)
+  let _, fib, _ = tailed_instance (1032, 5, 3) in
+  let image = private_copy fib in
+  List.iter
+    (fun (x, w) ->
+      (Fib.raw_next_hop_port image).((x * Fib.n image) + 4) <-
+        Fib.port_of image ~node:x ~neighbour:w)
+    [ (0, 1); (1, 2) ];
+  let kernel = Kernel.create image in
+  Kernel.set_failures kernel (Failure.of_list (Fib.graph image) [ (0, 2) ]);
+  Kernel.set_shortcut kernel (Some 4);
+  let c =
+    check_forward_into_matches_run_one ~budget_guard:0 kernel [ (74, 4) ]
+  in
+  if c.Kernel.looped = 0 || c.Kernel.shortcut_exits < 2 then
+    Alcotest.fail "no walk looped through the shortcut rung"
 
 (* ---- engine backends ---- *)
 
@@ -914,6 +1076,18 @@ let test_reordered_combine () =
     (List.sort compare [ (a.u, a.v); (b.u, b.v) ])
     (Failure.edges union)
 
+(* Whether the primary path from [src] to [dst] crosses a link
+   [failures] has down. *)
+let crosses_failure routing failures ~src ~dst =
+  let rec crosses = function
+    | a :: (b :: _ as rest) ->
+        (not (Failure.link_up failures a b)) || crosses rest
+    | _ -> false
+  in
+  match Routing.shortest_path routing ~src ~dst with
+  | Some path -> crosses path
+  | None -> false
+
 (* 2-3-link failures injecting only the pairs they cut: pairs whose
    primary path crosses a failed link and whose ends stay connected. *)
 let cut_pair_items ~seed ~scenarios routing =
@@ -921,19 +1095,11 @@ let cut_pair_items ~seed ~scenarios routing =
   let rng = Rng.create ~seed in
   Array.init scenarios (fun _ ->
       let failures = random_failures rng g ~k:(2 + Rng.int rng 2) in
-      let rec crosses = function
-        | a :: (b :: _ as rest) ->
-            (not (Failure.link_up failures a b)) || crosses rest
-        | _ -> false
-      in
       let pairs =
         List.filter
           (fun (src, dst) ->
             Failure.pair_connected failures src dst
-            &&
-            match Routing.shortest_path routing ~src ~dst with
-            | Some path -> crosses path
-            | None -> false)
+            && crosses_failure routing failures ~src ~dst)
           (Helpers.all_pairs g)
       in
       { Parallel.failures; pairs = Array.of_list pairs })
@@ -1185,8 +1351,8 @@ let qcheck_shortcut_differential =
     ~count:25
     QCheck.(
       pair
-        (triple (int_bound 1_000_000) (int_range 4 10) (int_bound 12))
-        (pair (int_range 0 4) (int_range 2 24)))
+        (triple (int_bound 1_000_000) (Helpers.int_range 4 10) (int_bound 12))
+        (pair (Helpers.int_range 0 4) (Helpers.int_range 2 24)))
     (fun (params, (k, width)) ->
       let ctx, failures = random_shortcut_case params ~k ~width in
       check_shortcut_differential ctx failures;
@@ -1215,6 +1381,159 @@ let test_shortcut_golden_exits () =
       (Pr_topo.Geant.topology (), 139);
       (Pr_topo.Teleglobe.topology (), 92);
     ]
+
+(* ---- loop fast-forward ---- *)
+
+(* [count] items of 1-3 random failed links, each with up to [pairs]
+   random pairs whose primary path crosses a failed link: the packets
+   that recycle and, on a non-planar map, may loop. *)
+let crossing_items rng routing ~count ~pairs =
+  let g = Routing.graph routing in
+  let n = Graph.n g in
+  Array.init count (fun _ ->
+      let failures = random_failures rng g ~k:(1 + Rng.int rng 3) in
+      let picked = ref [] and left = ref pairs in
+      for _ = 1 to 40 * pairs do
+        if !left > 0 then begin
+          let src = Rng.int rng n in
+          let dst = (src + 1 + Rng.int rng (n - 1)) mod n in
+          if crosses_failure routing failures ~src ~dst then begin
+            picked := (src, dst) :: !picked;
+            decr left
+          end
+        end
+      done;
+      { Parallel.failures; pairs = Array.of_list (List.rev !picked) })
+
+(* The plain call fast-forwards loops; the link-loaded and probed calls
+   walk every hop.  All three must count the same, under every walk
+   setting a batch can take, at every TTL.  A 1-bit DD bound saturates
+   at once, so the ladder's retry and saturation counts also move inside
+   loops that skip. *)
+let qcheck_skip_matches_full_walks =
+  QCheck.Test.make
+    ~name:"loop fast-forward: run = run_loaded = run_probed on loopy maps"
+    ~count:40
+    QCheck.(
+      triple
+        (triple (int_bound 1_000_000) bool (Helpers.int_range 40 150))
+        (triple (int_bound 2) bool bool)
+        (quad (int_bound 2) bool bool bool))
+    (fun ((seed, ba, n), (sc_case, simple, quantise), (dd_case, guard, flip, two)) ->
+      let routing, _, fib = geometric_instance ~ba ~seed ~n in
+      let rng = Rng.create ~seed:(seed + 1) in
+      let items = crossing_items rng routing ~count:3 ~pairs:20 in
+      let prepare = if flip then Some (flip_prepare fib) else None in
+      let domains = if two then 2 else 1 in
+      List.for_all
+        (fun ttl ->
+          let config =
+            {
+              Parallel.termination =
+                (if simple then Forward.Simple
+                 else Forward.Distance_discriminator);
+              quantise;
+              dd_bits = List.nth [ None; Some 1; Some (Fib.dd_bits fib) ] dd_case;
+              budget_guard = (if guard then 6 else 0);
+              ttl;
+              shortcut = List.nth [ None; Some 4; Some 16 ] sc_case;
+            }
+          in
+          let plain = Parallel.run ~domains ~config ?prepare ~seed fib items in
+          let loaded, _ =
+            Parallel.run_loaded ~domains ~config ?prepare ~seed fib items
+          in
+          let probed, _ =
+            Parallel.run_probed ~domains ~config ?prepare ~seed fib items
+          in
+          Kernel.equal_counters plain loaded
+          && Kernel.equal_counters plain probed)
+        [
+          Some 0;
+          Some 1;
+          Some (Rng.int rng ((3 * n) + 1));
+          Some ((16 * n) + 64);
+          None;
+        ])
+
+(* One fixed draw of the property, whose loops are pinned so the
+   property cannot pass by drawing no loop at all. *)
+let test_skip_pinned () =
+  let routing, _, fib = geometric_instance ~ba:false ~seed:7 ~n:100 in
+  let items =
+    crossing_items (Rng.create ~seed:8) routing ~count:3 ~pairs:20
+  in
+  List.iter
+    (fun (config, looped) ->
+      let plain = Parallel.run ~config ~seed:42 fib items in
+      let loaded, _ = Parallel.run_loaded ~domains:2 ~config ~seed:42 fib items in
+      let probed, _ = Parallel.run_probed ~config ~seed:42 fib items in
+      Alcotest.(check int) "looped" looped plain.Kernel.looped;
+      Alcotest.(check bool) "link-loaded counters" true
+        (Kernel.equal_counters plain loaded);
+      Alcotest.(check bool) "probed counters" true
+        (Kernel.equal_counters plain probed))
+    [
+      (Parallel.default_config, 6);
+      ( { Parallel.default_config with shortcut = Some 16; quantise = true },
+        6 );
+      ({ Parallel.default_config with termination = Forward.Simple }, 4);
+    ]
+
+(* Every walk from the far end of the path into the core, one by one
+   against the capture's full walk: each shortcut width and DD bound, and
+   a budget guard, which must turn the skip off. *)
+let qcheck_skip_tailed =
+  QCheck.Test.make
+    ~name:"loop fast-forward: forward_into = run_one behind a long path"
+    ~count:150
+    QCheck.(
+      pair
+        (triple (int_bound 1_000_000) (Helpers.int_range 4 12) (int_bound 8))
+        (triple (Helpers.int_range 1 3) bool bool))
+    (fun (((_, n, _) as params), (k, simple, quantise)) ->
+      let core, fib, rng = tailed_instance params in
+      let g = Fib.graph fib in
+      let kernel = Kernel.create fib in
+      (* Core links only: a failed path link would cut the far end off. *)
+      Kernel.set_failures kernel
+        (Failure.of_list g (Failure.edges (random_failures rng core ~k)));
+      let far = Graph.n g - 1 in
+      let pairs = List.init n (fun dst -> (far, dst)) in
+      let termination =
+        if simple then Forward.Simple else Forward.Distance_discriminator
+      in
+      List.iter
+        (fun (width, dd_bits, budget_guard) ->
+          Kernel.set_shortcut kernel width;
+          ignore
+            (check_forward_into_matches_run_one ~termination ~quantise
+               ?dd_bits ~budget_guard kernel pairs
+              : Kernel.counters))
+        [
+          (None, None, 0);
+          (Some 4, None, 0);
+          (Some 16, None, 0);
+          (None, Some 1, 0);
+          (Some 16, Some 1, 0);
+          (None, Some 1, 6);
+        ];
+      true)
+
+(* A TTL no full walk could spend: the fast-forward ends the loop in a
+   few periods. *)
+let test_skip_huge_ttl () =
+  let fib, failures = looping_instance () in
+  let kernel = Kernel.create fib in
+  Kernel.set_failures kernel failures;
+  let r = Kernel.run_one kernel ~src:44 ~dst:27 in
+  Alcotest.(check bool) "the full walk loops" true
+    (r.Kernel.outcome = Forward.Ttl_exceeded);
+  let c = Kernel.fresh_counters () in
+  Kernel.forward_into ~ttl:(1 lsl 40) kernel c ~src:44 ~dst:27;
+  Alcotest.(check int) "looped" 1 c.Kernel.looped;
+  Alcotest.(check int) "one episode, as in the full walk" r.Kernel.pr_episodes
+    c.Kernel.pr_episodes
 
 let suite =
   [
@@ -1255,9 +1574,14 @@ let suite =
       test_shortcut_second_episode;
     Alcotest.test_case "shortcut golden exits + domain determinism" `Quick
       test_shortcut_golden_exits;
+    Alcotest.test_case "loop fast-forward: pinned loops" `Quick
+      test_skip_pinned;
+    Alcotest.test_case "loop fast-forward: TTL 2^40" `Quick test_skip_huge_ttl;
     QCheck_alcotest.to_alcotest qcheck_roundtrip_random;
     QCheck_alcotest.to_alcotest qcheck_truth_differential;
     QCheck_alcotest.to_alcotest qcheck_view_differential;
     QCheck_alcotest.to_alcotest qcheck_shortcut_differential;
     QCheck_alcotest.to_alcotest qcheck_reachability_oracle;
+    QCheck_alcotest.to_alcotest qcheck_skip_matches_full_walks;
+    QCheck_alcotest.to_alcotest qcheck_skip_tailed;
   ]

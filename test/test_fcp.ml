@@ -37,7 +37,7 @@ let test_header_bits () =
 let qcheck_delivers_when_connected =
   QCheck.Test.make ~name:"FCP delivers whenever src and dst stay connected"
     ~count:80
-    QCheck.(triple (int_bound 1_000_000) (Helpers.arb_two_connected ()) (int_range 1 5))
+    QCheck.(triple (int_bound 1_000_000) (Helpers.arb_two_connected ()) (Helpers.int_range 1 5))
     (fun (seed, g, k) ->
       let rng = Pr_util.Rng.create ~seed in
       let k = min k (Graph.m g - 1) in

@@ -43,9 +43,25 @@ let test_invalid_args () =
   (match run (routing, cycles) (Failure.none g) ~src:0 ~dst:0 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "src = dst accepted");
-  match run (routing, cycles) (Failure.none g) ~src:0 ~dst:99 with
+  (match run (routing, cycles) (Failure.none g) ~src:0 ~dst:99 with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "out of range accepted"
+  | _ -> Alcotest.fail "out of range accepted");
+  (* The walk ends when its TTL reaches exactly 0, so a negative TTL
+     would never end a looping walk. *)
+  (match run ~ttl:(-1) (routing, cycles) (Failure.none g) ~src:0 ~dst:3 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "negative TTL accepted (run)");
+  (match
+     Forward.run_guarded ~ttl:(-1) ~routing ~cycles ~failures:(Failure.none g)
+       ~src:0 ~dst:3 ()
+   with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "negative TTL accepted (run_guarded)");
+  (* TTL 0 stays valid: the packet expires at its source. *)
+  let trace = run ~ttl:0 (routing, cycles) (Failure.none g) ~src:0 ~dst:3 in
+  Alcotest.(check bool) "TTL 0 expires" true
+    (trace.Forward.outcome = Forward.Ttl_exceeded);
+  Alcotest.(check (list int)) "at the source" [ 0 ] trace.Forward.path
 
 let test_ttl_respected () =
   let g, routing, cycles = grid_setup 3 3 in
@@ -134,7 +150,7 @@ let qcheck_planar_multi_failure_delivery =
     ~name:"planar embedding: every connected pair survives any failure set"
     ~count:60
     QCheck.(
-      triple (int_bound 1_000_000) (int_range 3 5) (int_range 1 6))
+      triple (int_bound 1_000_000) (Helpers.int_range 3 5) (Helpers.int_range 1 6))
     (fun (seed, side, k) ->
       let topo, rot = Helpers.grid_with_rotation ~rows:side ~cols:side in
       let g = topo.Pr_topo.Topology.graph in
@@ -161,7 +177,7 @@ let qcheck_planar_multi_failure_delivery =
 (* PR can never beat the post-convergence optimum. *)
 let qcheck_stretch_lower_bounded_by_reconvergence =
   QCheck.Test.make ~name:"PR stretch >= reconvergence stretch" ~count:60
-    QCheck.(pair (int_bound 1_000_000) (int_range 3 5))
+    QCheck.(pair (int_bound 1_000_000) (Helpers.int_range 3 5))
     (fun (seed, side) ->
       let topo, rot = Helpers.grid_with_rotation ~rows:side ~cols:side in
       let g = topo.Pr_topo.Topology.graph in
@@ -182,7 +198,7 @@ let qcheck_stretch_lower_bounded_by_reconvergence =
    process converges. *)
 let qcheck_episode_dds_strictly_decrease =
   QCheck.Test.make ~name:"episode DDs strictly decrease (planar)" ~count:60
-    QCheck.(triple (int_bound 1_000_000) (int_range 3 5) (int_range 1 6))
+    QCheck.(triple (int_bound 1_000_000) (Helpers.int_range 3 5) (Helpers.int_range 1 6))
     (fun (seed, side, k) ->
       let topo, rot = Helpers.grid_with_rotation ~rows:side ~cols:side in
       let g = topo.Pr_topo.Topology.graph in
@@ -212,7 +228,7 @@ let qcheck_quantise_identity_for_hops =
   (* The hop discriminator is already integral: header-faithful mode must
      trace identical paths. *)
   QCheck.Test.make ~name:"quantised DD is the identity for hop counts" ~count:40
-    QCheck.(pair (int_bound 1_000_000) (int_range 3 5))
+    QCheck.(pair (int_bound 1_000_000) (Helpers.int_range 3 5))
     (fun (seed, side) ->
       let topo, rot = Helpers.grid_with_rotation ~rows:side ~cols:side in
       let g = topo.Pr_topo.Topology.graph in

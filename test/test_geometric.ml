@@ -38,7 +38,7 @@ let test_length_mismatch_rejected () =
 
 let qcheck_grid_geometric_planar =
   QCheck.Test.make ~name:"grids embed planar geometrically" ~count:20
-    QCheck.(pair (int_range 2 6) (int_range 2 6))
+    QCheck.(pair (Helpers.int_range 2 6) (Helpers.int_range 2 6))
     (fun (rows, cols) ->
       let _, rot = Helpers.grid_with_rotation ~rows ~cols in
       Surface.genus (Faces.compute rot) = 0)

@@ -40,14 +40,14 @@ let test_saturating_rejects_negative () =
 
 let qcheck_roundtrip =
   QCheck.Test.make ~name:"header encode/decode round-trips" ~count:500
-    QCheck.(triple bool (int_bound 15) (int_range 4 10))
+    QCheck.(triple bool (int_bound 15) (Helpers.int_range 4 10))
     (fun (pr, dd, dd_bits) ->
       let h = { Header.pr; dd } in
       Header.decode ~dd_bits (Header.encode ~dd_bits h) = h)
 
 let qcheck_field_width =
   QCheck.Test.make ~name:"encoded field fits the declared width" ~count:500
-    QCheck.(triple bool (int_bound 7) (int_range 3 8))
+    QCheck.(triple bool (int_bound 7) (Helpers.int_range 3 8))
     (fun (pr, dd, dd_bits) ->
       let field = Header.encode ~dd_bits { Header.pr; dd } in
       field >= 0 && field < 1 lsl (dd_bits + 1))
@@ -55,7 +55,7 @@ let qcheck_field_width =
 let qcheck_saturating_agrees_when_fits =
   QCheck.Test.make ~name:"saturating encode = encode when the DD fits"
     ~count:500
-    QCheck.(triple bool (int_bound 15) (int_range 4 10))
+    QCheck.(triple bool (int_bound 15) (Helpers.int_range 4 10))
     (fun (pr, dd, dd_bits) ->
       Header.encode_saturating ~dd_bits { Header.pr; dd }
       = Header.encode ~dd_bits { Header.pr; dd })
@@ -94,14 +94,14 @@ let qcheck_decode_result_never_raises =
 let qcheck_decode_result_agrees =
   QCheck.Test.make ~name:"decode_result = Ok decode on every valid field"
     ~count:1000
-    QCheck.(pair (int_bound 4095) (int_range 0 11))
+    QCheck.(pair (int_bound 4095) (Helpers.int_range 0 11))
     (fun (field, dd_bits) ->
       let field = field land ((1 lsl (dd_bits + 1)) - 1) in
       Header.decode_result ~dd_bits field = Ok (Header.decode ~dd_bits field))
 
 let qcheck_decode_result_roundtrip =
   QCheck.Test.make ~name:"decode_result round-trips encode" ~count:1000
-    QCheck.(triple bool (int_bound 1_000_000) (int_range 1 10))
+    QCheck.(triple bool (int_bound 1_000_000) (Helpers.int_range 1 10))
     (fun (pr, dd, dd_bits) ->
       let dd = min dd (Header.max_dd ~dd_bits) in
       Header.decode_result ~dd_bits (Header.encode ~dd_bits { Header.pr; dd })
@@ -111,7 +111,7 @@ let qcheck_saturating_clamps =
   QCheck.Test.make
     ~name:"saturating encode clamps to the header max and round-trips"
     ~count:500
-    QCheck.(triple bool (int_range 0 1_000_000) (int_range 1 10))
+    QCheck.(triple bool (Helpers.int_range 0 1_000_000) (Helpers.int_range 1 10))
     (fun (pr, dd, dd_bits) ->
       let decoded =
         Header.decode ~dd_bits

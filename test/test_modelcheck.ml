@@ -40,7 +40,7 @@ let qcheck_differential_random_rotations =
     ~count:80
     QCheck.(
       quad (int_bound 1_000_000) (Helpers.arb_two_connected ~max_n:9 ())
-        (int_range 1 4) bool)
+        (Helpers.int_range 1 4) bool)
     (fun (seed, g, k, simple) ->
       let rng = Pr_util.Rng.create ~seed in
       let rotation = Pr_embed.Rotation.random rng g in

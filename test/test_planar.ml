@@ -135,7 +135,7 @@ let qcheck_maximal_planar_plus_edge_rejected =
 
 let qcheck_blocks_partition_edges =
   QCheck.Test.make ~name:"blocks partition the edge set" ~count:100
-    QCheck.(pair (int_bound 1_000_000) (int_range 4 14))
+    QCheck.(pair (int_bound 1_000_000) (Helpers.int_range 4 14))
     (fun (seed, n) ->
       let rng = Pr_util.Rng.create ~seed in
       let m = min (n + 3) (n * (n - 1) / 2) in
@@ -150,7 +150,7 @@ let qcheck_blocks_partition_edges =
 
 let qcheck_bridges_are_singleton_blocks =
   QCheck.Test.make ~name:"bridges appear as singleton blocks" ~count:80
-    QCheck.(pair (int_bound 1_000_000) (int_range 4 14))
+    QCheck.(pair (int_bound 1_000_000) (Helpers.int_range 4 14))
     (fun (seed, n) ->
       let rng = Pr_util.Rng.create ~seed in
       let g = (Pr_topo.Generate.gnm rng ~n ~m:(n + 2)).Pr_topo.Topology.graph in

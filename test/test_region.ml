@@ -102,7 +102,7 @@ let test_pr_route_is_walk_prefix () =
 let qcheck_walks_partition_region_arcs =
   QCheck.Test.make
     ~name:"boundary walks partition each region's live arcs (planar)" ~count:60
-    QCheck.(triple (int_bound 1_000_000) (int_range 3 5) (int_range 1 5))
+    QCheck.(triple (int_bound 1_000_000) (Helpers.int_range 3 5) (Helpers.int_range 1 5))
     (fun (seed, side, k) ->
       let topo = Pr_topo.Generate.grid ~rows:side ~cols:side in
       let g = topo.Pr_topo.Topology.graph in

@@ -84,7 +84,7 @@ let test_sample_without_replacement () =
 let qcheck_sample_uniformity =
   QCheck.Test.make ~name:"sample_without_replacement covers all indices"
     ~count:50
-    QCheck.(pair (int_bound 1000) (int_range 1 8))
+    QCheck.(pair (int_bound 1000) (Helpers.int_range 1 8))
     (fun (seed, n) ->
       let rng = Rng.create ~seed in
       let s = Rng.sample_without_replacement rng ~k:n ~n in

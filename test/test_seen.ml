@@ -71,7 +71,7 @@ let test_bloom_fp_spot () =
 (* Generators: a plan plus an insertion sequence over its universe. *)
 let gen_scene =
   QCheck.(
-    triple (int_range 2 120) (int_range 1 60)
+    triple (Helpers.int_range 2 120) (Helpers.int_range 1 60)
       (list_of_size Gen.(int_bound 40) (int_bound 119)))
 
 let scene (nodes, width, inserts) =
@@ -135,7 +135,7 @@ let qcheck_kernel_mirror =
 let qcheck_shortcut_bits_used =
   QCheck.Test.make
     ~name:"shortcut layout is pr + dd + hint + saturation marker" ~count:500
-    QCheck.(pair (int_range 0 10) (int_range 1 40))
+    QCheck.(pair (Helpers.int_range 0 10) (Helpers.int_range 1 40))
     (fun (dd_bits, sc_width) ->
       Header.shortcut_bits_used ~dd_bits ~sc_width = 1 + dd_bits + sc_width + 1
       && Header.shortcut_fits ~dd_bits ~sc_width
@@ -147,8 +147,8 @@ let qcheck_shortcut_roundtrip =
     ~count:2000
     QCheck.(
       pair
-        (triple bool (int_bound 1_000_000) (int_range 1 10))
-        (triple (int_range 1 40) (int_bound 0xFFFFFF) bool))
+        (triple bool (int_bound 1_000_000) (Helpers.int_range 1 10))
+        (triple (Helpers.int_range 1 40) (int_bound 0xFFFFFF) bool))
     (fun ((pr, dd, dd_bits), (sc_width, seen, seen_sat)) ->
       QCheck.assume (Header.shortcut_fits ~dd_bits ~sc_width);
       let dd = min dd (Header.max_dd ~dd_bits) in
@@ -178,7 +178,7 @@ let qcheck_encode_rejects_overflow =
   QCheck.Test.make
     ~name:"encode_shortcut rejects hints beyond the declared width"
     ~count:500
-    QCheck.(pair (int_range 1 20) (int_range 1 6))
+    QCheck.(pair (Helpers.int_range 1 20) (Helpers.int_range 1 6))
     (fun (sc_width, dd_bits) ->
       match
         Header.encode_shortcut ~dd_bits ~sc_width

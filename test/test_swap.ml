@@ -579,7 +579,7 @@ let test_timed_control_swaps () =
 let qcheck_commute =
   QCheck.Test.make ~name:"edit interleavings commute with full recompile"
     ~count:40
-    QCheck.(pair (int_bound 1_000_000) (int_range 1 8))
+    QCheck.(pair (int_bound 1_000_000) (Helpers.int_range 1 8))
     (fun (seed, edits) ->
       let topo = Pr_topo.Abilene.topology () in
       let g = topo.Pr_topo.Topology.graph in

@@ -270,8 +270,8 @@ let qcheck_noop_sink_invariance =
     ~count:40
     QCheck.(
       pair
-        (triple (int_bound 1_000_000) (int_range 4 10) (int_bound 12))
-        (int_range 0 5))
+        (triple (int_bound 1_000_000) (Helpers.int_range 4 10) (int_bound 12))
+        (Helpers.int_range 0 5))
     (fun (params, k) ->
       let g, rotation = random_instance params in
       let seed, _, _ = params in

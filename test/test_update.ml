@@ -100,7 +100,7 @@ let qcheck_chord_insertions_stay_planar =
   (* Grow a maximal planar graph chord by chord from its spanning square:
      every insertion into a common face must keep genus 0 and validity. *)
   QCheck.Test.make ~name:"chord insertions preserve planarity" ~count:40
-    QCheck.(pair (int_bound 1_000_000) (int_range 4 16))
+    QCheck.(pair (int_bound 1_000_000) (Helpers.int_range 4 16))
     (fun (seed, n) ->
       let rng = Pr_util.Rng.create ~seed in
       let target = (Pr_topo.Generate.apollonian rng ~n).Pr_topo.Topology.graph in
