@@ -837,7 +837,7 @@ let chaos name embedding seed horizon rate mix_spec hold_down detect_delay
               Printf.eprintf "control delay must be non-negative\n";
               exit 1
             end;
-            { Pr_sim.Engine.default_control with Pr_sim.Engine.delay = d })
+            { Pr_sim.Engine.delay = d })
           control_delay
       in
       let campaign =
@@ -943,7 +943,7 @@ let chaos_cmd =
   let control_delay =
     Arg.(value & opt (some float) None & info [ "control" ] ~docv:"DELAY"
            ~doc:"Run a live control plane: this many time units after each
-                 link transition the tables are incrementally recompiled
+                 link transition the tables are incrementally repaired
                  and hot-swapped; the monitors arm the
                  zero-loss-across-updates swap invariant (PR schemes
                  only).")
@@ -1061,12 +1061,8 @@ let parse_edit_script topo path =
   end;
   List.rev !batches
 
-let swap_session name embedding seed edits_file threshold json_flag
-    journal_path crash_after ledger no_ledger =
-  if threshold < 0.0 then begin
-    Printf.eprintf "threshold must be non-negative\n";
-    exit 1
-  end;
+let swap_session name embedding seed edits_file json_flag journal_path
+    crash_after ledger no_ledger =
   (match (journal_path, crash_after) with
   | None, Some _ ->
       Printf.eprintf "--crash-after needs --journal (nothing to recover from)\n";
@@ -1151,8 +1147,8 @@ let swap_session name embedding seed edits_file threshold json_flag
       (Pr_obs.Linkload.max_load ll)
   in
   if not json_flag then begin
-    Printf.printf "swap session: %s, %d scripted epoch(s), threshold %g\n"
-      topo.Topology.name (List.length batches) threshold;
+    Printf.printf "swap session: %s, %d scripted epoch(s)\n"
+      topo.Topology.name (List.length batches);
     Printf.printf "epoch 0 (base): %s\n" (counters_line c0 ll0)
   end;
   let seq = ref 0 in
@@ -1165,7 +1161,7 @@ let swap_session name embedding seed edits_file threshold json_flag
       Option.iter
         (fun w -> Pr_fastpath.Journal.log_batch w ~seq:!seq batch)
         journal;
-      match Delta.apply ~threshold (Pr_fastpath.Swap.current store) batch with
+      match Delta.apply (Pr_fastpath.Swap.current store) batch with
       | Error err ->
           Printf.eprintf "%s:%d: %s\n" edits_file lineno
             (Delta.describe_error err);
@@ -1208,9 +1204,8 @@ let swap_session name embedding seed edits_file threshold json_flag
           if json_flag then
             records :=
               Printf.sprintf
-                "{\"epoch\":%d,\"line\":%d,\"edits\":%d,\"dirty\":%d,\"full\":%b,\"differential\":%S,\"delivered\":%d,\"injected\":%d,\"dropped\":%d,\"looped\":%d,\"unreachable\":%d,\"load_total\":%d,\"load_max\":%d}"
+                "{\"epoch\":%d,\"line\":%d,\"edits\":%d,\"dirty\":%d,\"differential\":%S,\"delivered\":%d,\"injected\":%d,\"dropped\":%d,\"looped\":%d,\"unreachable\":%d,\"load_total\":%d,\"load_max\":%d}"
                 epoch lineno stats.Delta.edits stats.Delta.dirty
-                stats.Delta.full
                 (if ok then "ok" else "mismatch")
                 c.Pr_fastpath.Kernel.delivered c.Pr_fastpath.Kernel.injected
                 c.Pr_fastpath.Kernel.dropped c.Pr_fastpath.Kernel.looped
@@ -1218,11 +1213,11 @@ let swap_session name embedding seed edits_file threshold json_flag
                 (Pr_obs.Linkload.max_load ll)
               :: !records
           else begin
-            Printf.printf "epoch %d: %s  (%d dirty row(s)%s)  differential %s\n"
+            Printf.printf
+              "epoch %d: %s  (%d destination(s) repaired)  differential %s\n"
               epoch
               (String.concat ", " (List.map describe_edit batch))
               stats.Delta.dirty
-              (if stats.Delta.full then ", full recompile fall-back" else "")
               (if ok then "OK" else "MISMATCH");
             Printf.printf "  %s\n" (counters_line c ll);
             match movers with
@@ -1254,7 +1249,6 @@ let swap_session name embedding seed edits_file threshold json_flag
   end;
   let fl = Pr_telemetry.Flight.create ~cmd:"swap" ~seed () in
   Pr_telemetry.Flight.knob_str fl "topology" topo.Topology.name;
-  Pr_telemetry.Flight.knob fl "threshold" (Pr_util.Json.number threshold);
   Pr_telemetry.Flight.count fl "epochs" !seq;
   Pr_telemetry.Flight.count fl "mismatches" !mismatches;
   Pr_telemetry.Flight.count fl "crashed" (if !crashed then 1 else 0);
@@ -1273,11 +1267,6 @@ let swap_cmd =
            ~doc:"Edit script: one line per epoch, comma-separated edits
                  ($(b,down A B), $(b,up A B), $(b,weight A B W) over node
                  labels), $(b,#) comments.")
-  in
-  let threshold =
-    Arg.(value & opt float 0.5 & info [ "threshold" ] ~docv:"FRACTION"
-           ~doc:"Dirty-destination fraction past which an epoch falls back
-                 to a full recompile.")
   in
   let json =
     Arg.(value & flag & info [ "json" ]
@@ -1299,14 +1288,13 @@ let swap_cmd =
   Cmd.v
     (Cmd.info "swap"
        ~doc:"Replay a scripted control-plane session: apply each edit batch
-             as an incremental FIB recompile, hot-swap the compiled image
+             as an incremental FIB repair, hot-swap the compiled image
              through the epoch store, referee every epoch byte-for-byte
              against a full recompile, and report per-epoch verdicts and
              link-load movers.  Exits 1 on malformed scripts, 2 on any
              differential mismatch.")
     Term.(const swap_session $ topo_arg $ embedding_arg $ seed_arg $ edits
-          $ threshold $ json $ journal $ crash_after $ ledger_arg
-          $ no_ledger_arg)
+          $ json $ journal $ crash_after $ ledger_arg $ no_ledger_arg)
 
 (* ---- recover: replay a write-ahead journal after a crash ---- *)
 
@@ -1939,11 +1927,9 @@ let bench name embedding seed backend_spec domains json probe repeat probe_out
             (reference_sweep ~linkload:ll (), ll))
       Pr_obs.Linkload.to_json;
   if swap_flag then begin
-    (* Control-plane costs: per-edge single-edit incremental recompile
-       vs a full recompile of the same image, and the hot-swap pause
-       (publish + pin + kernel rebind + unpin).  Threshold 1.1 keeps
-       every single-link edit on the incremental path so the two legs
-       measure different code, not the fall-back measuring itself. *)
+    (* Control-plane costs: per-edge single-edit incremental repair vs a
+       full recompile of the same image, and the hot-swap pause (publish
+       + pin + kernel rebind + unpin). *)
     let edges =
       Pr_graph.Graph.fold_edges
         (fun _ (e : Pr_graph.Graph.edge) acc -> (e.u, e.v) :: acc)
@@ -1957,13 +1943,13 @@ let bench name embedding seed backend_spec domains json probe repeat probe_out
       List.iter
         (fun (u, v) ->
           ignore
-            (Pr_fastpath.Fib.Delta.apply_exn ~threshold:1.1 fib (down u v)))
+            (Pr_fastpath.Fib.Delta.apply_exn fib (down u v)))
         edges
     in
     let images =
       List.map
         (fun (u, v) ->
-          fst (Pr_fastpath.Fib.Delta.apply_exn ~threshold:1.1 fib (down u v)))
+          fst (Pr_fastpath.Fib.Delta.apply_exn fib (down u v)))
         edges
     in
     let full () =
@@ -2172,7 +2158,7 @@ let bench_cmd =
   let swap =
     Arg.(value & flag & info [ "swap" ]
            ~doc:"Also time the control plane: per-edge incremental FIB
-                 recompile vs full recompile, and the epoch-store hot-swap
+                 repair vs full recompile, and the epoch-store hot-swap
                  pause, written as JSON.")
   in
   let swap_out =

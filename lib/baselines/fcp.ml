@@ -18,6 +18,7 @@ let run ?ttl g ~failures ~src ~dst () =
   (* Between two failure learnings the packet follows one consistent tree
      (at most n hops); at most m failures can be learned. *)
   let ttl = match ttl with Some t -> t | None -> ((Graph.m g + 1) * n) + 16 in
+  if ttl < 0 then invalid_arg (Printf.sprintf "Fcp.run: negative TTL %d" ttl);
   let known = Pr_util.Bitset.create (Graph.m g) in
   let recomputations = ref 0 in
   let compute_tree () =

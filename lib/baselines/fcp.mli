@@ -25,6 +25,9 @@ val run :
   dst:int ->
   unit ->
   trace
+(** The walk ends when its TTL reaches exactly 0, so TTL 0 expires at
+    the source; a negative [ttl] raises [Invalid_argument] before the
+    walk, as do out-of-range nodes and [src = dst]. *)
 
 val path_cost : Pr_graph.Graph.t -> trace -> float
 

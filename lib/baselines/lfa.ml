@@ -56,6 +56,7 @@ let run ?ttl routing ~failures ~src ~dst () =
     invalid_arg "Lfa.run: node out of range";
   if src = dst then invalid_arg "Lfa.run: src = dst";
   let ttl = match ttl with Some t -> t | None -> (4 * n) + 16 in
+  if ttl < 0 then invalid_arg (Printf.sprintf "Lfa.run: negative TTL %d" ttl);
   let rec step x ~ttl acc =
     if x = dst then { outcome = Delivered; path = List.rev acc }
     else if ttl = 0 then { outcome = Ttl_exceeded; path = List.rev acc }

@@ -35,6 +35,9 @@ val run :
   trace
 (** Forwarding with LFA repair: primary next hop if up, otherwise the LFA
     if one exists (packets repaired by an LFA are forwarded normally
-    downstream), otherwise the packet is dropped. *)
+    downstream), otherwise the packet is dropped.  The walk ends when its
+    TTL reaches exactly 0, so TTL 0 expires at the source; a negative
+    [ttl] raises [Invalid_argument] before the walk, as do out-of-range
+    nodes and [src = dst]. *)
 
 val stretch : routing:Pr_core.Routing.t -> trace:trace -> src:int -> dst:int -> float

@@ -72,6 +72,7 @@ let run ?ttl t ~failures ~src ~dst () =
     invalid_arg "Mrc.run: node out of range";
   if src = dst then invalid_arg "Mrc.run: src = dst";
   let ttl = match ttl with Some v -> v | None -> (4 * n) + 16 in
+  if ttl < 0 then invalid_arg (Printf.sprintf "Mrc.run: negative TTL %d" ttl);
   let rec walk x config ~ttl acc =
     if x = dst then
       {

@@ -49,7 +49,9 @@ val run :
 (** Normal shortest-path forwarding; on the first failed link, switch
     permanently to the isolating configuration; a further failed link in
     that configuration drops the packet (MRC is a single-failure
-    mechanism). *)
+    mechanism).  The walk ends when its TTL reaches exactly 0, so TTL 0
+    expires at the source; a negative [ttl] raises [Invalid_argument]
+    before the walk, as do out-of-range nodes and [src = dst]. *)
 
 val stretch :
   routing:Pr_core.Routing.t -> trace:trace -> src:int -> dst:int -> float

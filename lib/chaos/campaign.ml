@@ -154,8 +154,7 @@ let report config t =
     match config.control with
     | None -> ""
     | Some c ->
-        Printf.sprintf ", control (delay %g, threshold %g)" c.Engine.delay
-          c.Engine.threshold);
+        Printf.sprintf ", control (delay %g)" c.Engine.delay);
   Printf.bprintf buf
     "  %d link events (%d before hold-down), %d packet injections\n\n"
     (List.length t.link_events)

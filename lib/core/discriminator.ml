@@ -2,25 +2,30 @@ module Dijkstra = Pr_graph.Dijkstra
 
 type kind = Hops | Weighted
 
-(* The DD rule.  Inlined in this module, so its float stays unboxed. *)
-let[@inline] value kind (tree : Dijkstra.tree) v =
+(* The DD rule, of a node [dist] and [hops] hops from the root.  Inlined
+   in this module, so its float stays unboxed. *)
+let[@inline] of_path kind ~dist ~hops =
   match kind with
-  | Hops ->
-      let h = tree.hops.(v) in
-      if h = max_int then infinity else float_of_int h
-  | Weighted -> tree.dist.(v)
+  | Hops -> if hops = max_int then infinity else float_of_int hops
+  | Weighted -> dist
+
+let[@inline] value kind (tree : Dijkstra.tree) v =
+  of_path kind ~dist:tree.dist.(v) ~hops:tree.hops.(v)
 
 let[@inline] quantise kind v =
   match kind with
   | Hops -> int_of_float v
   | Weighted -> int_of_float (Float.ceil v)
 
+let[@inline] cell kind ~disc ~disc_q i ~dist ~hops =
+  let v = of_path kind ~dist ~hops in
+  disc.(i) <- v;
+  disc_q.(i) <- quantise kind v
+
 let column kind (tree : Dijkstra.tree) ~disc ~disc_q ~first ~stride =
   for x = 0 to Array.length tree.dist - 1 do
-    let v = value kind tree x in
-    let i = first + (x * stride) in
-    disc.(i) <- v;
-    disc_q.(i) <- quantise kind v
+    cell kind ~disc ~disc_q (first + (x * stride)) ~dist:tree.dist.(x)
+      ~hops:tree.hops.(x)
   done
 
 let bits_for_range max_value =

@@ -19,6 +19,21 @@ val quantise : kind -> float -> int
 (** A value as carried in the DD bits: the identity for hop counts, the
     integer ceiling for weighted costs.  The one DD quantiser. *)
 
+val cell :
+  kind ->
+  disc:float array ->
+  disc_q:int array ->
+  int ->
+  dist:float ->
+  hops:int ->
+  unit
+(** [cell kind ~disc ~disc_q i ~dist ~hops] stores the {!value} of a
+    node [dist] away from the root over a path of [hops] hops ([infinity]
+    and [max_int] when unreachable) at [disc.(i)], and its {!quantise}d
+    value at [disc_q.(i)].  [hops] is read only under [Hops], [dist] only
+    under [Weighted].  The one DD cell writer: {!column} and the FIB
+    repair of [Fib.Delta] both write through it. *)
+
 val column :
   kind ->
   Pr_graph.Dijkstra.tree ->

@@ -77,9 +77,9 @@ let find_mismatch g1 g2 =
 
 (* Sampled per-destination compile costs from the most recent
    span-recorded [fill] on this domain: (dst, ns) pairs for every k-th
-   recompiled destination column, k sized for at most [cost_samples]
-   samples.  Only collected while a Span recorder is installed, and
-   consumed by the [prcli report --compile] hotspot table. *)
+   destination column, k sized for at most [cost_samples] samples.  Only
+   collected while a Span recorder is installed, and consumed by the
+   [prcli report --compile] hotspot table. *)
 let cost_samples = 512
 
 let last_costs : (int * int64) list ref = ref []
@@ -87,44 +87,39 @@ let last_costs : (int * int64) list ref = ref []
 let last_compile_costs () = List.rev !last_costs
 
 (* The one compiler from SPF trees ([tree dst]) to an image's route
-   columns, over [t]'s structure and admin state.  Dirty destinations'
-   columns are recomputed, every other cell copied from [t].  All dirty
-   ({!of_tables}): fresh columns, [t]'s are never read. *)
-let fill t ~tree ~dirty =
+   columns, over [t]'s structure and admin state: fresh columns for every
+   destination, [t]'s are never read.  {!of_tables} and
+   [Delta.recompile] compile through it; [Delta.apply] repairs a copy of
+   its parent's columns instead, through the same DD cell writer. *)
+let fill t ~tree =
   let n = t.n in
-  let all_dirty = Array.for_all Fun.id dirty in
-  let column parent empty =
-    if all_dirty then Array.make (n * n) empty else Array.copy parent
-  in
-  let next_hop_port = column t.next_hop_port (-1) in
-  let disc = column t.disc infinity in
-  let disc_q = column t.disc_q 0 in
-  let distance = column t.distance infinity in
+  let next_hop_port = Array.make (n * n) (-1) in
+  let disc = Array.make (n * n) infinity in
+  let disc_q = Array.make (n * n) 0 in
+  let distance = Array.make (n * n) infinity in
   let recording = Pr_telemetry.Span.recording () in
   if recording then last_costs := [];
   let sample_every = max 1 (n / cost_samples) in
   Pr_telemetry.Span.timed "fib.compile.routes" (fun () ->
       for dst = 0 to n - 1 do
-        if dirty.(dst) then begin
-          let sampled = recording && dst mod sample_every = 0 in
-          let t0 = if sampled then Pr_telemetry.Probe.now_ns () else 0L in
-          let tree : Dijkstra.tree = tree dst in
-          let parent = tree.parent and dist = tree.dist in
-          for x = 0 to n - 1 do
-            let i = (x * n) + dst and p = parent.(x) in
-            (* No next hop at the destination itself or when unreachable. *)
-            next_hop_port.(i) <-
-              (if x = dst || p < 0 then -1 else t.node_port.((x * n) + p));
-            distance.(i) <- dist.(x)
-          done;
-          Pr_core.Discriminator.column t.kind tree ~disc ~disc_q ~first:dst ~stride:n;
-          if sampled then begin
-            last_costs :=
-              (dst, Int64.sub (Pr_telemetry.Probe.now_ns ()) t0) :: !last_costs;
-            Pr_telemetry.Flight.Progress.tick
-              ~frac:(float_of_int dst /. float_of_int n)
-              ()
-          end
+        let sampled = recording && dst mod sample_every = 0 in
+        let t0 = if sampled then Pr_telemetry.Probe.now_ns () else 0L in
+        let tree : Dijkstra.tree = tree dst in
+        let parent = tree.parent and dist = tree.dist in
+        for x = 0 to n - 1 do
+          let i = (x * n) + dst and p = parent.(x) in
+          (* No next hop at the destination itself or when unreachable. *)
+          next_hop_port.(i) <-
+            (if x = dst || p < 0 then -1 else t.node_port.((x * n) + p));
+          distance.(i) <- dist.(x)
+        done;
+        Pr_core.Discriminator.column t.kind tree ~disc ~disc_q ~first:dst ~stride:n;
+        if sampled then begin
+          last_costs :=
+            (dst, Int64.sub (Pr_telemetry.Probe.now_ns ()) t0) :: !last_costs;
+          Pr_telemetry.Flight.Progress.tick
+            ~frac:(float_of_int dst /. float_of_int n)
+            ()
         end
       done);
   { t with next_hop_port; disc; disc_q; distance }
@@ -169,8 +164,8 @@ let of_tables ?ports routing cycles =
                 (Graph.neighbours g x)
             done);
         let sc_plan = Pr_core.Seen.plan ~nodes:n ~width:default_sc_width in
-        (* Structure and an all-live admin state; the route columns are
-           the all-dirty case of [fill]. *)
+        (* Structure and an all-live admin state; [fill] writes the route
+           columns. *)
         let structure =
           { g; kind = Routing.kind routing; n; ports = width; degree; port_node;
             port_weight; node_port; cycle_col; dd_bits = Routing.dd_bits routing;
@@ -180,7 +175,7 @@ let of_tables ?ports routing cycles =
             live = Array.make (Graph.m g) true;
             eff_weight = Array.init (Graph.m g) (fun i -> (Graph.edge g i).Graph.w) }
         in
-        Ok (fill structure ~tree:(Routing.tree routing) ~dirty:(Array.make n true))
+        Ok (fill structure ~tree:(Routing.tree routing))
   end
 
 let of_tables_exn ?ports routing cycles =
@@ -567,7 +562,7 @@ module Codec = struct
     | _ -> fail "truncated image"
 end
 
-(* ---- the delta overlay: incremental recompile ---- *)
+(* ---- the delta overlay: incremental repair ---- *)
 
 module Delta = struct
   type change = Down | Up | Weight of float
@@ -599,13 +594,11 @@ module Delta = struct
   type stats = { edits : int; dirty : int; full : bool }
 
   let describe_stats s =
-    Printf.sprintf "%d edit(s): %d dirty destination(s), %s recompile" s.edits
-      s.dirty
-      (if s.full then "full" else "incremental")
+    Printf.sprintf "%d edit(s): %d destination(s) repaired" s.edits s.dirty
 
   (* Validate a batch against the base graph and the image's current
-     administrative state; returns the canonicalised edits with their
-     base edge indices, plus the next admin state. *)
+     administrative state; returns the edited links, canonical and with
+     their base edge indices, plus the next admin state. *)
   let validate t edits =
     let g = t.g and n = t.n in
     let live = Array.copy t.live and eff = Array.copy t.eff_weight in
@@ -632,7 +625,7 @@ module Delta = struct
                              { u = cu; v = cv; what = "already down" })
                       else begin
                         live.(idx) <- false;
-                        go ((idx, cu, cv, change) :: acc) rest
+                        go ((idx, cu, cv) :: acc) rest
                       end
                   | Up ->
                       if live.(idx) then
@@ -640,7 +633,7 @@ module Delta = struct
                           (Redundant_edit { u = cu; v = cv; what = "already up" })
                       else begin
                         live.(idx) <- true;
-                        go ((idx, cu, cv, change) :: acc) rest
+                        go ((idx, cu, cv) :: acc) rest
                       end
                   | Weight w ->
                       if not (Float.is_finite w) || w <= 0.0 then
@@ -656,103 +649,224 @@ module Delta = struct
                              })
                       else begin
                         eff.(idx) <- w;
-                        go ((idx, cu, cv, change) :: acc) rest
+                        go ((idx, cu, cv) :: acc) rest
                       end
                 end
           end
     in
     go [] edits
 
-  (* Conservative dirty-destination predicate, evaluated against the
-     {e current} image's distance table.  A destination is clean only
-     when the edit provably leaves both its distance column and its
-     tight-edge set unchanged, in which case the canonical SPF tree —
-     and every compiled row derived from it — is bit-reusable:
+  (* How each validated edit moves the effective graph.  A link that
+     leaves it or gets longer is a cut: it can only move the trees that
+     use it.  One that joins it or gets shorter is a join: it can only
+     improve its endpoints.  A weight set on a down link moves nothing.
+     Cuts carry each end's port to the other, joins their edge index. *)
+  let classify t ~live ~eff edits =
+    let n = t.n in
+    let cuts, joins =
+      List.fold_left
+        (fun (cuts, joins) (idx, u, v) ->
+          let was = t.live.(idx) and is = live.(idx) in
+          let w0 = t.eff_weight.(idx) and w1 = eff.(idx) in
+          if was && ((not is) || w1 > w0) then
+            ((u, v, t.node_port.((u * n) + v), t.node_port.((v * n) + u)) :: cuts,
+             joins)
+          else if is && ((not was) || w1 < w0) then (cuts, (u, v, idx) :: joins)
+          else (cuts, joins))
+        ([], []) edits
+    in
+    (Array.of_list cuts, Array.of_list joins)
 
-     - removal / weight increase: the edge can only matter if it was
-       tight for [dst] ([d(u) = w_old + d(v)] or symmetrically);
-     - addition / weight decrease: the edge can only matter if it now
-       offers a path at least as good ([w_new + d(v) <= d(u)] or
-       symmetrically; ties included, because a new tight predecessor can
-       change the canonical parent choice). *)
-  let mark_dirty t edits dirty =
-    let n = t.n and d = t.distance in
+  (* The exact repair (DESIGN.md §6e).  The four route planes are copied
+     from the parent once; then, per destination, in place:
+
+     (a) the region, the union of the parent-tree subtrees under every
+         cut link the destination's tree uses ([parent u = v], read from
+         [next_hop_port]), is reset to unreachable and seeded from its
+         live neighbours outside it;
+     (b) each endpoint a join improves, strictly or by a tie to a smaller
+         id, is seeded from the other end.
+
+     One decrease pass from those seeds settles every queued node on the
+     effective graph, with Dijkstra's queue and its smallest-id
+     tie-break: a node whose label falls, or whose parent moves to a
+     smaller id (the smaller port: ports are in id order), is queued.
+     Under [Hops] a settled node whose hop count moved also queues its
+     children, so hops follow parents.  A settled node's DD cell is
+     written then; nothing else is written. *)
+  let repair t ~live ~eff edits =
+    let { g; n; ports; kind; node_port; port_node; _ } = t in
+    let cuts, joins = classify t ~live ~eff edits in
+    let next_hop_port = Array.copy t.next_hop_port
+    and distance = Array.copy t.distance
+    and disc = Array.copy t.disc
+    and disc_q = Array.copy t.disc_q in
+    let heap = Array.make n 0
+    and pos = Array.make n Dijkstra.unseen
+    and key = Array.make n infinity in
+    let size = ref 0 and queued = Array.make n 0 and nq = ref 0 in
+    let region = Array.make n 0 and mark = Array.make n (-1) and k = ref 0 in
+    let enter dst x =
+      if mark.(x) <> dst then begin
+        mark.(x) <- dst;
+        region.(!k) <- x;
+        incr k
+      end
+    in
+    let enqueue dst x =
+      key.(x) <- distance.((x * n) + dst);
+      if pos.(x) = Dijkstra.unseen then begin
+        queued.(!nq) <- x;
+        incr nq;
+        size := Dijkstra.push heap pos key !size x
+      end
+      else Dijkstra.decrease heap pos key x
+    in
+    (* Offer [x] the path through its neighbour [y] over base edge [e].
+       With [requeue_child], [y]'s hop count moved, so [x] is queued too
+       when [y] already is its parent. *)
+    let relax dst ~requeue_child y x e =
+      let c = distance.((y * n) + dst) +. eff.(e) and i = (x * n) + dst in
+      let lx = distance.(i) in
+      if c < lx then begin
+        distance.(i) <- c;
+        next_hop_port.(i) <- node_port.((x * n) + y);
+        enqueue dst x
+      end
+      else if c = lx then begin
+        let port = node_port.((x * n) + y) and cur = next_hop_port.(i) in
+        if port < cur then begin
+          next_hop_port.(i) <- port;
+          enqueue dst x
+        end
+        else if requeue_child && port = cur && pos.(x) = Dijkstra.unseen then
+          enqueue dst x
+      end
+    in
+    (* Write the settled [y]'s DD cell; whether its hop count moved. *)
+    let settle dst y =
+      let i = (y * n) + dst in
+      match kind with
+      | Pr_core.Discriminator.Weighted ->
+          Pr_core.Discriminator.cell kind ~disc ~disc_q i ~dist:distance.(i)
+            ~hops:0;
+          false
+      | Pr_core.Discriminator.Hops ->
+          let parent = port_node.((y * ports) + next_hop_port.(i)) in
+          Pr_core.Discriminator.cell kind ~disc ~disc_q i ~dist:distance.(i)
+            ~hops:(disc_q.((parent * n) + dst) + 1);
+          not (Float.equal disc.(i) t.disc.(i))
+    in
+    let repaired = ref 0 in
+    for dst = 0 to n - 1 do
+      k := 0;
+      nq := 0;
+      for j = 0 to Array.length cuts - 1 do
+        let u, v, pu, pv = cuts.(j) in
+        if t.next_hop_port.((u * n) + dst) = pu then enter dst u;
+        if t.next_hop_port.((v * n) + dst) = pv then enter dst v
+      done;
+      (* (a) Close the region under the parent tree's children... *)
+      let j = ref 0 in
+      while !j < !k do
+        let x = region.(!j) in
+        incr j;
+        let nbrs = Graph.neighbours g x in
+        for s = 0 to Array.length nbrs - 1 do
+          let y = nbrs.(s) in
+          let p = t.next_hop_port.((y * n) + dst) in
+          if p >= 0 && port_node.((y * ports) + p) = x then enter dst y
+        done
+      done;
+      (* ...reset it, then seed it from outside. *)
+      for j = 0 to !k - 1 do
+        let i = (region.(j) * n) + dst in
+        distance.(i) <- infinity;
+        next_hop_port.(i) <- -1;
+        Pr_core.Discriminator.cell kind ~disc ~disc_q i ~dist:infinity
+          ~hops:max_int
+      done;
+      for j = 0 to !k - 1 do
+        let x = region.(j) in
+        let nbrs = Graph.neighbours g x and edges = Graph.slot_edges g x in
+        for s = 0 to Array.length nbrs - 1 do
+          let y = nbrs.(s) and e = edges.(s) in
+          if live.(e) && mark.(y) <> dst then relax dst ~requeue_child:false y x e
+        done
+      done;
+      (* (b) Joins between nodes outside the region; one with an end
+         inside it reaches that end through (a)'s seeds or the pass. *)
+      for j = 0 to Array.length joins - 1 do
+        let u, v, e = joins.(j) in
+        if mark.(u) <> dst && mark.(v) <> dst then begin
+          relax dst ~requeue_child:false v u e;
+          relax dst ~requeue_child:false u v e
+        end
+      done;
+      if !k > 0 || !nq > 0 then incr repaired;
+      while !size > 0 do
+        let y = Dijkstra.pop heap pos key !size in
+        decr size;
+        let requeue_child = settle dst y in
+        let nbrs = Graph.neighbours g y and edges = Graph.slot_edges g y in
+        for s = 0 to Array.length nbrs - 1 do
+          let x = nbrs.(s) and e = edges.(s) in
+          if live.(e) && pos.(x) <> Dijkstra.settled then
+            relax dst ~requeue_child y x e
+        done
+      done;
+      for j = 0 to !nq - 1 do
+        pos.(queued.(j)) <- Dijkstra.unseen
+      done
+    done;
+    ({ t with next_hop_port; distance; disc; disc_q }, !repaired)
+
+  (* [t]'s port weights with every link at its effective weight in [eff]. *)
+  let port_weights t ~eff links =
+    let port_weight = Array.copy t.port_weight in
     List.iter
-      (fun (idx, u, v, change) ->
-        let w_old = t.eff_weight.(idx) in
-        let tight dst =
-          let du = d.((u * n) + dst) and dv = d.((v * n) + dst) in
-          du = w_old +. dv || dv = w_old +. du
-        in
-        let improves w dst =
-          let du = d.((u * n) + dst) and dv = d.((v * n) + dst) in
-          w +. dv <= du || w +. du <= dv
-        in
-        for dst = 0 to n - 1 do
-          if not dirty.(dst) then
-            let is_dirty =
-              match change with
-              | Down -> tight dst
-              | Up -> improves w_old dst
-              | Weight w_new ->
-                  t.live.(idx)
-                  && (if w_new > w_old then tight dst else improves w_new dst)
-            in
-            if is_dirty then dirty.(dst) <- true
-        done)
-      edits
+      (fun (i, u, v) ->
+        port_weight.(slot t ~node:u ~other:v) <- eff.(i);
+        port_weight.(slot t ~node:v ~other:u) <- eff.(i))
+      links;
+    port_weight
+
+  let apply t edits =
+    Pr_telemetry.Span.timed "fib.delta.apply" @@ fun () ->
+    match validate t edits with
+    | Error e -> Error e
+    | Ok (edits, live, eff) ->
+        let image, repaired = repair t ~live ~eff edits in
+        let port_weight = port_weights t ~eff edits in
+        Ok
+          ( { image with port_weight; live; eff_weight = eff },
+            { edits = List.length edits; dirty = repaired; full = false } )
+
+  let apply_exn t edits =
+    match apply t edits with
+    | Ok r -> r
+    | Error e -> invalid_arg (describe_error e)
 
   (* The effective topology: administratively live links at their
      effective weights, over the base node set.  Structure (ports,
      the cycle column) always stays the base one — an
      admin-down link keeps its port and is masked at forwarding time. *)
-  let effective_graph t ~live ~eff =
+  let effective_graph t =
     Graph.create ~n:t.n
       (List.rev
          (Graph.fold_edges
             (fun i (e : Graph.edge) acc ->
-              if live.(i) then (e.u, e.v, eff.(i)) :: acc else acc)
+              if t.live.(i) then (e.u, e.v, t.eff_weight.(i)) :: acc else acc)
             t.g []))
-
-  (* Recompile exactly the dirty rows against the effective topology,
-     byte-copying every clean row from the current image. *)
-  let rebuild t ~live ~eff ~dirty =
-    let geff = effective_graph t ~live ~eff in
-    let port_weight = Array.copy t.port_weight in
-    Graph.iter_edges
-      (fun i (e : Graph.edge) ->
-        let w = eff.(i) in
-        port_weight.(slot t ~node:e.u ~other:e.v) <- w;
-        port_weight.(slot t ~node:e.v ~other:e.u) <- w)
-      t.g;
-    fill
-      { t with port_weight; live; eff_weight = eff }
-      ~tree:(Dijkstra.spf geff)
-      ~dirty
-
-  let apply ?(threshold = 0.5) t edits =
-    Pr_telemetry.Span.timed "fib.delta.apply" @@ fun () ->
-    match validate t edits with
-    | Error e -> Error e
-    | Ok (edits, live, eff) ->
-        let n = t.n in
-        let dirty = Array.make n false in
-        mark_dirty t edits dirty;
-        let count = Array.fold_left (fun a d -> if d then a + 1 else a) 0 dirty in
-        let full = float_of_int count > threshold *. float_of_int n in
-        if full then Array.fill dirty 0 n true;
-        Ok
-          ( rebuild t ~live ~eff ~dirty,
-            { edits = List.length edits; dirty = count; full } )
-
-  let apply_exn ?threshold t edits =
-    match apply ?threshold t edits with
-    | Ok r -> r
-    | Error e -> invalid_arg (describe_error e)
 
   let recompile t =
     Pr_telemetry.Span.timed "fib.recompile" @@ fun () ->
-    let n = t.n in
-    rebuild t ~live:(Array.copy t.live) ~eff:(Array.copy t.eff_weight)
-      ~dirty:(Array.make n true)
+    let port_weight =
+      port_weights t ~eff:t.eff_weight
+        (Graph.fold_edges (fun i (e : Graph.edge) acc -> (i, e.u, e.v) :: acc) t.g [])
+    in
+    fill
+      { t with port_weight; live = Array.copy t.live;
+               eff_weight = Array.copy t.eff_weight }
+      ~tree:(Dijkstra.spf (effective_graph t))
 end

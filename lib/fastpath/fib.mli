@@ -19,12 +19,12 @@
 
     {b The image lifecycle.}  [of_tables] compiles the {e base image}
     from the failure-free tables.  Control-plane edits (administrative
-    link up/down, weight changes) go through {!Delta}, which recompiles
-    only the affected rows and returns a {e new} image sharing every
-    untouched array row byte-for-byte with its parent — the base
-    structure (port numbering, the cycle column, DD bit
-    budget) never changes, so any two images in one lineage are
-    interchangeable under a running {!Kernel} via [Kernel.rebind].
+    link up/down, weight changes) go through {!Delta}, which repairs only
+    the route cells the edits move and returns a {e new} image, every
+    other cell byte-equal to its parent's — the base structure (port
+    numbering, the cycle column, DD bit budget) never changes, so any two
+    images in one lineage are interchangeable under a running {!Kernel}
+    via [Kernel.rebind].
     Epoch-ordered publication of successive images is {!Swap}'s job. *)
 
 type t
@@ -55,8 +55,8 @@ val of_tables :
 
     Only the structure (ports, cycle column, shortcut masks, an all-live
     admin state) is laid out here; the route columns come from the
-    per-destination fill {!Delta} recompiles with, run over
-    [Routing.tree] with every destination dirty.  Sub-spans:
+    per-destination fill {!Delta.recompile} also compiles with, run over
+    [Routing.tree] for every destination.  Sub-spans:
     [fib.compile.ports], [.cycles], [.routes]. *)
 
 val of_tables_exn :
@@ -114,11 +114,12 @@ val footprint_json : footprint -> string
 
 val last_compile_costs : unit -> (int * int64) list
 (** Sampled per-destination compile costs — (dst, wall ns) for the
-    route columns of every k-th recompiled destination, its SPF run
-    included under {!Delta} — from the most recent compile ({!of_tables}
-    or {!Delta}) under an installed {!Pr_telemetry.Span} recorder on
-    this domain, in destination order.  Span-gated: plain compiles pay
-    nothing and leave the list alone.  Feeds [prcli report --compile]. *)
+    route columns of every k-th destination, its SPF run included under
+    {!Delta.recompile} — from the most recent full compile ({!of_tables}
+    or {!Delta.recompile}; {!Delta.apply} files none) under an installed
+    {!Pr_telemetry.Span} recorder on this domain, in destination order.
+    Span-gated: plain compiles pay nothing and leave the list alone.
+    Feeds [prcli report --compile]. *)
 
 (** {2 Administrative state}
 
@@ -144,8 +145,8 @@ val admin_down : t -> (int * int) list
 val equal : t -> t -> bool
 (** Bitwise equality of every compiled array (floats compared by their
     IEEE bit patterns), the geometry and the administrative state — the
-    referee the differential harness uses to pin incremental recompiles
-    byte-equal to full ones. *)
+    referee the differential harness uses to pin incremental repairs
+    byte-equal to full recompiles. *)
 
 (** {2 Decompilation}
 
@@ -253,24 +254,27 @@ module Codec : sig
       exception. *)
 end
 
-(** {2 The delta overlay: incremental recompile}
+(** {2 The delta overlay: incremental repair}
 
     A batch of administrative edits against an image's current state
-    yields the next image of the lineage.  Only the rows an edit can
-    affect are recompiled; every other row is byte-copied from the
-    parent.  Cleanliness is decided by a conservative predicate on the
-    parent's distance table: an edit leaves a destination's column (and
-    its canonical SPF tree, and hence all derived rows) untouched when
-    the edited link was not tight for that destination (removal /
-    increase) or offers no path at least as good (addition / decrease,
-    ties included — a new tight predecessor can change the canonical
-    parent).  When the dirty set exceeds [threshold] (a fraction of the
-    node count, default 0.5) the apply falls back to a full recompile of
-    the same effective topology — same bytes, different cost.
+    yields the next image of the lineage.  {!Delta.apply} is an exact
+    repair of the parent's own columns, the dynamic shortest-path-tree
+    update of Ramalingam and Reps (1996) and Narváez, Siu and Tzeng
+    (2000).  It copies the four route planes once per batch; then, per
+    destination, it re-solves the union of the parent-tree subtrees
+    hanging under every removed or lengthened link that destination's tree
+    uses, seeded from their live neighbours outside that union, and seeds
+    each endpoint an added or shortened link improves, strictly or by a
+    tie to a smaller id.  One decrease pass over the effective graph, on
+    Dijkstra's queue and its smallest-id tie-break, settles the seeds; hop
+    counts follow parents.  Only the cells of the nodes it settles or cuts
+    off are written; no effective graph and no trees are built.
 
-    Recompiled rows come from {!of_tables}' fill over an SPF of the
-    effective topology, which files the [fib.compile.routes] sub-span
-    and {!last_compile_costs} samples here too.
+    The result is byte-equal to {!Delta.recompile} of the same
+    administrative state under Dijkstra's own tie-break condition: no
+    link weight is lost to rounding in a path sum (see
+    {!Pr_graph.Dijkstra}).  Tests, [prcli swap] and the chaos
+    crash-recovery campaign referee exactly this.
 
     The DD bit budget ([dd_bits]) is a header-format deployment
     constant: it stays the base image's whatever the edits do, exactly
@@ -301,23 +305,30 @@ module Delta : sig
 
   type stats = {
     edits : int;   (** batch size *)
-    dirty : int;   (** destinations the predicate marked dirty *)
-    full : bool;   (** whether the threshold forced a full recompile *)
+    dirty : int;   (** destinations repaired: those where the batch cut a
+                       tree link or improved an endpoint *)
+    full : bool;   (** always [false]: {!apply} never recompiles in full.
+                       Kept because the end-to-end benchmark reads it
+                       (its [delta.full_fallbacks] count). *)
   }
 
   val describe_stats : stats -> string
 
-  val apply : ?threshold:float -> t -> edit list -> (t * stats, error) result
+  val apply : t -> edit list -> (t * stats, error) result
   (** Apply one batch atomically: validation errors leave no trace, and
-      the returned image is the batch's effective topology fully
-      compiled.  The parent image is never mutated. *)
+      the returned image is the batch's effective topology, repaired as
+      above.  The parent image is never mutated.  Measured against a
+      full recompile on a BA n = 1000 image, a batch that takes the
+      hub's 74 links down costs under half of one (DESIGN.md §6e). *)
 
-  val apply_exn : ?threshold:float -> t -> edit list -> t * stats
+  val apply_exn : t -> edit list -> t * stats
   (** [Invalid_argument] with {!describe_error} on error. *)
 
   val recompile : t -> t
-  (** Full recompile of the image's current effective topology — every
-      row recomputed, none copied.  [recompile t] is byte-equal to [t]
-      whenever the incremental path is sound; the differential suite
-      pins exactly this. *)
+  (** Full recompile of the image's current effective topology — an SPF
+      of every destination over a rebuilt effective graph, through
+      {!of_tables}' fill, none of [t]'s route cells read.  The referee:
+      [recompile t] is byte-equal to [t] whenever {!apply} is sound; the
+      differential suite pins exactly this.  Files [fib.compile.routes]
+      and {!last_compile_costs}. *)
 end

@@ -6,7 +6,7 @@ type tree = {
 }
 
 (* The queue is an indexed binary min-heap over flat arrays: [heap] holds
-   the queued nodes, ordered by their [dist], and [pos] every node's slot
+   the queued nodes, ordered by their [key], and [pos] every node's slot
    in it, or one of the two states below.  Both arrays are scratch, shared
    by every root of one [all_roots] or [spf]. *)
 let unseen = -1
@@ -14,15 +14,15 @@ let unseen = -1
 let settled = -2
 
 (* Move the node at heap slot [i] up to its place. *)
-let sift_up heap pos (dist : float array) i =
+let sift_up heap pos (key : float array) i =
   let v = heap.(i) in
-  let dv = dist.(v) in
+  let kv = key.(v) in
   let i = ref i in
   while
     !i > 0
     &&
     let u = heap.((!i - 1) / 2) in
-    dv < dist.(u)
+    kv < key.(u)
   do
     let p = (!i - 1) / 2 in
     let u = heap.(p) in
@@ -34,19 +34,19 @@ let sift_up heap pos (dist : float array) i =
   pos.(v) <- !i
 
 (* Move the node at heap slot [i] down to its place in a heap of [size]. *)
-let sift_down heap pos (dist : float array) size i =
+let sift_down heap pos (key : float array) size i =
   let v = heap.(i) in
-  let dv = dist.(v) in
+  let kv = key.(v) in
   let i = ref i and sinking = ref true in
   while !sinking do
     let l = (2 * !i) + 1 in
     if l >= size then sinking := false
     else begin
       let c =
-        if l + 1 < size && dist.(heap.(l + 1)) < dist.(heap.(l)) then l + 1 else l
+        if l + 1 < size && key.(heap.(l + 1)) < key.(heap.(l)) then l + 1 else l
       in
       let u = heap.(c) in
-      if dist.(u) < dv then begin
+      if key.(u) < kv then begin
         heap.(!i) <- u;
         pos.(u) <- !i;
         i := c
@@ -57,6 +57,23 @@ let sift_down heap pos (dist : float array) size i =
   heap.(!i) <- v;
   pos.(v) <- !i
 
+let push heap pos key size v =
+  heap.(size) <- v;
+  sift_up heap pos key size;
+  size + 1
+
+let decrease heap pos key v = sift_up heap pos key pos.(v)
+
+let pop heap pos key size =
+  let v = heap.(0) in
+  pos.(v) <- settled;
+  let size = size - 1 in
+  if size > 0 then begin
+    heap.(0) <- heap.(size);
+    sift_down heap pos key size 0
+  end;
+  v
+
 (* Solve [t.root] into [t]'s arrays, which must read (infinity, -1,
    max_int) at every node, with [heap] and [pos] as the queue. *)
 let solve blocked g heap pos t =
@@ -66,17 +83,10 @@ let solve blocked g heap pos t =
   dist.(root) <- 0.0;
   parent.(root) <- root;
   hops.(root) <- 0;
-  heap.(0) <- root;
-  pos.(root) <- 0;
-  let size = ref 1 in
+  let size = ref (push heap pos dist 0 root) in
   while !size > 0 do
-    let v = heap.(0) in
+    let v = pop heap pos dist !size in
     decr size;
-    pos.(v) <- settled;
-    if !size > 0 then begin
-      heap.(0) <- heap.(!size);
-      sift_down heap pos dist !size 0
-    end;
     let dv = dist.(v) and hv = hops.(v) + 1 in
     let nbrs = Graph.neighbours g v in
     let weights = Graph.slot_weights g v and edges = Graph.slot_edges g v in
@@ -91,11 +101,7 @@ let solve blocked g heap pos t =
           dist.(w) <- c;
           parent.(w) <- v;
           hops.(w) <- hv;
-          if at = unseen then begin
-            heap.(!size) <- w;
-            incr size;
-            sift_up heap pos dist (!size - 1)
-          end
+          if at = unseen then size := push heap pos dist !size w
           else sift_up heap pos dist at
         end
         else if c = dist.(w) && v < parent.(w) then begin

@@ -35,9 +35,37 @@ val all_roots : ?blocked:(int -> bool) -> Graph.t -> tree array
 
 val spf : Graph.t -> int -> tree
 (** [spf g root] is [tree g ~root]; the calls of one [spf g] share one
-    queue, as the roots of [all_roots] do.  A FIB recompile solves its
-    dirty destinations this way.  One [spf g] must not be called from two
+    queue, as the roots of [all_roots] do.  A full FIB recompile solves
+    every destination this way.  One [spf g] must not be called from two
     domains at once. *)
+
+(** {2 The queue, over caller arrays}
+
+    The indexed binary min-heap every tree above is solved with, for a
+    caller that keeps its own labels: the FIB repair of [Fib.Delta]
+    queues the nodes it re-solves on them, without copying.  [heap]
+    holds the queued nodes in its first [size] slots; [pos.(v)] is [v]'s
+    slot in [heap], or {!unseen} or {!settled}; [key.(v)] is the label
+    [v] is ordered by.  Each array has one cell per node. *)
+
+val unseen : int
+(** [pos] of a node not queued since the caller last reset it. *)
+
+val settled : int
+(** [pos] of a node {!pop} has returned. *)
+
+val push : int array -> int array -> float array -> int -> int -> int
+(** [push heap pos key size v] queues the unseen [v] at [key.(v)] in a
+    heap of [size]; returns the new size. *)
+
+val decrease : int array -> int array -> float array -> int -> unit
+(** [decrease heap pos key v] restores the order after the caller
+    lowered [key.(v)] of a queued [v]. *)
+
+val pop : int array -> int array -> float array -> int -> int
+(** [pop heap pos key size] removes a node of least key from a heap of
+    [size > 0], marks it {!settled} and returns it; the heap then holds
+    [size - 1] nodes. *)
 
 val reachable : tree -> int -> bool
 

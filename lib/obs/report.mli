@@ -76,8 +76,8 @@ type bench_entry = {
   norm : float;
       (** the suite's normalised cost: compiled/reference per-packet
           ratio for fastpath, the on/off overhead ratio for probe and
-          linkload, the incremental/full recompile-time ratio for
-          swap *)
+          linkload, the incremental-repair/full-recompile time ratio
+          for swap *)
   detail : string;  (** one line of context for rendering *)
 }
 

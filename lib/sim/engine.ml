@@ -19,9 +19,9 @@ type config = {
   scheme : scheme;
 }
 
-type control = { delay : float; threshold : float }
+type control = { delay : float }
 
-let default_control = { delay = 0.5; threshold = 0.5 }
+let default_control = { delay = 0.5 }
 
 type swap_info = {
   epoch : int;
@@ -516,9 +516,6 @@ let run ?observer ?detection ?(backend = `Reference) ?control ?probe ?linkload
           ~blocked:(fun i -> not admin.(i));
       (if use_compiled then begin
          let store = Lazy.force swap_store in
-         let threshold =
-           match control with Some c -> c.threshold | None -> 0.5
-         in
          let edit =
            {
              Pr_fastpath.Fib.Delta.u;
@@ -529,7 +526,7 @@ let run ?observer ?detection ?(backend = `Reference) ?control ?probe ?linkload
            }
          in
          let next, _stats =
-           Pr_fastpath.Fib.Delta.apply_exn ~threshold
+           Pr_fastpath.Fib.Delta.apply_exn
              (Pr_fastpath.Swap.current store)
              [ edit ]
          in

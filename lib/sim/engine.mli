@@ -36,13 +36,12 @@ type config = {
   scheme : scheme;
 }
 
-type control = { delay : float; threshold : float }
+type control = { delay : float }
 (** The live control plane (PR scheme only).  [delay] time units after a
     link's operational transition is detected, the control plane
-    reconciles the link's administrative state: an incremental FIB
-    recompile ({!Pr_fastpath.Fib.Delta}, falling back to a full rebuild
-    past [threshold], a fraction of the node count) and an epoch-ordered
-    hot swap ({!Pr_fastpath.Swap}) on the compiled backend, a
+    reconciles the link's administrative state: an exact incremental FIB
+    repair ({!Pr_fastpath.Fib.Delta.apply}) and an epoch-ordered hot swap
+    ({!Pr_fastpath.Swap}) on the compiled backend, a
     {!Pr_core.Routing.build_blocked} rebuild on the reference backend —
     both backends stay verdict-identical.  In the window before the swap
     the data plane re-cycles exactly as the paper prescribes; after it,
@@ -51,7 +50,7 @@ type control = { delay : float; threshold : float }
     epoch. *)
 
 val default_control : control
-(** [delay = 0.5], [threshold = 0.5]. *)
+(** [delay = 0.5]. *)
 
 type swap_info = {
   epoch : int;          (** 1-based epoch this swap published *)

@@ -34,6 +34,19 @@ let test_header_bits () =
   let trace = Fcp.run g ~failures ~src:0 ~dst:1 () in
   Alcotest.(check int) "no failures, no bits" 0 (Fcp.header_bits g trace)
 
+(* A TTL below 0 never reaches the expiry test, so it is refused before
+   the walk.  TTL 0 expires at the source. *)
+let test_ttl_bounds () =
+  let g = square () in
+  let failures = Failure.of_list g [ (0, 1) ] in
+  (match Fcp.run ~ttl:(-1) g ~failures ~src:0 ~dst:1 () with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "negative TTL accepted");
+  let trace = Fcp.run ~ttl:0 g ~failures ~src:0 ~dst:1 () in
+  Alcotest.(check bool) "TTL 0 expires" true
+    (trace.Fcp.outcome = Fcp.Ttl_exceeded);
+  Alcotest.(check (list int)) "at the source" [ 0 ] trace.Fcp.path
+
 let qcheck_delivers_when_connected =
   QCheck.Test.make ~name:"FCP delivers whenever src and dst stay connected"
     ~count:80
@@ -93,6 +106,8 @@ let suite =
     Alcotest.test_case "learns failures" `Quick test_learns_failures;
     Alcotest.test_case "disconnected" `Quick test_disconnected;
     Alcotest.test_case "header bits" `Quick test_header_bits;
+    Alcotest.test_case "negative TTL refused, TTL 0 expires" `Quick
+      test_ttl_bounds;
     QCheck_alcotest.to_alcotest qcheck_delivers_when_connected;
     QCheck_alcotest.to_alcotest qcheck_carried_subset_of_failures;
     QCheck_alcotest.to_alcotest qcheck_stretch_at_least_reconvergence;

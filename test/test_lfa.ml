@@ -42,6 +42,24 @@ let test_uncovered_drops () =
   let trace = Lfa.run routing ~failures ~src:0 ~dst:1 () in
   Alcotest.(check bool) "dropped without LFA" true (trace.Lfa.outcome = Lfa.Dropped)
 
+(* A TTL below 0 never reaches the expiry test, so it is refused before
+   the walk; Géant 2 -> 0 with these three links failed loops to expiry
+   under the default TTL.  TTL 0 expires at the source. *)
+let test_ttl_bounds () =
+  let g = (Pr_topo.Geant.topology ()).Pr_topo.Topology.graph in
+  let routing = Routing.build g in
+  let failures = Failure.of_list g [ (2, 27); (4, 16); (12, 18) ] in
+  let looping = Lfa.run routing ~failures ~src:2 ~dst:0 () in
+  Alcotest.(check bool) "the pair loops to expiry" true
+    (looping.Lfa.outcome = Lfa.Ttl_exceeded);
+  (match Lfa.run ~ttl:(-1) routing ~failures ~src:2 ~dst:0 () with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "negative TTL accepted");
+  let expired = Lfa.run ~ttl:0 routing ~failures ~src:2 ~dst:0 () in
+  Alcotest.(check bool) "TTL 0 expires" true
+    (expired.Lfa.outcome = Lfa.Ttl_exceeded);
+  Alcotest.(check (list int)) "at the source" [ 2 ] expired.Lfa.path
+
 let test_coverage_between_zero_and_one () =
   List.iter
     (fun topo ->
@@ -83,5 +101,7 @@ let suite =
     Alcotest.test_case "repair delivers" `Quick test_repair_delivers;
     Alcotest.test_case "uncovered drops" `Quick test_uncovered_drops;
     Alcotest.test_case "coverage on paper maps" `Quick test_coverage_between_zero_and_one;
+    Alcotest.test_case "negative TTL refused, TTL 0 expires" `Quick
+      test_ttl_bounds;
     QCheck_alcotest.to_alcotest qcheck_single_failure_never_loops;
   ]

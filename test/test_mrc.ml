@@ -77,6 +77,20 @@ let test_second_failure_uncovered () =
     (Pr_core.Scenario.random_multi (Pr_util.Rng.create ~seed:8) g ~k:3 ~samples:30);
   Alcotest.(check bool) "some triple-failure case drops" true !dropped
 
+(* A TTL below 0 never reaches the expiry test, so it is refused before
+   the walk.  TTL 0 expires at the source. *)
+let test_ttl_bounds () =
+  let g = abilene () in
+  let t = build_exn g in
+  let failures = Failure.none g in
+  (match Mrc.run ~ttl:(-1) t ~failures ~src:0 ~dst:10 () with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "negative TTL accepted");
+  let trace = Mrc.run ~ttl:0 t ~failures ~src:0 ~dst:10 () in
+  Alcotest.(check bool) "TTL 0 expires" true
+    (trace.Mrc.outcome = Mrc.Ttl_exceeded);
+  Alcotest.(check (list int)) "at the source" [ 0 ] trace.Mrc.path
+
 let qcheck_single_failure_on_random_graphs =
   QCheck.Test.make ~name:"MRC covers single failures on 2-connected graphs"
     ~count:40
@@ -103,5 +117,7 @@ let suite =
     Alcotest.test_case "single-failure coverage" `Quick test_single_failure_coverage;
     Alcotest.test_case "no failure = normal routing" `Quick test_no_failure_uses_normal_routing;
     Alcotest.test_case "second failure uncovered" `Quick test_second_failure_uncovered;
+    Alcotest.test_case "negative TTL refused, TTL 0 expires" `Quick
+      test_ttl_bounds;
     QCheck_alcotest.to_alcotest qcheck_single_failure_on_random_graphs;
   ]

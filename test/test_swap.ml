@@ -37,10 +37,12 @@ let paper_topologies () =
 
    Valid by construction (the hardening tests poke the invalid shapes):
    each batch edits 1-3 distinct links, every edit changes the
-   administrative state it applies to.  Weights are multiples of 0.25 so
-   float sums in the dirty predicate and the SPF are exact. *)
+   administrative state it applies to.  A live link goes down or takes a
+   new weight; a down link comes up or takes a new weight while down.  A
+   new weight is the current one scaled up or down by a dyadic factor, so
+   unit and integer weights keep exact sums and exact ties. *)
 
-let weight_grid = [| 0.5; 0.75; 1.0; 1.5; 2.0; 2.5; 3.0; 4.0 |]
+let weight_factors = [| 0.5; 0.75; 1.5; 2.0 |]
 
 let random_batch rng fib =
   let g = Fib.graph fib in
@@ -52,28 +54,22 @@ let random_batch rng fib =
       let e = Graph.edge g idx in
       let live = Fib.link_live fib ~u:e.Graph.u ~v:e.Graph.v in
       let change =
-        if live then
-          if Rng.int rng 2 = 0 then Delta.Down
-          else begin
-            let cur = Fib.eff_weight fib ~u:e.Graph.u ~v:e.Graph.v in
-            let rec pick () =
-              let w = weight_grid.(Rng.int rng (Array.length weight_grid)) in
-              if w = cur then pick () else w
-            in
-            Delta.Weight (pick ())
-          end
-        else Delta.Up
+        if Rng.int rng 2 = 0 then if live then Delta.Down else Delta.Up
+        else
+          let cur = Fib.eff_weight fib ~u:e.Graph.u ~v:e.Graph.v in
+          Delta.Weight
+            (cur *. weight_factors.(Rng.int rng (Array.length weight_factors)))
       in
       { Delta.u = e.Graph.u; v = e.Graph.v; change })
     picks
 
 (* One randomized sequence: apply [batches] batches incrementally and
    referee every intermediate image against its own full recompile. *)
-let check_sequence ?threshold rng fib ~batches =
+let check_sequence rng fib ~batches =
   let cur = ref fib in
   for _ = 1 to batches do
     let batch = random_batch rng !cur in
-    match Delta.apply ?threshold !cur batch with
+    match Delta.apply !cur batch with
     | Error e -> Alcotest.fail (Delta.describe_error e)
     | Ok (next, stats) ->
         if not (Fib.equal next (Delta.recompile next)) then
@@ -125,20 +121,6 @@ let test_differential_paper_topologies () =
         ignore (check_sequence rng fib ~batches:4 : Fib.t)
       done)
     (paper_topologies ())
-
-(* Forcing the threshold to 0 forces the full-recompile fall-back; the
-   bytes must not depend on which path produced them. *)
-let test_threshold_fallback_equivalence () =
-  let topo, rotation = List.hd (paper_topologies ()) in
-  let fib = compile topo.Pr_topo.Topology.graph rotation in
-  for seq = 0 to 7 do
-    let rng_a = Rng.create ~seed:(0xFA11 + seq) in
-    let rng_b = Rng.copy rng_a in
-    let incremental = check_sequence ~threshold:1.0 rng_a fib ~batches:3 in
-    let full = check_sequence ~threshold:0.0 rng_b fib ~batches:3 in
-    Alcotest.(check bool) "threshold does not change the bytes" true
-      (Fib.equal incremental full)
-  done
 
 let test_round_trip_returns_base_bytes () =
   List.iter
@@ -572,19 +554,55 @@ let test_timed_control_swaps () =
 
 (* ---- QCheck: edits commute with full recompile ---- *)
 
-(* An arbitrary interleaving of valid single edits, applied one at a
-   time, lands on the same bytes as a full recompile of the final
-   state — and as the same edits grouped into one mergeable batch when
-   they touch distinct links. *)
+(* The instance a property case draws, by family:
+   - 0: BA with n 30-150 and k 1-3, unit weights.  Ties are exact, and at
+     k = 1 every Down cuts a bridge, so whole subtrees become unreachable;
+   - 1: Waxman with n 30-150 and Euclidean weights.  Under [Hops] a
+     re-parented node's hop count can move while its distance stays, and
+     its children's hop counts must follow;
+   - 2, 3: weighted Géant and Abilene (great-circle kilometres). *)
+let instance family seed =
+  let rng = Rng.create ~seed in
+  let n = 30 + Rng.int rng 121 in
+  match family with
+  | 0 -> Pr_topo.Generate.barabasi_albert rng ~n ~k:(1 + Rng.int rng 3)
+  | 1 ->
+      Pr_topo.Generate.waxman rng ~n
+        ~alpha:(Float.min 1.0 (50.0 /. float_of_int n))
+        ~beta:0.15
+  | 2 -> Pr_topo.Geant.weighted ()
+  | _ -> Pr_topo.Abilene.weighted ()
+
+(* An arbitrary sequence of valid batches lands, image by image, on the
+   bytes of a full recompile; and an interleaving of single edits lands
+   on the same bytes as those edits grouped into one mergeable batch
+   when they touch distinct links.  The DD kind is drawn too. *)
 let qcheck_commute =
   QCheck.Test.make ~name:"edit interleavings commute with full recompile"
-    ~count:40
-    QCheck.(pair (int_bound 1_000_000) (Helpers.int_range 1 8))
-    (fun (seed, edits) ->
-      let topo = Pr_topo.Abilene.topology () in
+    ~count:60
+    QCheck.(
+      quad (Helpers.int_range 0 3) (int_bound 1_000_000) bool
+        (Helpers.int_range 1 8))
+    (fun (family, seed, weighted, edits) ->
+      let topo = instance family seed in
       let g = topo.Pr_topo.Topology.graph in
-      let fib = compile g (Pr_embed.Geometric.of_topology topo) in
+      let kind =
+        if weighted then Pr_core.Discriminator.Weighted
+        else Pr_core.Discriminator.Hops
+      in
+      let fib = compile ~kind g (Pr_embed.Geometric.of_topology topo) in
       let rng = Rng.create ~seed in
+      (* Batches of 1-3 edits, every image refereed. *)
+      let cur = ref fib and ok_batches = ref true in
+      for _ = 1 to edits do
+        match Delta.apply !cur (random_batch rng !cur) with
+        | Ok (next, _) ->
+            if not (Fib.equal next (Delta.recompile next)) then
+              ok_batches := false;
+            cur := next
+        | Error e -> QCheck.Test.fail_report (Delta.describe_error e)
+      done;
+      (* Single edits one at a time, then as one batch. *)
       let cur = ref fib in
       let applied = ref [] in
       for _ = 1 to edits do
@@ -595,7 +613,6 @@ let qcheck_commute =
             applied := edit :: !applied;
             cur := next
       done;
-      (* One-at-a-time application = full recompile of the end state. *)
       let ok_recompile = Fib.equal !cur (Delta.recompile !cur) in
       (* Where the edits all touch distinct links, the whole history is
          one mergeable batch and must land on the same bytes. *)
@@ -621,9 +638,41 @@ let qcheck_commute =
                (e.g. re-setting a weight the base already had) even
                though it was not redundant mid-sequence. *)
             true
-        | Error e -> Alcotest.fail (Delta.describe_error e)
+        | Error e -> QCheck.Test.fail_report (Delta.describe_error e)
       in
-      ok_recompile && ok_batch)
+      !ok_batches && ok_recompile && ok_batch)
+
+(* The batch that moves the most: every link of a BA n = 200 hub down in
+   one batch, then up in one batch, on both DD kinds.  Each image is
+   refereed, and coming back up returns the base image's exact bytes. *)
+let test_hub_down_up_returns_base () =
+  let topo =
+    Pr_topo.Generate.barabasi_albert (Rng.create ~seed:1) ~n:200 ~k:3
+  in
+  let g = topo.Pr_topo.Topology.graph in
+  let hub = ref 0 in
+  for x = 1 to Graph.n g - 1 do
+    if Graph.degree g x > Graph.degree g !hub then hub := x
+  done;
+  let batch change =
+    Array.to_list
+      (Array.map
+         (fun w -> { Delta.u = !hub; v = w; change })
+         (Graph.neighbours g !hub))
+  in
+  let rotation = Pr_embed.Geometric.of_topology topo in
+  List.iter
+    (fun kind ->
+      let name = Pr_core.Discriminator.to_string kind in
+      let fib = compile ~kind g rotation in
+      let down, _ = Delta.apply_exn fib (batch Delta.Down) in
+      Alcotest.(check bool) (name ^ ": hub down = recompile") true
+        (Fib.equal down (Delta.recompile down));
+      let up, _ = Delta.apply_exn down (batch Delta.Up) in
+      Alcotest.(check bool) (name ^ ": hub up = recompile") true
+        (Fib.equal up (Delta.recompile up));
+      Alcotest.(check bool) (name ^ ": hub up = base") true (Fib.equal fib up))
+    [ Pr_core.Discriminator.Hops; Pr_core.Discriminator.Weighted ]
 
 let suite =
   [
@@ -632,10 +681,10 @@ let suite =
     Alcotest.test_case
       "differential: incremental = full recompile on the paper topologies"
       `Slow test_differential_paper_topologies;
-    Alcotest.test_case "threshold fall-back does not change the bytes" `Quick
-      test_threshold_fallback_equivalence;
     Alcotest.test_case "an edit round trip returns the base bytes" `Quick
       test_round_trip_returns_base_bytes;
+    Alcotest.test_case "a BA hub's links down and up return the base bytes"
+      `Quick test_hub_down_up_returns_base;
     Alcotest.test_case "edit validation: typed errors with loci" `Quick
       test_edit_validation;
     Alcotest.test_case "epoch store: publish, pin, grace-period retire" `Quick
