@@ -116,11 +116,18 @@ let differential st ~event ~routing ~cycles ~failures ~dd_bits ~sc_plan kernel
 
 (* ---- FIB-cell damage: compiled backend, delivered-or-accounted ---- *)
 
-let table_of fib = function
-  | "port_node" -> Some (Fib.raw_port_node fib)
-  | "node_port" -> Some (Fib.raw_node_port fib)
-  | "next_hop_port" -> Some (Fib.raw_next_hop_port fib)
-  | "cycle_col" -> Some (Fib.raw_cycle_col fib)
+(* A damage table's cell count and cell writer.  The next-hop plane's
+   cells are numbered [node * n + dst] although it is stored by
+   destination. *)
+let table_of fib =
+  let flat a = Some (Array.length a, fun i v -> a.(i) <- v) in
+  function
+  | "port_node" -> flat (Fib.raw_port_node fib)
+  | "twin" -> flat (Fib.raw_twin fib)
+  | "next_hop_port" ->
+      let cols = Fib.raw_next_hop_port fib and n = Fib.n fib in
+      Some (n * n, fun i v -> cols.(i mod n).(i / n) <- v)
+  | "cycle_col" -> flat (Fib.raw_cycle_col fib)
   | _ -> None
 
 let cell_damage st ~event ~base ~dd_bits ~shortcut ~failures rng ~sweep ~table
@@ -133,10 +140,10 @@ let cell_damage st ~event ~base ~dd_bits ~shortcut ~failures rng ~sweep ~table
   | Ok scratch -> (
       match table_of scratch table with
       | None -> violate st ~event "unknown damage table %s" table
-      | Some arr when Array.length arr = 0 -> ()
-      | Some arr ->
-          let slot = slot mod Array.length arr in
-          arr.(slot) <- value;
+      | Some (0, _) -> ()
+      | Some (cells, set) ->
+          let slot = slot mod cells in
+          set slot value;
           let k = Kernel.create scratch in
           Kernel.set_guard k true;
           Kernel.set_failures k failures;

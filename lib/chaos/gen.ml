@@ -322,7 +322,7 @@ let describe_corruption = function
       Printf.sprintf "crash-point after batch %d" after_batch
 
 (* The kernel's index-bearing tables, by the names {!Corrupt} resolves. *)
-let damage_tables = [| "port_node"; "node_port"; "next_hop_port"; "cycle_col" |]
+let damage_tables = [| "port_node"; "twin"; "next_hop_port"; "cycle_col" |]
 
 let corrupt_storm rng (topo : Pr_topo.Topology.t) ?(events = 64) () =
   let n = Graph.n topo.Pr_topo.Topology.graph in

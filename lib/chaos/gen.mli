@@ -165,7 +165,8 @@ type corruption =
   | Cell_damage of { table : string; slot : int; value : int }
       (** one damaged cell of a scratch FIB image — [table] is a
           {!damage_tables} name, [slot] is reduced modulo the table's
-          length, compiled backend only *)
+          cell count (a next-hop cell is numbered [node * n + dst]),
+          compiled backend only *)
   | Stale_read of { src : int; dst : int }
       (** a forward on a pinned, superseded epoch *)
   | Crash_point of { after_batch : int }

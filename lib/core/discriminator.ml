@@ -12,20 +12,30 @@ let[@inline] of_path kind ~dist ~hops =
 let[@inline] value kind (tree : Dijkstra.tree) v =
   of_path kind ~dist:tree.dist.(v) ~hops:tree.hops.(v)
 
+(* [int_of_float infinity] is unspecified; an unreachable DD reads 0. *)
 let[@inline] quantise kind v =
+  if v = infinity then 0
+  else
+    match kind with
+    | Hops -> int_of_float v
+    | Weighted -> int_of_float (Float.ceil v)
+
+let[@inline] of_cell kind ~dist ~q =
   match kind with
-  | Hops -> int_of_float v
-  | Weighted -> int_of_float (Float.ceil v)
+  | Hops -> if dist = infinity then infinity else float_of_int q
+  | Weighted -> dist
 
-let[@inline] cell kind ~disc ~disc_q i ~dist ~hops =
-  let v = of_path kind ~dist ~hops in
-  disc.(i) <- v;
-  disc_q.(i) <- quantise kind v
+(* [quantise kind (of_path kind ~dist ~hops)], the float left out: a
+   float joined from [infinity] would be boxed. *)
+let[@inline] cell kind disc_q i ~dist ~hops =
+  disc_q.(i) <-
+    (match kind with
+    | Hops -> if hops = max_int then 0 else hops
+    | Weighted -> quantise kind dist)
 
-let column kind (tree : Dijkstra.tree) ~disc ~disc_q ~first ~stride =
+let column kind (tree : Dijkstra.tree) disc_q =
   for x = 0 to Array.length tree.dist - 1 do
-    cell kind ~disc ~disc_q (first + (x * stride)) ~dist:tree.dist.(x)
-      ~hops:tree.hops.(x)
+    cell kind disc_q x ~dist:tree.dist.(x) ~hops:tree.hops.(x)
   done
 
 let bits_for_range max_value =

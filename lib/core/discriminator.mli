@@ -17,35 +17,31 @@ val value : kind -> Pr_graph.Dijkstra.tree -> int -> float
 
 val quantise : kind -> float -> int
 (** A value as carried in the DD bits: the identity for hop counts, the
-    integer ceiling for weighted costs.  The one DD quantiser. *)
+    integer ceiling for weighted costs.  The one DD quantiser.  An
+    unreachable node's value, [infinity], quantises to [0] under both
+    kinds: an explicit value where [int_of_float infinity] is
+    unspecified, and the one every compiled image and checkpoint holds
+    in its unreachable cells. *)
 
-val cell :
-  kind ->
-  disc:float array ->
-  disc_q:int array ->
-  int ->
-  dist:float ->
-  hops:int ->
-  unit
-(** [cell kind ~disc ~disc_q i ~dist ~hops] stores the {!value} of a
-    node [dist] away from the root over a path of [hops] hops ([infinity]
-    and [max_int] when unreachable) at [disc.(i)], and its {!quantise}d
-    value at [disc_q.(i)].  [hops] is read only under [Hops], [dist] only
-    under [Weighted].  The one DD cell writer: {!column} and the FIB
-    repair of [Fib.Delta] both write through it. *)
+val of_cell : kind -> dist:float -> q:int -> float
+(** The {!value} a compiled cell stands for, from the node's distance to
+    the root and its {!quantise}d value: [dist] under [Weighted]; under
+    [Hops] the hop count [q], or [infinity] where [dist] is.  FIB images
+    store only [q] and the distance, and read the value back through
+    this rule. *)
 
-val column :
-  kind ->
-  Pr_graph.Dijkstra.tree ->
-  disc:float array ->
-  disc_q:int array ->
-  first:int ->
-  stride:int ->
-  unit
-(** [column kind tree ~disc ~disc_q ~first ~stride] stores every node
-    [x]'s {!value} at [disc.(first + x * stride)] and its {!quantise}d
-    value at the same index of [disc_q]: the tree's column of a
-    node-major table, without allocating. *)
+val cell : kind -> int array -> int -> dist:float -> hops:int -> unit
+(** [cell kind disc_q i ~dist ~hops] stores at [disc_q.(i)] the
+    {!quantise}d {!value} of a node [dist] away from the root over a path
+    of [hops] hops ([infinity] and [max_int] when unreachable).  [hops]
+    is read only under [Hops], [dist] only under [Weighted].  The one DD
+    cell writer: {!column} and the FIB repair of [Fib.Delta] both write
+    through it. *)
+
+val column : kind -> Pr_graph.Dijkstra.tree -> int array -> unit
+(** [column kind tree disc_q] stores every node [x]'s {!quantise}d
+    {!value} at [disc_q.(x)]: the tree's DD column, without
+    allocating. *)
 
 val bits_of_trees : kind -> Pr_graph.Dijkstra.tree array -> int
 (** DD bits to carry the largest quantised value the trees assign to a

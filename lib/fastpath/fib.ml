@@ -3,20 +3,22 @@ module Dijkstra = Pr_graph.Dijkstra
 module Routing = Pr_core.Routing
 module Cycle_table = Pr_core.Cycle_table
 
+(* Structure planes are flat, [x * ports + p]; route planes are one
+   column per destination, [dst] then [x], and an image of a lineage
+   shares every column it did not repair with its parent. *)
 type t = {
   g : Graph.t;
   kind : Pr_core.Discriminator.kind;
   n : int;
   ports : int;
-  degree : int array;        (* [n] *)
-  port_node : int array;     (* [n*ports] *)
-  port_weight : float array; (* [n*ports] *)
-  node_port : int array;     (* [n*n] *)
-  next_hop_port : int array; (* [n*n] *)
-  disc : float array;        (* [n*n] *)
-  disc_q : int array;        (* [n*n] *)
-  distance : float array;    (* [n*n] *)
-  cycle_col : int array;     (* [n*ports] *)
+  degree : int array;              (* [n] *)
+  port_node : int array;           (* [n*ports] *)
+  port_weight : float array;       (* [n*ports] *)
+  twin : int array;                (* [n*ports]: the far end's port back *)
+  next_hop_port : int array array; (* [n] columns of [n] *)
+  disc_q : int array array;        (* [n] columns of [n] *)
+  distance : float array array;    (* [n] columns of [n] *)
+  cycle_col : int array;           (* [n*ports] *)
   dd_bits : int;
   sc_width : int;            (* effective shortcut-hint width (plan width) *)
   sc_mask : int array;       (* [n]: per-node seen-hint contribution *)
@@ -88,15 +90,15 @@ let last_compile_costs () = List.rev !last_costs
 
 (* The one compiler from SPF trees ([tree dst]) to an image's route
    columns, over [t]'s structure and admin state: fresh columns for every
-   destination, [t]'s are never read.  {!of_tables} and
-   [Delta.recompile] compile through it; [Delta.apply] repairs a copy of
-   its parent's columns instead, through the same DD cell writer. *)
+   destination, each destination's three written one after another;
+   [t]'s are never read.  {!of_tables} and [Delta.recompile] compile
+   through it; [Delta.apply] repairs its parent's columns instead,
+   through the same DD cell writer. *)
 let fill t ~tree =
-  let n = t.n in
-  let next_hop_port = Array.make (n * n) (-1) in
-  let disc = Array.make (n * n) infinity in
-  let disc_q = Array.make (n * n) 0 in
-  let distance = Array.make (n * n) infinity in
+  let { n; ports; port_node; _ } = t in
+  let next_hop_port = Array.make n [||] in
+  let disc_q = Array.make n [||] in
+  let distance = Array.make n [||] in
   let recording = Pr_telemetry.Span.recording () in
   if recording then last_costs := [];
   let sample_every = max 1 (n / cost_samples) in
@@ -105,15 +107,27 @@ let fill t ~tree =
         let sampled = recording && dst mod sample_every = 0 in
         let t0 = if sampled then Pr_telemetry.Probe.now_ns () else 0L in
         let tree : Dijkstra.tree = tree dst in
-        let parent = tree.parent and dist = tree.dist in
+        let parent = tree.parent in
+        (* [x]'s next hop is its port to its parent, found by a scan of
+           its own row; none at the destination itself or when
+           unreachable. *)
+        let hop = Array.make n (-1) in
         for x = 0 to n - 1 do
-          let i = (x * n) + dst and p = parent.(x) in
-          (* No next hop at the destination itself or when unreachable. *)
-          next_hop_port.(i) <-
-            (if x = dst || p < 0 then -1 else t.node_port.((x * n) + p));
-          distance.(i) <- dist.(x)
+          let p = parent.(x) in
+          if x <> dst && p >= 0 then begin
+            let base = x * ports in
+            let s = ref base in
+            while port_node.(!s) <> p do
+              incr s
+            done;
+            hop.(x) <- !s - base
+          end
         done;
-        Pr_core.Discriminator.column t.kind tree ~disc ~disc_q ~first:dst ~stride:n;
+        next_hop_port.(dst) <- hop;
+        distance.(dst) <- Array.copy tree.dist;
+        let q = Array.make n 0 in
+        Pr_core.Discriminator.column t.kind tree q;
+        disc_q.(dst) <- q;
         if sampled then begin
           last_costs :=
             (dst, Int64.sub (Pr_telemetry.Probe.now_ns ()) t0) :: !last_costs;
@@ -122,7 +136,7 @@ let fill t ~tree =
             ()
         end
       done);
-  { t with next_hop_port; disc; disc_q; distance }
+  { t with next_hop_port; disc_q; distance }
 
 let of_tables ?ports routing cycles =
   Pr_telemetry.Span.timed "fib.compile" @@ fun () ->
@@ -143,7 +157,7 @@ let of_tables ?ports routing cycles =
         let degree = Array.init n (Graph.degree g) in
         let port_node = Array.make (n * width) (-1) in
         let port_weight = Array.make (n * width) 0.0 in
-        let node_port = Array.make (n * n) (-1) in
+        let twin = Array.make (n * width) (-1) in
         Pr_telemetry.Span.timed "fib.compile.ports" (fun () ->
             for x = 0 to n - 1 do
               let row = Graph.neighbours g x and weights = Graph.slot_weights g x in
@@ -151,7 +165,7 @@ let of_tables ?ports routing cycles =
                 let w = row.(p) in
                 port_node.((x * width) + p) <- w;
                 port_weight.((x * width) + p) <- weights.(p);
-                node_port.((x * n) + w) <- p
+                twin.((x * width) + p) <- Graph.port g w x
               done
             done);
         let cycle_col = Array.make (n * width) (-1) in
@@ -160,7 +174,7 @@ let of_tables ?ports routing cycles =
               Array.iteri
                 (fun p w ->
                   let next = Cycle_table.cycle_next cycles ~node:x ~from_:w in
-                  cycle_col.((x * width) + p) <- node_port.((x * n) + next))
+                  cycle_col.((x * width) + p) <- Graph.port g x next)
                 (Graph.neighbours g x)
             done);
         let sc_plan = Pr_core.Seen.plan ~nodes:n ~width:default_sc_width in
@@ -168,8 +182,8 @@ let of_tables ?ports routing cycles =
            columns. *)
         let structure =
           { g; kind = Routing.kind routing; n; ports = width; degree; port_node;
-            port_weight; node_port; cycle_col; dd_bits = Routing.dd_bits routing;
-            next_hop_port = [||]; disc = [||]; disc_q = [||]; distance = [||];
+            port_weight; twin; cycle_col; dd_bits = Routing.dd_bits routing;
+            next_hop_port = [||]; disc_q = [||]; distance = [||];
             sc_width = sc_plan.Pr_core.Seen.width;
             sc_mask = Array.init n (Pr_core.Seen.mask_of sc_plan);
             live = Array.make (Graph.m g) true;
@@ -186,6 +200,8 @@ let of_tables_exn ?ports routing cycles =
 let graph t = t.g
 
 let n t = t.n
+
+let kind t = t.kind
 
 let ports t = t.ports
 
@@ -210,21 +226,22 @@ type footprint = {
 let word_bytes = Sys.word_size / 8
 
 let footprint t =
-  (* Payload words per plane: every field is a flat array of one-word
-     cells (ints, unboxed floats in float arrays, immediate bools), so
-     bytes = words * word size.  Array headers (one word each) are
-     excluded — they vanish at scale. *)
+  (* Payload words per plane: every cell is one word (ints, unboxed
+     floats in float arrays, immediate bools), so bytes = words * word
+     size.  A flat plane's one array header is excluded, as it vanishes
+     at scale; a column plane also counts two words per column, the
+     column's header and its pointer in the plane. *)
   let p name a = { plane = name; words = a; bytes = a * word_bytes } in
+  let columns c = Array.fold_left (fun a col -> a + Array.length col + 2) 0 c in
   let planes =
     [
       p "degree" (Array.length t.degree);
       p "port_node" (Array.length t.port_node);
       p "port_weight" (Array.length t.port_weight);
-      p "node_port" (Array.length t.node_port);
-      p "next_hop_port" (Array.length t.next_hop_port);
-      p "disc" (Array.length t.disc);
-      p "disc_q" (Array.length t.disc_q);
-      p "distance" (Array.length t.distance);
+      p "twin" (Array.length t.twin);
+      p "next_hop_port" (columns t.next_hop_port);
+      p "disc_q" (columns t.disc_q);
+      p "distance" (columns t.distance);
       p "cycle_col" (Array.length t.cycle_col);
       p "sc_mask" (Array.length t.sc_mask);
       p "live" (Array.length t.live);
@@ -257,7 +274,7 @@ let check_node t x name =
 let port_of t ~node ~neighbour =
   check_node t node "node";
   check_node t neighbour "neighbour";
-  t.node_port.((node * t.n) + neighbour)
+  Graph.port t.g node neighbour
 
 let slot t ~node ~other =
   let p = port_of t ~node ~neighbour:other in
@@ -272,23 +289,22 @@ let neighbour_of t ~node ~port =
 let next_hop t ~node ~dst =
   check_node t node "node";
   check_node t dst "dst";
-  let p = t.next_hop_port.((node * t.n) + dst) in
+  let p = t.next_hop_port.(dst).(node) in
   if p < 0 then None else Some t.port_node.((node * t.ports) + p)
-
-let disc t ~node ~dst =
-  check_node t node "node";
-  check_node t dst "dst";
-  t.disc.((node * t.n) + dst)
 
 let disc_q t ~node ~dst =
   check_node t node "node";
   check_node t dst "dst";
-  t.disc_q.((node * t.n) + dst)
+  t.disc_q.(dst).(node)
 
 let distance t ~node ~dst =
   check_node t node "node";
   check_node t dst "dst";
-  t.distance.((node * t.n) + dst)
+  t.distance.(dst).(node)
+
+let disc t ~node ~dst =
+  Pr_core.Discriminator.of_cell t.kind ~dist:(distance t ~node ~dst)
+    ~q:(disc_q t ~node ~dst)
 
 let out_port_via t col ~node ~other what =
   let p = port_of t ~node ~neighbour:other in
@@ -344,20 +360,19 @@ let float_arrays_equal a b =
 let equal a b =
   a.n = b.n && a.ports = b.ports && a.kind = b.kind && a.dd_bits = b.dd_bits
   && a.degree = b.degree && a.port_node = b.port_node
-  && a.node_port = b.node_port && a.next_hop_port = b.next_hop_port
+  && a.twin = b.twin && a.next_hop_port = b.next_hop_port
   && a.disc_q = b.disc_q && a.cycle_col = b.cycle_col
   && a.sc_width = b.sc_width && a.sc_mask = b.sc_mask
   && a.live = b.live
   && float_arrays_equal a.port_weight b.port_weight
-  && float_arrays_equal a.disc b.disc
-  && float_arrays_equal a.distance b.distance
+  && Array.length a.distance = Array.length b.distance
+  && Array.for_all2 float_arrays_equal a.distance b.distance
   && float_arrays_equal a.eff_weight b.eff_weight
 
 let raw_port_node t = t.port_node
 let raw_port_weight t = t.port_weight
-let raw_node_port t = t.node_port
+let raw_twin t = t.twin
 let raw_next_hop_port t = t.next_hop_port
-let raw_disc t = t.disc
 let raw_disc_q t = t.disc_q
 let raw_distance t = t.distance
 let raw_cycle_col t = t.cycle_col
@@ -367,7 +382,7 @@ let raw_live t = t.live
 (* ---- the checkpoint codec ---- *)
 
 module Codec = struct
-  let magic = "PRFIB4"
+  let magic = "PRFIB5"
 
   (* FNV-1a, 64 bit — cheap, dependency-free, and plenty to catch torn or
      bit-flipped checkpoints (this is corruption detection, not crypto). *)
@@ -382,49 +397,39 @@ module Codec = struct
       s;
     !h
 
-  let add_ints buf name a =
+  (* One row: the name, then every cell of [cols], column after column. *)
+  let add_row buf name cell cols =
     Buffer.add_string buf name;
     Array.iter
-      (fun v ->
-        Buffer.add_char buf ' ';
-        Buffer.add_string buf (string_of_int v))
-      a;
+      (Array.iter (fun v ->
+           Buffer.add_char buf ' ';
+           Buffer.add_string buf (cell v)))
+      cols;
     Buffer.add_char buf '\n'
 
   (* Floats travel as the hex of their IEEE bit pattern, so a decoded
      image is bit-identical to the encoded one — the byte-equality
      recovery invariant depends on it. *)
-  let add_floats buf name a =
-    Buffer.add_string buf name;
-    Array.iter
-      (fun v ->
-        Buffer.add_char buf ' ';
-        Buffer.add_string buf (Printf.sprintf "%Lx" (Int64.bits_of_float v)))
-      a;
-    Buffer.add_char buf '\n'
+  let float_cell v = Printf.sprintf "%Lx" (Int64.bits_of_float v)
 
-  let add_bools buf name a =
-    Buffer.add_string buf name;
-    Array.iter (fun v -> Buffer.add_string buf (if v then " 1" else " 0")) a;
-    Buffer.add_char buf '\n'
+  let bool_cell v = if v then "1" else "0"
 
   let encode t =
     let buf = Buffer.create 4096 in
     Printf.bprintf buf "%s %d %d %d %s %d %d\n" magic t.n t.ports t.dd_bits
       (Pr_core.Discriminator.to_string t.kind)
       (Graph.m t.g) t.sc_width;
-    add_ints buf "degree" t.degree;
-    add_ints buf "port_node" t.port_node;
-    add_floats buf "port_weight" t.port_weight;
-    add_ints buf "node_port" t.node_port;
-    add_ints buf "next_hop_port" t.next_hop_port;
-    add_floats buf "disc" t.disc;
-    add_ints buf "disc_q" t.disc_q;
-    add_floats buf "distance" t.distance;
-    add_ints buf "cycle_col" t.cycle_col;
-    add_ints buf "sc_mask" t.sc_mask;
-    add_bools buf "live" t.live;
-    add_floats buf "eff_weight" t.eff_weight;
+    add_row buf "degree" string_of_int [| t.degree |];
+    add_row buf "port_node" string_of_int [| t.port_node |];
+    add_row buf "port_weight" float_cell [| t.port_weight |];
+    add_row buf "twin" string_of_int [| t.twin |];
+    add_row buf "next_hop_port" string_of_int t.next_hop_port;
+    add_row buf "disc_q" string_of_int t.disc_q;
+    add_row buf "distance" float_cell t.distance;
+    add_row buf "cycle_col" string_of_int [| t.cycle_col |];
+    add_row buf "sc_mask" string_of_int [| t.sc_mask |];
+    add_row buf "live" bool_cell [| t.live |];
+    add_row buf "eff_weight" float_cell [| t.eff_weight |];
     let payload = Buffer.contents buf in
     payload ^ Printf.sprintf "sum %Lx\n" (fnv1a payload)
 
@@ -456,6 +461,9 @@ module Codec = struct
     | None -> None
 
   let bool_of = function "1" -> Some true | "0" -> Some false | _ -> None
+
+  (* A column plane's row, cut back into fresh columns of [n]. *)
+  let columns n flat = Array.init n (fun dst -> Array.sub flat (dst * n) n)
 
   let decode ~base s =
     let ( let* ) = Result.bind in
@@ -510,7 +518,7 @@ module Codec = struct
               (Pr_core.Discriminator.to_string base.kind)
               (Graph.m base.g) base.sc_width
         in
-        let* rows, degree, port_node, port_weight, node_port, next_hop_port =
+        let* rows, degree, port_node, port_weight, twin, next_hop_port =
           match rows with
           | r1 :: r2 :: r3 :: r4 :: r5 :: rest ->
               let* degree = parse_row "degree" n ~default:0 int_of r1 in
@@ -518,24 +526,24 @@ module Codec = struct
               let* port_weight =
                 parse_row "port_weight" (n * ports) ~default:0.0 float_of r3
               in
-              let* node_port = parse_row "node_port" (n * n) ~default:0 int_of r4 in
+              let* twin = parse_row "twin" (n * ports) ~default:0 int_of r4 in
               let* next_hop_port =
                 parse_row "next_hop_port" (n * n) ~default:0 int_of r5
               in
-              Ok (rest, degree, port_node, port_weight, node_port, next_hop_port)
+              Ok (rest, degree, port_node, port_weight, twin, columns n next_hop_port)
           | _ -> fail "truncated image"
         in
-        let* disc, disc_q, distance, cycle_col, sc_mask, live, eff_weight =
+        let* disc_q, distance, cycle_col, sc_mask, live, eff_weight =
           match rows with
-          | r1 :: r2 :: r3 :: r4 :: r5 :: r6 :: r7 :: ([] | [ [ "" ] ]) ->
-              let* disc = parse_row "disc" (n * n) ~default:0.0 float_of r1 in
-              let* disc_q = parse_row "disc_q" (n * n) ~default:0 int_of r2 in
-              let* distance = parse_row "distance" (n * n) ~default:0.0 float_of r3 in
-              let* cycle_col = parse_row "cycle_col" (n * ports) ~default:0 int_of r4 in
-              let* sc_mask = parse_row "sc_mask" n ~default:0 int_of r5 in
-              let* live = parse_row "live" m ~default:true bool_of r6 in
-              let* eff_weight = parse_row "eff_weight" m ~default:0.0 float_of r7 in
-              Ok (disc, disc_q, distance, cycle_col, sc_mask, live, eff_weight)
+          | r1 :: r2 :: r3 :: r4 :: r5 :: r6 :: ([] | [ [ "" ] ]) ->
+              let* disc_q = parse_row "disc_q" (n * n) ~default:0 int_of r1 in
+              let* distance = parse_row "distance" (n * n) ~default:0.0 float_of r2 in
+              let* cycle_col = parse_row "cycle_col" (n * ports) ~default:0 int_of r3 in
+              let* sc_mask = parse_row "sc_mask" n ~default:0 int_of r4 in
+              let* live = parse_row "live" m ~default:true bool_of r5 in
+              let* eff_weight = parse_row "eff_weight" m ~default:0.0 float_of r6 in
+              Ok (columns n disc_q, columns n distance, cycle_col, sc_mask, live,
+                  eff_weight)
           | _ -> fail "truncated image"
         in
         Ok
@@ -550,9 +558,8 @@ module Codec = struct
             degree;
             port_node;
             port_weight;
-            node_port;
+            twin;
             next_hop_port;
-            disc;
             disc_q;
             distance;
             cycle_col;
@@ -660,25 +667,28 @@ module Delta = struct
      leaves it or gets longer is a cut: it can only move the trees that
      use it.  One that joins it or gets shorter is a join: it can only
      improve its endpoints.  A weight set on a down link moves nothing.
-     Cuts carry each end's port to the other, joins their edge index. *)
+     Both carry each end's port to the other, joins their edge index
+     too. *)
   let classify t ~live ~eff edits =
-    let n = t.n in
+    let g = t.g in
     let cuts, joins =
       List.fold_left
         (fun (cuts, joins) (idx, u, v) ->
           let was = t.live.(idx) and is = live.(idx) in
           let w0 = t.eff_weight.(idx) and w1 = eff.(idx) in
-          if was && ((not is) || w1 > w0) then
-            ((u, v, t.node_port.((u * n) + v), t.node_port.((v * n) + u)) :: cuts,
-             joins)
-          else if is && ((not was) || w1 < w0) then (cuts, (u, v, idx) :: joins)
+          let pu = Graph.port g u v and pv = Graph.port g v u in
+          if was && ((not is) || w1 > w0) then ((u, v, pu, pv) :: cuts, joins)
+          else if is && ((not was) || w1 < w0) then
+            (cuts, (u, v, idx, pu, pv) :: joins)
           else (cuts, joins))
         ([], []) edits
     in
     (Array.of_list cuts, Array.of_list joins)
 
-  (* The exact repair (DESIGN.md §6e).  The four route planes are copied
-     from the parent once; then, per destination, in place:
+  (* The exact repair (DESIGN.md §6e).  The image starts out sharing
+     every route column with its parent, and a destination's three
+     columns are copied on its first write; then, per destination, in
+     place:
 
      (a) the region, the union of the parent-tree subtrees under every
          cut link the destination's tree uses ([parent u = v], read from
@@ -695,17 +705,27 @@ module Delta = struct
      children, so hops follow parents.  A settled node's DD cell is
      written then; nothing else is written. *)
   let repair t ~live ~eff edits =
-    let { g; n; ports; kind; node_port; port_node; _ } = t in
+    let { g; n; ports; kind; twin; _ } = t in
     let cuts, joins = classify t ~live ~eff edits in
     let next_hop_port = Array.copy t.next_hop_port
     and distance = Array.copy t.distance
-    and disc = Array.copy t.disc
     and disc_q = Array.copy t.disc_q in
     let heap = Array.make n 0
     and pos = Array.make n Dijkstra.unseen
     and key = Array.make n infinity in
     let size = ref 0 and queued = Array.make n 0 and nq = ref 0 in
     let region = Array.make n 0 and mark = Array.make n (-1) and k = ref 0 in
+    let owned = ref (-1) and repaired = ref 0 in
+    (* Copy [dst]'s columns before its first write. *)
+    let own dst =
+      if !owned <> dst then begin
+        owned := dst;
+        incr repaired;
+        next_hop_port.(dst) <- Array.copy t.next_hop_port.(dst);
+        distance.(dst) <- Array.copy t.distance.(dst);
+        disc_q.(dst) <- Array.copy t.disc_q.(dst)
+      end
+    in
     let enter dst x =
       if mark.(x) <> dst then begin
         mark.(x) <- dst;
@@ -714,7 +734,7 @@ module Delta = struct
       end
     in
     let enqueue dst x =
-      key.(x) <- distance.((x * n) + dst);
+      key.(x) <- distance.(dst).(x);
       if pos.(x) = Dijkstra.unseen then begin
         queued.(!nq) <- x;
         incr nq;
@@ -722,51 +742,54 @@ module Delta = struct
       end
       else Dijkstra.decrease heap pos key x
     in
-    (* Offer [x] the path through its neighbour [y] over base edge [e].
-       With [requeue_child], [y]'s hop count moved, so [x] is queued too
-       when [y] already is its parent. *)
-    let relax dst ~requeue_child y x e =
-      let c = distance.((y * n) + dst) +. eff.(e) and i = (x * n) + dst in
-      let lx = distance.(i) in
+    (* Offer [x] the path through its neighbour [y], behind [x]'s [port],
+       over base edge [e].  With [requeue_child], [y]'s hop count moved,
+       so [x] is queued too when [y] already is its parent. *)
+    let relax dst ~requeue_child y x e port =
+      let c = distance.(dst).(y) +. eff.(e) in
+      let lx = distance.(dst).(x) in
       if c < lx then begin
-        distance.(i) <- c;
-        next_hop_port.(i) <- node_port.((x * n) + y);
+        own dst;
+        distance.(dst).(x) <- c;
+        next_hop_port.(dst).(x) <- port;
         enqueue dst x
       end
       else if c = lx then begin
-        let port = node_port.((x * n) + y) and cur = next_hop_port.(i) in
+        let cur = next_hop_port.(dst).(x) in
         if port < cur then begin
-          next_hop_port.(i) <- port;
+          own dst;
+          next_hop_port.(dst).(x) <- port;
           enqueue dst x
         end
         else if requeue_child && port = cur && pos.(x) = Dijkstra.unseen then
           enqueue dst x
       end
     in
-    (* Write the settled [y]'s DD cell; whether its hop count moved. *)
+    (* Write the settled [y]'s DD cell, in a column a write already
+       owned; whether its hop count moved (a parent cell's unreachable 0
+       never equals a settled node's count). *)
     let settle dst y =
-      let i = (y * n) + dst in
+      let dist = distance.(dst).(y) and q = disc_q.(dst) in
       match kind with
       | Pr_core.Discriminator.Weighted ->
-          Pr_core.Discriminator.cell kind ~disc ~disc_q i ~dist:distance.(i)
-            ~hops:0;
+          Pr_core.Discriminator.cell kind q y ~dist ~hops:0;
           false
       | Pr_core.Discriminator.Hops ->
-          let parent = port_node.((y * ports) + next_hop_port.(i)) in
-          Pr_core.Discriminator.cell kind ~disc ~disc_q i ~dist:distance.(i)
-            ~hops:(disc_q.((parent * n) + dst) + 1);
-          not (Float.equal disc.(i) t.disc.(i))
+          let parent = t.port_node.((y * ports) + next_hop_port.(dst).(y)) in
+          Pr_core.Discriminator.cell kind q y ~dist ~hops:(q.(parent) + 1);
+          q.(y) <> t.disc_q.(dst).(y)
     in
-    let repaired = ref 0 in
     for dst = 0 to n - 1 do
       k := 0;
       nq := 0;
+      let parent_hops = t.next_hop_port.(dst) in
       for j = 0 to Array.length cuts - 1 do
         let u, v, pu, pv = cuts.(j) in
-        if t.next_hop_port.((u * n) + dst) = pu then enter dst u;
-        if t.next_hop_port.((v * n) + dst) = pv then enter dst v
+        if parent_hops.(u) = pu then enter dst u;
+        if parent_hops.(v) = pv then enter dst v
       done;
-      (* (a) Close the region under the parent tree's children... *)
+      (* (a) Close the region under the parent tree's children: [y] is
+         [x]'s child when its next hop is its twin port back to [x]... *)
       let j = ref 0 in
       while !j < !k do
         let x = region.(!j) in
@@ -774,16 +797,16 @@ module Delta = struct
         let nbrs = Graph.neighbours g x in
         for s = 0 to Array.length nbrs - 1 do
           let y = nbrs.(s) in
-          let p = t.next_hop_port.((y * n) + dst) in
-          if p >= 0 && port_node.((y * ports) + p) = x then enter dst y
+          if parent_hops.(y) = twin.((x * ports) + s) then enter dst y
         done
       done;
       (* ...reset it, then seed it from outside. *)
+      if !k > 0 then own dst;
       for j = 0 to !k - 1 do
-        let i = (region.(j) * n) + dst in
-        distance.(i) <- infinity;
-        next_hop_port.(i) <- -1;
-        Pr_core.Discriminator.cell kind ~disc ~disc_q i ~dist:infinity
+        let x = region.(j) in
+        distance.(dst).(x) <- infinity;
+        next_hop_port.(dst).(x) <- -1;
+        Pr_core.Discriminator.cell kind disc_q.(dst) x ~dist:infinity
           ~hops:max_int
       done;
       for j = 0 to !k - 1 do
@@ -791,19 +814,19 @@ module Delta = struct
         let nbrs = Graph.neighbours g x and edges = Graph.slot_edges g x in
         for s = 0 to Array.length nbrs - 1 do
           let y = nbrs.(s) and e = edges.(s) in
-          if live.(e) && mark.(y) <> dst then relax dst ~requeue_child:false y x e
+          if live.(e) && mark.(y) <> dst then
+            relax dst ~requeue_child:false y x e s
         done
       done;
       (* (b) Joins between nodes outside the region; one with an end
          inside it reaches that end through (a)'s seeds or the pass. *)
       for j = 0 to Array.length joins - 1 do
-        let u, v, e = joins.(j) in
+        let u, v, e, pu, pv = joins.(j) in
         if mark.(u) <> dst && mark.(v) <> dst then begin
-          relax dst ~requeue_child:false v u e;
-          relax dst ~requeue_child:false u v e
+          relax dst ~requeue_child:false v u e pu;
+          relax dst ~requeue_child:false u v e pv
         end
       done;
-      if !k > 0 || !nq > 0 then incr repaired;
       while !size > 0 do
         let y = Dijkstra.pop heap pos key !size in
         decr size;
@@ -812,14 +835,14 @@ module Delta = struct
         for s = 0 to Array.length nbrs - 1 do
           let x = nbrs.(s) and e = edges.(s) in
           if live.(e) && pos.(x) <> Dijkstra.settled then
-            relax dst ~requeue_child y x e
+            relax dst ~requeue_child y x e twin.((y * ports) + s)
         done
       done;
       for j = 0 to !nq - 1 do
         pos.(queued.(j)) <- Dijkstra.unseen
       done
     done;
-    ({ t with next_hop_port; distance; disc; disc_q }, !repaired)
+    ({ t with next_hop_port; distance; disc_q }, !repaired)
 
   (* [t]'s port weights with every link at its effective weight in [eff]. *)
   let port_weights t ~eff links =

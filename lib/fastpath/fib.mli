@@ -3,10 +3,12 @@
     {!Pr_core.Routing} and {!Pr_core.Cycle_table} are built for clarity —
     destination-rooted SPF trees behind hashtable-backed rotation lookups.
     A {e FIB image} flattens everything one forwarding decision reads into
-    contiguous [int]/[float] arrays indexed by [node * width + port] (or
-    [node * n + dst]), so the batch kernel ({!Kernel}) runs the full
-    {!Pr_core.Forward.decide} ladder with array reads only — no hashing,
-    no allocation, no pointer chasing.
+    [int]/[float] arrays: the structure planes are indexed
+    [node * width + port], and each route plane is one column per
+    destination, indexed [plane.(dst).(node)].  The batch kernel
+    ({!Kernel}) runs the full {!Pr_core.Forward.decide} ladder with array
+    reads only — no hashing, no allocation — and a walk's route reads all
+    fall in its destination's column.
 
     {b Port numbering.}  The ports of node [x] are the indices into
     [Graph.neighbours g x] — neighbour ids in increasing order, so port
@@ -20,8 +22,9 @@
     {b The image lifecycle.}  [of_tables] compiles the {e base image}
     from the failure-free tables.  Control-plane edits (administrative
     link up/down, weight changes) go through {!Delta}, which repairs only
-    the route cells the edits move and returns a {e new} image, every
-    other cell byte-equal to its parent's — the base structure (port
+    the route cells the edits move and returns a {e new} image that
+    shares every column it did not repair with its parent — the base
+    structure (port
     numbering, the cycle column, DD bit budget) never changes, so any two
     images in one lineage are interchangeable under a running {!Kernel}
     via [Kernel.rebind].
@@ -74,6 +77,9 @@ val ports : t -> int
 
 val degree : t -> int -> int
 
+val kind : t -> Pr_core.Discriminator.kind
+(** The discriminator kind the image's DD column was compiled under. *)
+
 val dd_bits : t -> int
 (** The topology's DD bit budget, copied from {!Pr_core.Routing.dd_bits}. *)
 
@@ -91,8 +97,9 @@ val quantise_dd : t -> float -> int
     kind — the rounding of the compiled [disc_q] column. *)
 
 type plane = {
-  plane : string;  (** field name, e.g. ["node_port"] *)
-  words : int;     (** payload cells (all planes are one-word cells) *)
+  plane : string;  (** field name, e.g. ["next_hop_port"] *)
+  words : int;     (** payload cells (all planes are one-word cells),
+                       plus two words per column of a route plane *)
   bytes : int;     (** [words * Sys.word_size / 8] *)
 }
 
@@ -104,10 +111,12 @@ type footprint = {
 }
 
 val footprint : t -> footprint
-(** Exact payload bytes per table plane of a compiled image.  Array
-    headers (one word per plane) are excluded; the shortcut-hint plane
-    appears as [sc_mask] (one word per node at {!sc_width} effective
-    bits). *)
+(** Exact payload bytes per table plane of a compiled image.  A flat
+    plane's array header (one word) is excluded; a route plane counts
+    its [n * n] cells plus, per column, the column's header and its
+    pointer in the plane.  Columns an image shares with another are
+    counted in each.  The shortcut-hint plane appears as [sc_mask] (one
+    word per node at {!sc_width} effective bits). *)
 
 val footprint_json : footprint -> string
 (** One-line JSON object: [total_bytes], [bytes_per_router], [planes]. *)
@@ -155,7 +164,9 @@ val equal : t -> t -> bool
     {!Pr_core.Discriminator} entry through these. *)
 
 val port_of : t -> node:int -> neighbour:int -> int
-(** Port index of a neighbour at [node]; [-1] if not adjacent. *)
+(** Port index of a neighbour at [node]; [-1] if not adjacent.  Read
+    from the graph ({!Pr_graph.Graph.port}): the image keeps no
+    node-by-neighbour plane. *)
 
 val neighbour_of : t -> node:int -> port:int -> int
 (** Node id behind a port; [-1] for a padded slot. *)
@@ -164,7 +175,9 @@ val next_hop : t -> node:int -> dst:int -> int option
 (** Next-hop node id, as {!Pr_core.Routing.next_hop}. *)
 
 val disc : t -> node:int -> dst:int -> float
-(** Raw discriminator value, as {!Pr_core.Routing.disc}. *)
+(** Raw discriminator value, as {!Pr_core.Routing.disc}: derived from
+    the {!disc_q} and {!distance} cells by
+    {!Pr_core.Discriminator.of_cell}. *)
 
 val disc_q : t -> node:int -> dst:int -> int
 (** Quantised discriminator, as [Routing.quantise_dd (Routing.disc ...)]. *)
@@ -189,8 +202,12 @@ val entries : t -> int -> Pr_core.Cycle_table.entry list
 (** {2 Raw layout (read-only)}
 
     Exposed for the kernel and for tests that pin the array shapes; see
-    DESIGN.md "Compiled FIB images" for the layout contract.  Callers
-    must not mutate. *)
+    DESIGN.md "Compiled FIB images" for the layout contract.  A structure
+    plane ([n*ports]) is flat, indexed [node * ports + port]; a route
+    plane is an array of [n] columns of [n] cells, indexed
+    [plane.(dst).(node)].  Images of one lineage share their structure
+    planes and every route column an edit did not repair, so callers
+    must not mutate (a {!Codec.decode}d copy shares nothing). *)
 
 val slot : t -> node:int -> other:int -> int
 (** Index, in every [n*ports] plane, of [node]'s port to [other]: the
@@ -204,20 +221,20 @@ val raw_port_node : t -> int array
 val raw_port_weight : t -> float array
 (** [n*ports]: port -> link weight *)
 
-val raw_node_port : t -> int array
-(** [n*n]: neighbour id -> port, [-1] *)
+val raw_twin : t -> int array
+(** [n*ports]: the half-edge twin, for each port the far end's port back
+    to the node; [-1] pad *)
 
-val raw_next_hop_port : t -> int array
-(** [n*n]: (node,dst) -> port, [-1] *)
+val raw_next_hop_port : t -> int array array
+(** [n] columns of [n]: dst, node -> routing next hop as a port, [-1] *)
 
-val raw_disc : t -> float array
-(** [n*n]: raw discriminator *)
+val raw_disc_q : t -> int array array
+(** [n] columns of [n]: dst, node -> quantised discriminator, [0] when
+    unreachable ({!Pr_core.Discriminator.quantise}) *)
 
-val raw_disc_q : t -> int array
-(** [n*n]: quantised discriminator *)
-
-val raw_distance : t -> float array
-(** [n*n]: SPF distance *)
+val raw_distance : t -> float array array
+(** [n] columns of [n]: dst, node -> SPF distance, [infinity] when
+    unreachable *)
 
 val raw_cycle_col : t -> int array
 (** [n*ports]: in-port -> cycle-following out-port; indexed by a failed
@@ -235,15 +252,17 @@ val raw_live : t -> bool array
     A self-checking textual serialisation of a full image — the
     {!Journal}'s checkpoint payload and the chaos campaign's deep-copy
     mechanism (a decoded image shares {e no} array with any other, unlike
-    {!Delta.recompile}'s structural sharing, so its cells can be damaged
-    in place without touching the original). *)
+    the structure and the clean columns a {!Delta} image shares with its
+    parent, so its cells can be damaged in place without touching the
+    original). *)
 
 module Codec : sig
   val encode : t -> string
-  (** Every array of the image, geometry header first, floats as the hex
-      of their IEEE bit patterns (so decoding is bit-exact), ending in an
-      FNV-1a checksum line.  [decode ~base (encode t)] satisfies
-      [equal t] for any image of [base]'s lineage. *)
+  (** Every array of the image, geometry header first (magic [PRFIB5]),
+      a route plane column after column, floats as the hex of their IEEE
+      bit patterns (so decoding is bit-exact), ending in an FNV-1a
+      checksum line.  [decode ~base (encode t)] satisfies [equal t] for
+      any image of [base]'s lineage. *)
 
   val decode : base:t -> string -> (t, string) result
   (** Rebuild an image from {!encode} output.  [base] supplies the graph
@@ -260,15 +279,18 @@ end
     yields the next image of the lineage.  {!Delta.apply} is an exact
     repair of the parent's own columns, the dynamic shortest-path-tree
     update of Ramalingam and Reps (1996) and Narváez, Siu and Tzeng
-    (2000).  It copies the four route planes once per batch; then, per
-    destination, it re-solves the union of the parent-tree subtrees
+    (2000).  The new image starts out sharing every route column with its
+    parent, and a destination's three columns are copied on the repair's
+    first write to them.  Per destination, it re-solves the union of the
+    parent-tree subtrees
     hanging under every removed or lengthened link that destination's tree
     uses, seeded from their live neighbours outside that union, and seeds
     each endpoint an added or shortened link improves, strictly or by a
     tie to a smaller id.  One decrease pass over the effective graph, on
     Dijkstra's queue and its smallest-id tie-break, settles the seeds; hop
     counts follow parents.  Only the cells of the nodes it settles or cuts
-    off are written; no effective graph and no trees are built.
+    off are written, and a destination none of this touches keeps its
+    parent's columns; no effective graph and no trees are built.
 
     The result is byte-equal to {!Delta.recompile} of the same
     administrative state under Dijkstra's own tie-break condition: no
@@ -306,7 +328,10 @@ module Delta : sig
   type stats = {
     edits : int;   (** batch size *)
     dirty : int;   (** destinations repaired: those where the batch cut a
-                       tree link or improved an endpoint *)
+                       tree link or improved an endpoint, exactly the
+                       destinations whose columns the new image holds
+                       fresh; it shares every other column with the
+                       parent *)
     full : bool;   (** always [false]: {!apply} never recompiles in full.
                        Kept because the end-to-end benchmark reads it
                        (its [delta.full_fallbacks] count). *)
@@ -317,9 +342,11 @@ module Delta : sig
   val apply : t -> edit list -> (t * stats, error) result
   (** Apply one batch atomically: validation errors leave no trace, and
       the returned image is the batch's effective topology, repaired as
-      above.  The parent image is never mutated.  Measured against a
-      full recompile on a BA n = 1000 image, a batch that takes the
-      hub's 74 links down costs under half of one (DESIGN.md §6e). *)
+      above.  The parent image is never mutated, and the new one shares
+      every column it did not repair with it.  Measured against a full
+      recompile on a BA n = 1000 image, a batch that takes the hub's 74
+      links down costs 0.36 of one, and a batch that re-weights all
+      2,991 links 1.7 times one (DESIGN.md §6e). *)
 
   val apply_exn : t -> edit list -> t * stats
   (** [Invalid_argument] with {!describe_error} on error. *)

@@ -22,11 +22,14 @@ type t = {
   mutable degree : int array;
   mutable port_node : int array;
   mutable port_weight : float array;
-  mutable node_port : int array;
-  mutable next_hop_port : int array;
-  mutable disc : float array;
-  mutable disc_q : int array;
-  mutable distance : float array;
+  mutable twin : int array;
+  (* Route planes, one column per destination.  A walk indexes
+     [plane.(dst)] at each read: keeping its column in a mutable field
+     instead would cost a write barrier per walk. *)
+  mutable next_hop_port : int array array;
+  mutable disc_q : int array array;
+  mutable distance : float array array;
+  mutable dd_hops : bool;  (* the image's DD kind is [Hops] *)
   mutable cycle_col : int array;
   view : Bytes.t;
   truth : Bytes.t;
@@ -171,11 +174,11 @@ let create fib =
     degree = Array.init n (Fib.degree fib);
     port_node = Fib.raw_port_node fib;
     port_weight = Fib.raw_port_weight fib;
-    node_port = Fib.raw_node_port fib;
+    twin = Fib.raw_twin fib;
     next_hop_port = Fib.raw_next_hop_port fib;
-    disc = Fib.raw_disc fib;
     disc_q = Fib.raw_disc_q fib;
     distance = Fib.raw_distance fib;
+    dd_hops = Fib.kind fib = Pr_core.Discriminator.Hops;
     cycle_col = Fib.raw_cycle_col fib;
     view = Bytes.make (n * ports) '\001';
     truth = Bytes.make (n * ports) '\001';
@@ -247,11 +250,11 @@ let rebind t fib =
   t.degree <- Array.init t.n (Fib.degree fib);
   t.port_node <- Fib.raw_port_node fib;
   t.port_weight <- Fib.raw_port_weight fib;
-  t.node_port <- Fib.raw_node_port fib;
+  t.twin <- Fib.raw_twin fib;
   t.next_hop_port <- Fib.raw_next_hop_port fib;
-  t.disc <- Fib.raw_disc fib;
   t.disc_q <- Fib.raw_disc_q fib;
   t.distance <- Fib.raw_distance fib;
+  t.dd_hops <- Fib.kind fib = Pr_core.Discriminator.Hops;
   t.cycle_col <- Fib.raw_cycle_col fib;
   t.default_ttl <- Forward.default_ttl (Fib.graph fib);
   load_admin t;
@@ -364,7 +367,7 @@ let port_or_die t ~node ~other what =
       (Printf.sprintf
          "Kernel.%s: node out of range (node %d, other %d, image has 0..%d)"
          what node other (t.n - 1));
-  let p = t.node_port.((node * t.n) + other) in
+  let p = Graph.port (Fib.graph t.fib) node other in
   if p < 0 then
     invalid_arg
       (Printf.sprintf "Kernel.%s: %d is not a neighbour of %d" what other node);
@@ -414,9 +417,9 @@ let cell_cycle = 1
 
 let cell_port_node = 2
 
-let cell_node_port = 3
+let cell_twin = 3
 
-let cell_names = [| "next-hop-port"; "cycle-col"; "port-node"; "node-port" |]
+let cell_names = [| "next-hop-port"; "cycle-col"; "port-node"; "twin" |]
 
 let fault_of t =
   if t.fault_code = fc_impossible_dd then
@@ -480,21 +483,30 @@ let reason_of_code = function
 
 let drop_name_of_code c = reason_name (reason_of_code c)
 
+(* [x]'s discriminator towards [dst] as the walk carries it, from its
+   quantised cell [q]: [q] itself under the quantiser, else
+   [Pr_core.Discriminator.of_cell]'s value, spelled out here so that the
+   float is never boxed.  Under [Hops] a nonzero [q] is the hop count,
+   and [q = 0] marks the destination or an unreachable node, whose
+   distance, 0 or infinity, is the value. *)
+let[@inline] local_dd t ~dst x q =
+  if t.walk_quantise || (t.dd_hops && q <> 0) then float_of_int q
+  else Array.unsafe_get (Array.unsafe_get t.distance dst) x
+
 (* Forward.decide's [write_dd]: stamp the local discriminator (saturated
    at the bound) into [f_out_dd]. *)
-let write_dd t ii =
-  let q = Array.unsafe_get t.disc_q ii in
+let write_dd t ~dst x =
+  let q = Array.unsafe_get (Array.unsafe_get t.disc_q dst) x in
   Array.unsafe_set t.fbuf f_out_dd
     (if carried_sat ~max_dd_q:t.walk_max_dd_q q then begin
        note t d_ddsat;
        if traced t then
          Trace.emit t.trace
            (Trace.Dd_saturated
-              { node = ii / t.n; dd = float_of_int t.walk_max_dd_q });
+              { node = x; dd = float_of_int t.walk_max_dd_q });
        float_of_int t.walk_max_dd_q
      end
-     else if t.walk_quantise then float_of_int q
-     else Array.unsafe_get t.disc ii)
+     else local_dd t ~dst x q)
 
 (* One step of the complementary rotation: forward on [candidate] if it
    is up, else count the hit and try the next port in the cycle column,
@@ -525,10 +537,10 @@ let start_complementary t base ~deg failed_port ~started =
     (Array.unsafe_get t.cycle_col (base + failed_port))
     deg
 
-let routed t base ii ~deg =
-  let p = Array.unsafe_get t.next_hop_port ii in
+let routed t base x ~dst ~deg =
+  let p = Array.unsafe_get (Array.unsafe_get t.next_hop_port dst) x in
   if t.guard_mode && (p < -1 || p >= deg) then
-    corrupt_cell t ~node:(base / t.ports) ~cell:cell_next_hop
+    corrupt_cell t ~node:x ~cell:cell_next_hop
   else if p < 0 then c_no_route
   else if up t base p then begin
     Array.unsafe_set t.fbuf f_out_dd 0.0;
@@ -536,11 +548,10 @@ let routed t base ii ~deg =
   end
   else begin
     t.hits <- t.hits + 1;
-    write_dd t ii;
+    write_dd t ~dst x;
     if traced t then
       Trace.emit t.trace
-        (Trace.Pr_set
-           { node = base / t.ports; dd = Array.unsafe_get t.fbuf f_out_dd });
+        (Trace.Pr_set { node = x; dd = Array.unsafe_get t.fbuf f_out_dd });
     start_complementary t base ~deg p ~started:true
   end
 
@@ -551,7 +562,7 @@ let routed t base ii ~deg =
    node's ports with the best key in [f_lfa_best].  The [up] test skips
    the primary, which the ladder only leaves when it is down, and the
    administratively down links, which the view masks. *)
-let rec lfa_scan t base ii ~deg ~dst ~reason p best =
+let rec lfa_scan t base x ~deg ~dst ~reason p best =
   if p >= deg then
     if best < 0 then reason
     else begin
@@ -560,7 +571,7 @@ let rec lfa_scan t base ii ~deg ~dst ~reason p best =
         Trace.emit t.trace
           (Trace.Rung
              {
-               node = base / t.ports;
+               node = x;
                rung = Trace.Lfa_rescue;
                reason = drop_name_of_code reason;
              });
@@ -568,40 +579,38 @@ let rec lfa_scan t base ii ~deg ~dst ~reason p best =
       forwarded t best ~pr:false ~started:false
     end
   else if not (up t base p) then
-    lfa_scan t base ii ~deg ~dst ~reason (p + 1) best
+    lfa_scan t base x ~deg ~dst ~reason (p + 1) best
   else begin
     let w = Array.unsafe_get t.port_node (base + p) in
     if t.guard_mode && (w < 0 || w >= t.n) then
-      corrupt_cell t ~node:(base / t.ports) ~cell:cell_port_node
+      corrupt_cell t ~node:x ~cell:cell_port_node
     else begin
       let cost = Array.unsafe_get t.port_weight (base + p) in
-      let dist_w = Array.unsafe_get t.distance ((w * t.n) + dst) in
+      let dist = Array.unsafe_get t.distance dst in
+      let dist_w = Array.unsafe_get dist w in
       let key = cost +. dist_w in
       if
-        dist_w < cost +. Array.unsafe_get t.distance ii
+        dist_w < cost +. Array.unsafe_get dist x
         && (best < 0 || key < Array.unsafe_get t.fbuf f_lfa_best)
       then begin
         Array.unsafe_set t.fbuf f_lfa_best key;
-        lfa_scan t base ii ~deg ~dst ~reason (p + 1) p
+        lfa_scan t base x ~deg ~dst ~reason (p + 1) p
       end
-      else lfa_scan t base ii ~deg ~dst ~reason (p + 1) best
+      else lfa_scan t base x ~deg ~dst ~reason (p + 1) best
     end
   end
 
-let lfa_rescue t base ii ~deg ~reason =
-  lfa_scan t base ii ~deg ~dst:(ii - (base / t.ports * t.n)) ~reason 0 (-1)
-
-let ladder t base ii ~deg ~reason ~try_complementary =
-  let p = Array.unsafe_get t.next_hop_port ii in
+let ladder t base x ~dst ~deg ~reason ~try_complementary =
+  let p = Array.unsafe_get (Array.unsafe_get t.next_hop_port dst) x in
   if t.guard_mode && (p < -1 || p >= deg) then
-    corrupt_cell t ~node:(base / t.ports) ~cell:cell_next_hop
+    corrupt_cell t ~node:x ~cell:cell_next_hop
   else if p < 0 then c_no_route
   else if up t base p then begin
     if traced t then
       Trace.emit t.trace
         (Trace.Rung
            {
-             node = base / t.ports;
+             node = x;
              rung = Trace.Routed_resume;
              reason = drop_name_of_code reason;
            });
@@ -616,19 +625,18 @@ let ladder t base ii ~deg ~reason ~try_complementary =
         Trace.emit t.trace
           (Trace.Rung
              {
-               node = base / t.ports;
+               node = x;
                rung = Trace.Retry_complementary;
                reason = drop_name_of_code reason;
              });
-      write_dd t ii;
+      write_dd t ~dst x;
       if traced t then
         Trace.emit t.trace
-          (Trace.Pr_set
-             { node = base / t.ports; dd = Array.unsafe_get t.fbuf f_out_dd });
+          (Trace.Pr_set { node = x; dd = Array.unsafe_get t.fbuf f_out_dd });
       let r = start_complementary t base ~deg p ~started:true in
-      if r = 0 then r else lfa_rescue t base ii ~deg ~reason
+      if r = 0 then r else lfa_scan t base x ~deg ~dst ~reason 0 (-1)
     end
-    else lfa_rescue t base ii ~deg ~reason
+    else lfa_scan t base x ~deg ~dst ~reason 0 (-1)
   end
 
 (* The carried DD is read from [f_in_dd]; the out header's DD is left in
@@ -636,13 +644,13 @@ let ladder t base ii ~deg ~reason ~try_complementary =
    budget guard are read from the [walk_*] registers. *)
 let decide t ~hops_left ~dst ~x ~arrived_port ~pr =
   let base = x * t.ports in
-  let ii = (x * t.n) + dst in
   let deg = Array.unsafe_get t.degree x in
   t.out_shortcut <- false;
   if pr && t.walk_guard > 0 && hops_left <= t.walk_guard then
-    ladder t base ii ~deg ~reason:c_budget_exhausted ~try_complementary:false
-  else if not pr then routed t base ii ~deg
-  else if arrived_port < 0 then routed t base ii ~deg
+    ladder t base x ~dst ~deg ~reason:c_budget_exhausted
+      ~try_complementary:false
+  else if not pr then routed t base x ~dst ~deg
+  else if arrived_port < 0 then routed t base x ~dst ~deg
   else begin
     (* Cycle following. *)
     let w = Array.unsafe_get t.cycle_col (base + arrived_port) in
@@ -660,16 +668,14 @@ let decide t ~hops_left ~dst ~x ~arrived_port ~pr =
            falls through to plain cycle following, bit-identical to a
            kernel running with no hint at all. *)
         let dd = Array.unsafe_get t.fbuf f_in_dd in
-        let q = Array.unsafe_get t.disc_q ii in
+        let q = Array.unsafe_get (Array.unsafe_get t.disc_q dst) x in
         let max_dd_q = t.walk_max_dd_q in
         let local_sat = carried_sat ~max_dd_q q in
         let header_sat = max_dd_q >= 0 && dd >= float_of_int max_dd_q in
         let local =
-          if local_sat then float_of_int max_dd_q
-          else if t.walk_quantise then float_of_int q
-          else Array.unsafe_get t.disc ii
+          if local_sat then float_of_int max_dd_q else local_dd t ~dst x q
         in
-        let p = Array.unsafe_get t.next_hop_port ii in
+        let p = Array.unsafe_get (Array.unsafe_get t.next_hop_port dst) x in
         if
           (not (local_sat && header_sat))
           && local < dd && p >= 0
@@ -699,31 +705,29 @@ let decide t ~hops_left ~dst ~x ~arrived_port ~pr =
     end
     else begin
       t.hits <- t.hits + 1;
-      if not t.walk_dd_term then routed t base ii ~deg
+      if not t.walk_dd_term then routed t base x ~dst ~deg
       else begin
         let dd = Array.unsafe_get t.fbuf f_in_dd in
-        let q = Array.unsafe_get t.disc_q ii in
+        let q = Array.unsafe_get (Array.unsafe_get t.disc_q dst) x in
         let max_dd_q = t.walk_max_dd_q in
         let local_sat = carried_sat ~max_dd_q q in
         let header_sat = max_dd_q >= 0 && dd >= float_of_int max_dd_q in
         if local_sat && header_sat then begin
           note t d_ddsat;
           if traced t then Trace.emit t.trace (Trace.Dd_refused { node = x });
-          ladder t base ii ~deg ~reason:c_continuation_lost
+          ladder t base x ~dst ~deg ~reason:c_continuation_lost
             ~try_complementary:true
         end
         else begin
           let local =
-            if local_sat then float_of_int max_dd_q
-            else if t.walk_quantise then float_of_int q
-            else Array.unsafe_get t.disc ii
+            if local_sat then float_of_int max_dd_q else local_dd t ~dst x q
           in
           let cleared = local < dd in
           if traced t then
             Trace.emit t.trace
               (Trace.Dd_compare
                  { node = x; local_dd = local; header_dd = dd; cleared });
-          if cleared then routed t base ii ~deg
+          if cleared then routed t base x ~dst ~deg
           else begin
             Array.unsafe_set t.fbuf f_out_dd dd;
             start_complementary t base ~deg w ~started:false
@@ -1037,7 +1041,7 @@ let deliver t c ~dst ~hops =
   c.delivered <- c.delivered + 1;
   let stretch =
     Array.unsafe_get t.fbuf f_cost
-    /. Array.unsafe_get t.distance ((t.walk_src * t.n) + dst)
+    /. Array.unsafe_get (Array.unsafe_get t.distance dst) t.walk_src
   in
   c.stretch_sum <- c.stretch_sum +. stretch;
   if stretch > c.worst_stretch then c.worst_stretch <- stretch;
@@ -1125,7 +1129,8 @@ let rec walk t c ~dst x arrived_port pr ttl =
   else begin
     let base = x * t.ports in
     let p =
-      if pr then -1 else Array.unsafe_get t.next_hop_port ((x * t.n) + dst)
+      if pr then -1
+      else Array.unsafe_get (Array.unsafe_get t.next_hop_port dst) x
     in
     if
       p >= 0
@@ -1222,11 +1227,10 @@ and transmit t c ~dst x slot pr ttl ~cls =
       drop t c ~node:next Stale_view ~hops:(t.walk_ttl0 - ttl + 1)
     end
     else begin
-      let ap = Array.unsafe_get t.node_port ((next * t.n) + x) in
+      let ap = Array.unsafe_get t.twin slot in
       if t.guard_mode && (ap < 0 || ap >= Array.unsafe_get t.degree next)
       then
-        corrupt_drop t c ~node:next ~cell:cell_node_port
-          ~hops:(t.walk_ttl0 - ttl)
+        corrupt_drop t c ~node:next ~cell:cell_twin ~hops:(t.walk_ttl0 - ttl)
       else begin
         if pr then
           Array.unsafe_set t.fbuf f_in_dd (Array.unsafe_get t.fbuf f_out_dd);
@@ -1261,15 +1265,10 @@ let entry_fault t (header : Forward.hop_header) arrived_from ~src =
   end
   else
     match arrived_from with
-    | Some y when y < 0 || y >= t.n || t.node_port.((src * t.n) + y) < 0 ->
+    | Some y when y < 0 || y >= t.n || Graph.port (Fib.graph t.fib) src y < 0 ->
         t.fault_code <- fc_not_neighbour;
         t.fault_node <- src;
         t.fault_aux <- y;
-        true
-    | Some y
-      when t.guard_mode
-           && t.node_port.((src * t.n) + y) >= Array.unsafe_get t.degree src ->
-        ignore (corrupt_cell t ~node:src ~cell:cell_node_port);
         true
     | _ -> false
 
@@ -1291,7 +1290,7 @@ let run_one ?(termination = Forward.Distance_discriminator) ?(quantise = false)
     let ap0 =
       match arrived_from with
       | None -> -1
-      | Some y -> t.node_port.((src * t.n) + y)
+      | Some y -> Graph.port (Fib.graph t.fib) src y
     in
     t.fbuf.(f_in_dd) <- header.Forward.dd_value;
     walk t c ~dst src ap0 header.Forward.pr_bit t.walk_ttl0

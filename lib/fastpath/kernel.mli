@@ -110,8 +110,9 @@ val believed_up : t -> node:int -> other:int -> bool
 val set_guard : t -> bool -> unit
 (** Toggle bounds-checked forwarding (default off).  Guard mode validates
     every FIB-cell read whose value is used as an index — next-hop and
-    cycle columns, port-node and node-port maps, including the port-node
-    cells the LFA rung reads to index the distance plane — and converts
+    cycle columns, the port-node map and the twin plane a hop reads its
+    arrival port from, including the port-node cells the LFA rung reads
+    to index the distance column — and converts
     an out-of-range value into an accounted
     {!Pr_core.Forward.Dropped_corrupt} verdict with a
     {!Pr_core.Forward.Corrupt_cell} locus instead of an unsafe read.  A

@@ -11,16 +11,18 @@ type t = {
   slot_e : int array array;
 }
 
-(* [w]'s slot in a sorted row, -1 when absent. *)
-let search row w =
-  let rec go lo hi =
-    if lo >= hi then -1
-    else
-      let mid = (lo + hi) lsr 1 in
-      let x = Array.unsafe_get row mid in
-      if x = w then mid else if x < w then go (mid + 1) hi else go lo mid
-  in
-  go 0 (Array.length row)
+(* [w]'s slot in a sorted row, -1 when absent.  A top-level loop, so a
+   lookup allocates no closure. *)
+let rec search_in row w lo hi =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) lsr 1 in
+    let x = Array.unsafe_get row mid in
+    if x = w then mid
+    else if x < w then search_in row w (mid + 1) hi
+    else search_in row w lo mid
+
+let search row w = search_in row w 0 (Array.length row)
 
 let create ~n edge_list =
   if n < 0 then invalid_arg "Graph.create: negative node count";

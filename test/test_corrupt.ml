@@ -196,16 +196,20 @@ let test_cell_damage_never_raises () =
           | Ok s -> s
           | Error msg -> Alcotest.fail msg
         in
-        let arr =
+        (* A next-hop cell is numbered [node * n + dst]. *)
+        let cells, set =
+          let flat a = (Array.length a, fun i v -> a.(i) <- v) in
           match table with
-          | "port_node" -> Fib.raw_port_node scratch
-          | "node_port" -> Fib.raw_node_port scratch
-          | "next_hop_port" -> Fib.raw_next_hop_port scratch
-          | "cycle_col" -> Fib.raw_cycle_col scratch
+          | "port_node" -> flat (Fib.raw_port_node scratch)
+          | "twin" -> flat (Fib.raw_twin scratch)
+          | "next_hop_port" ->
+              let cols = Fib.raw_next_hop_port scratch in
+              (n * n, fun i v -> cols.(i mod n).(i / n) <- v)
+          | "cycle_col" -> flat (Fib.raw_cycle_col scratch)
           | t -> Alcotest.fail ("unknown damage table " ^ t)
         in
-        let slot = Rng.int rng (Array.length arr) in
-        arr.(slot) <-
+        let slot = Rng.int rng cells in
+        set slot
           [| -2; max_int / 2; n + Rng.int rng (8 * n); Rng.int rng (2 * n) |]
             .(trial);
         let kernel = Kernel.create scratch in
@@ -280,6 +284,51 @@ let test_lfa_scan_port_node_guard () =
   | Some (Forward.Corrupt_cell { node = 4; cell = "port-node" }) -> ()
   | f ->
       Alcotest.failf "expected a port-node cell at 4, got %s"
+        (Option.fold ~none:"no fault" ~some:Forward.describe_fault f)
+
+(* ---- the arrival port's twin cell ---- *)
+
+(* A hop learns its arrival port from the [twin] cell of the slot it was
+   sent on, so a damaged cell there must be an accounted verdict under
+   guard.  KSCY (4) routes towards ATLA (8) through HSTN (5), and with
+   5-8 failed, 5 starts a PR episode.  Damage the twin of 4's port to 5,
+   out of 5's degree, and the walk drops at 5 with the twin locus, after
+   the hop and before 5 decides. *)
+let test_twin_guard () =
+  let topo = Pr_topo.Abilene.topology () in
+  let g, _, _, fib = setup topo (Pr_embed.Geometric.of_topology topo) in
+  let run image =
+    let kernel = Kernel.create image in
+    Kernel.set_guard kernel true;
+    Kernel.set_failures kernel (Failure.of_list g [ (5, 8) ]);
+    Kernel.run_one kernel ~src:4 ~dst:8
+  in
+  let clean = run fib in
+  Alcotest.(check bool) "delivered" true
+    (clean.Kernel.outcome = Forward.Delivered);
+  Alcotest.(check (list int)) "through HSTN" [ 4; 5 ]
+    (List.filteri (fun i _ -> i < 2) clean.Kernel.path);
+  Alcotest.(check bool) "HSTN starts an episode" true
+    (match clean.Kernel.episodes with (5, _) :: _ -> true | _ -> false);
+  let scratch =
+    match Fib.Codec.decode ~base:fib (Fib.Codec.encode fib) with
+    | Ok s -> s
+    | Error msg -> Alcotest.fail msg
+  in
+  (Fib.raw_twin scratch).(Fib.slot scratch ~node:4 ~other:5) <-
+    Graph.degree g 5;
+  let r = run scratch in
+  Alcotest.(check bool) "dropped corrupt" true
+    (r.Kernel.outcome = Forward.Dropped_corrupt);
+  Alcotest.(check (list int)) "after the hop, no further" [ 4; 5 ]
+    r.Kernel.path;
+  Alcotest.(check int) "no episode" 0 r.Kernel.pr_episodes;
+  Alcotest.(check (list string)) "no degradation" []
+    (List.map Forward.degradation_name r.Kernel.degradations);
+  match r.Kernel.fault with
+  | Some (Forward.Corrupt_cell { node = 5; cell = "twin" }) -> ()
+  | f ->
+      Alcotest.failf "expected a twin cell at 5, got %s"
         (Option.fold ~none:"no fault" ~some:Forward.describe_fault f)
 
 (* ---- locus messages: the style satellite ---- *)
@@ -397,6 +446,8 @@ let suite =
       test_cell_damage_never_raises;
     Alcotest.test_case "LFA rung: damaged port-node cell under guard" `Quick
       test_lfa_scan_port_node_guard;
+    Alcotest.test_case "guard: a damaged twin cell drops at the arrival node"
+      `Quick test_twin_guard;
     Alcotest.test_case "fault messages carry their loci" `Quick
       test_fault_descriptions_carry_loci;
     Alcotest.test_case "corrupt storm is deterministic and well-formed" `Quick

@@ -21,6 +21,30 @@ let test_unreachable () =
   Alcotest.(check bool) "weighted infinite" true
     (Discriminator.value Discriminator.Weighted tree 2 = infinity)
 
+(* [int_of_float infinity] is unspecified, so an unreachable DD has an
+   explicit quantised value, 0 under both kinds; and a compiled cell,
+   which keeps only that and the distance, still reads infinity. *)
+let test_unreachable_cells () =
+  let g = Graph.unweighted ~n:3 [ (0, 1) ] in
+  let tree = Dijkstra.tree g ~root:0 in
+  List.iter
+    (fun kind ->
+      let name = Discriminator.to_string kind in
+      Alcotest.(check int) (name ^ ": infinity quantises to 0") 0
+        (Discriminator.quantise kind infinity);
+      let col = Array.make 3 (-1) in
+      Discriminator.column kind tree col;
+      Alcotest.(check (array int)) (name ^ ": column") [| 0; 1; 0 |] col;
+      Alcotest.(check bool) (name ^ ": unreachable cell reads infinity") true
+        (Discriminator.of_cell kind ~dist:tree.Dijkstra.dist.(2) ~q:col.(2)
+        = infinity);
+      Alcotest.(check (float 0.0)) (name ^ ": reachable cell reads its value")
+        (Discriminator.value kind tree 1)
+        (Discriminator.of_cell kind ~dist:tree.Dijkstra.dist.(1) ~q:col.(1)))
+    [ Discriminator.Hops; Discriminator.Weighted ];
+  Alcotest.(check (float 0.0)) "weighted cell reads its distance" 7.5
+    (Discriminator.of_cell Discriminator.Weighted ~dist:7.5 ~q:8)
+
 let test_bits_needed () =
   (* diameter 3 hops: values 0..3 need 2 bits. *)
   let g = Graph.unweighted ~n:4 [ (0, 1); (1, 2); (2, 3) ] in
@@ -65,6 +89,8 @@ let suite =
   [
     Alcotest.test_case "values" `Quick test_values;
     Alcotest.test_case "unreachable" `Quick test_unreachable;
+    Alcotest.test_case "unreachable cells quantise to 0" `Quick
+      test_unreachable_cells;
     Alcotest.test_case "bits needed" `Quick test_bits_needed;
     Alcotest.test_case "to_string" `Quick test_to_string;
     QCheck_alcotest.to_alcotest qcheck_strictly_decreasing_along_path;

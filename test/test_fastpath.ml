@@ -74,9 +74,37 @@ let random_failures rng g ~k =
 
 (* ---- FIB compiler: decompilation round-trip ---- *)
 
+(* The port planes at any port width: every real slot's twin points
+   back to its node, padded cells read -1, and [port_of] is the graph's
+   port for every pair, non-neighbours included. *)
+let check_ports g fib =
+  let n = Graph.n g and ports = Fib.ports fib in
+  let port_node = Fib.raw_port_node fib and twin = Fib.raw_twin fib in
+  for x = 0 to n - 1 do
+    for p = 0 to ports - 1 do
+      let s = (x * ports) + p in
+      if p < Graph.degree g x then begin
+        let w = port_node.(s) and back = twin.(s) in
+        Alcotest.(check bool) "twin below the far end's degree" true
+          (back >= 0 && back < Graph.degree g w);
+        Alcotest.(check int) "twin points back" x
+          port_node.((w * ports) + back)
+      end
+      else begin
+        Alcotest.(check int) "padded port_node" (-1) port_node.(s);
+        Alcotest.(check int) "padded twin" (-1) twin.(s)
+      end
+    done;
+    for w = 0 to n - 1 do
+      Alcotest.(check int) "port_of = Graph.port" (Graph.port g x w)
+        (Fib.port_of fib ~node:x ~neighbour:w)
+    done
+  done
+
 let check_roundtrip kind g rotation =
   let routing, cycles, fib = compile ~kind g rotation in
   let n = Graph.n g in
+  check_ports g fib;
   Alcotest.(check int) "n" n (Fib.n fib);
   Alcotest.(check int) "dd bits" (Routing.dd_bits routing) (Fib.dd_bits fib);
   for node = 0 to n - 1 do
@@ -166,6 +194,20 @@ let qcheck_roundtrip_random =
       check_roundtrip Pr_core.Discriminator.Hops g rotation;
       let g, rotation = reweighted_instance params in
       check_roundtrip Pr_core.Discriminator.Weighted g rotation;
+      true)
+
+let qcheck_ports_random =
+  QCheck.Test.make ~name:"FIB twins and ports hold at any port width"
+    ~count:30
+    QCheck.(
+      quad (int_bound 1_000_000) (Helpers.int_range 4 12) (int_bound 12)
+        (Helpers.int_range 1 4))
+    (fun (seed, n, extra, pad) ->
+      let g, rotation = random_instance (seed, n, extra) in
+      let routing, cycles = build_tables g rotation in
+      List.iter
+        (fun ports -> check_ports g (Fib.of_tables_exn ~ports routing cycles))
+        [ Graph.max_degree g; Graph.max_degree g + pad ];
       true)
 
 let test_compile_errors () =
@@ -696,7 +738,7 @@ let test_forward_into_matches_run_one () =
   let image = private_copy fib in
   List.iter
     (fun (x, w) ->
-      (Fib.raw_next_hop_port image).((x * Fib.n image) + 4) <-
+      (Fib.raw_next_hop_port image).(4).(x) <-
         Fib.port_of image ~node:x ~neighbour:w)
     [ (0, 1); (1, 2) ];
   let kernel = Kernel.create image in
@@ -1578,6 +1620,7 @@ let suite =
       test_skip_pinned;
     Alcotest.test_case "loop fast-forward: TTL 2^40" `Quick test_skip_huge_ttl;
     QCheck_alcotest.to_alcotest qcheck_roundtrip_random;
+    QCheck_alcotest.to_alcotest qcheck_ports_random;
     QCheck_alcotest.to_alcotest qcheck_truth_differential;
     QCheck_alcotest.to_alcotest qcheck_view_differential;
     QCheck_alcotest.to_alcotest qcheck_shortcut_differential;

@@ -93,14 +93,24 @@ let test_codec_copy_shares_nothing () =
   | Ok copy ->
       (* The campaign damages decoded copies in place; if decode shared
          any array with the base this would corrupt the original. *)
-      let arr = Fib.raw_next_hop_port copy in
-      let saved = arr.(0) in
-      arr.(0) <- 424242;
+      let col = (Fib.raw_next_hop_port copy).(0) in
+      let saved = col.(0) in
+      col.(0) <- 424242;
       Alcotest.(check bool) "damaging the copy leaves the base intact" true
-        ((Fib.raw_next_hop_port fib).(0) <> 424242);
-      Alcotest.(check bool) "copy and base hold distinct arrays" true
-        (Fib.raw_next_hop_port fib != arr);
-      arr.(0) <- saved
+        ((Fib.raw_next_hop_port fib).(0).(0) <> 424242);
+      let distinct a b =
+        a != b && Array.for_all (fun c -> Array.for_all (( != ) c) b) a
+      in
+      Alcotest.(check bool) "copy and base hold distinct columns" true
+        (distinct (Fib.raw_next_hop_port fib) (Fib.raw_next_hop_port copy)
+        && distinct (Fib.raw_disc_q fib) (Fib.raw_disc_q copy)
+        && distinct (Fib.raw_distance fib) (Fib.raw_distance copy));
+      Alcotest.(check bool) "copy and base hold distinct structure planes"
+        true
+        (Fib.raw_port_node fib != Fib.raw_port_node copy
+        && Fib.raw_twin fib != Fib.raw_twin copy
+        && Fib.raw_cycle_col fib != Fib.raw_cycle_col copy);
+      col.(0) <- saved
 
 let test_codec_rejects_damage () =
   let _, fib = abilene_fib () in

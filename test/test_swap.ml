@@ -674,6 +674,97 @@ let test_hub_down_up_returns_base () =
       Alcotest.(check bool) (name ^ ": hub up = base") true (Fib.equal fib up))
     [ Pr_core.Discriminator.Hops; Pr_core.Discriminator.Weighted ]
 
+(* An edit copies only the columns it repairs.  After each apply the
+   parent still equals a codec copy taken before it, exactly
+   [stats.dirty] destinations hold fresh columns, every other
+   destination's columns are the parent's own, and the structure planes
+   are shared by the lineage. *)
+let test_apply_shares_clean_columns () =
+  let ba =
+    Pr_topo.Generate.barabasi_albert (Rng.create ~seed:1) ~n:200 ~k:3
+  in
+  List.iter
+    (fun topo ->
+      let g = topo.Pr_topo.Topology.graph in
+      let name = topo.Pr_topo.Topology.name in
+      let fib = compile g (Pr_embed.Geometric.of_topology topo) in
+      let e = Graph.edge g 0 and f = Graph.edge g (Graph.m g / 2) in
+      let steps =
+        [
+          [ { Delta.u = e.Graph.u; v = e.Graph.v; change = Delta.Down } ];
+          [ { Delta.u = f.Graph.u; v = f.Graph.v;
+              change = Delta.Weight (f.Graph.w *. 0.5) } ];
+          [ { Delta.u = e.Graph.u; v = e.Graph.v; change = Delta.Up } ];
+        ]
+      in
+      let step parent batch =
+        let before =
+          match Fib.Codec.decode ~base:fib (Fib.Codec.encode parent) with
+          | Ok copy -> copy
+          | Error msg -> Alcotest.fail msg
+        in
+        let next, stats = Delta.apply_exn parent batch in
+        Alcotest.(check bool) (name ^ ": parent untouched") true
+          (Fib.equal parent before);
+        Alcotest.(check bool) (name ^ ": apply = recompile") true
+          (Fib.equal next (Delta.recompile next));
+        let shared plane dst = (plane parent).(dst) == (plane next).(dst) in
+        let fresh = ref 0 in
+        for dst = 0 to Graph.n g - 1 do
+          match
+            ( shared Fib.raw_next_hop_port dst,
+              shared Fib.raw_disc_q dst,
+              shared Fib.raw_distance dst )
+          with
+          | true, true, true -> ()
+          | false, false, false -> incr fresh
+          | _ -> Alcotest.failf "%s: destination %d half copied" name dst
+        done;
+        Alcotest.(check bool) (name ^ ": the edit repairs something") true
+          (stats.Delta.dirty > 0);
+        Alcotest.(check int) (name ^ ": fresh columns = dirty")
+          stats.Delta.dirty !fresh;
+        Alcotest.(check bool) (name ^ ": structure shared") true
+          (Fib.raw_twin parent == Fib.raw_twin next
+          && Fib.raw_port_node parent == Fib.raw_port_node next
+          && Fib.raw_cycle_col parent == Fib.raw_cycle_col next);
+        next
+      in
+      ignore (List.fold_left step fib steps : Fib.t))
+    [ ba; Pr_topo.Geant.topology () ]
+
+(* A node the image cannot route from reads an infinite DD, though its
+   quantised cell holds 0.  With STTL's two links administratively down,
+   a PR packet injected at STTL from SNVA finds its continuation down and
+   compares DDs: infinity clears nothing, so it rotates on and finds
+   every interface down.  Reading the quantised 0 instead would clear
+   the compare and drop it as unroutable. *)
+let test_unreachable_node_dd () =
+  let topo, rotation = List.hd (paper_topologies ()) in
+  let g = topo.Pr_topo.Topology.graph in
+  List.iter
+    (fun kind ->
+      let name = Pr_core.Discriminator.to_string kind in
+      let image, _ =
+        Delta.apply_exn (compile ~kind g rotation)
+          [ { Delta.u = 0; v = 1; change = Delta.Down };
+            { Delta.u = 0; v = 3; change = Delta.Down } ]
+      in
+      Alcotest.(check int) (name ^ ": quantised cell") 0
+        (Fib.disc_q image ~node:0 ~dst:8);
+      Alcotest.(check bool) (name ^ ": DD reads infinity") true
+        (Fib.disc image ~node:0 ~dst:8 = infinity);
+      let kernel = Kernel.create image in
+      Kernel.set_failures kernel (Failure.none g);
+      let r =
+        Kernel.run_one
+          ~header:{ Pr_core.Forward.pr_bit = true; dd_value = 2.0 }
+          ~arrived_from:1 kernel ~src:0 ~dst:8
+      in
+      Alcotest.(check bool) (name ^ ": every interface down") true
+        (r.Kernel.reason = Some Kernel.Interfaces_down))
+    [ Pr_core.Discriminator.Hops; Pr_core.Discriminator.Weighted ]
+
 let suite =
   [
     Alcotest.test_case "recompile of the base image is the base image" `Quick
@@ -685,6 +776,10 @@ let suite =
       test_round_trip_returns_base_bytes;
     Alcotest.test_case "a BA hub's links down and up return the base bytes"
       `Quick test_hub_down_up_returns_base;
+    Alcotest.test_case "an edit copies only the columns it repairs" `Quick
+      test_apply_shares_clean_columns;
+    Alcotest.test_case "an unreachable node's DD reads infinity" `Quick
+      test_unreachable_node_dd;
     Alcotest.test_case "edit validation: typed errors with loci" `Quick
       test_edit_validation;
     Alcotest.test_case "epoch store: publish, pin, grace-period retire" `Quick
