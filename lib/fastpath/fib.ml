@@ -1,4 +1,5 @@
 module Graph = Pr_graph.Graph
+module Connectivity = Pr_graph.Connectivity
 module Dijkstra = Pr_graph.Dijkstra
 module Routing = Pr_core.Routing
 module Cycle_table = Pr_core.Cycle_table
@@ -24,12 +25,26 @@ type t = {
   sc_mask : int array;       (* [n]: per-node seen-hint contribution *)
   live : bool array;         (* [m], by base edge index: administratively up *)
   eff_weight : float array;  (* [m], by base edge index: effective weight *)
+  bridges : int array;       (* the base graph's bridges, sorted edge indices *)
+  connected : bool;          (* the base graph is connected *)
 }
 
 (* Shortcut plane: per-node hint masks compiled once per image under the
    default header budget.  Purely structural (a function of the node
    count alone), so Delta recompiles copy it through untouched. *)
 let default_sc_width = 16
+
+(* The bridge table: the base graph's bridges as sorted edge indices, and
+   whether that graph is connected.  Structural, like the port planes, so
+   it is computed once per base structure and every image of the lineage
+   shares it. *)
+let bridge_table g =
+  let bridges =
+    Array.of_list
+      (List.map (fun (u, v) -> Graph.edge_index g u v) (Connectivity.bridges g))
+  in
+  Array.sort Int.compare bridges;
+  (bridges, Connectivity.is_connected g)
 
 type mismatch =
   | Node_count of { routing : int; cycles : int }
@@ -178,6 +193,9 @@ let of_tables ?ports routing cycles =
                 (Graph.neighbours g x)
             done);
         let sc_plan = Pr_core.Seen.plan ~nodes:n ~width:default_sc_width in
+        let bridges, connected =
+          Pr_telemetry.Span.timed "fib.compile.bridges" (fun () -> bridge_table g)
+        in
         (* Structure and an all-live admin state; [fill] writes the route
            columns. *)
         let structure =
@@ -187,7 +205,8 @@ let of_tables ?ports routing cycles =
             sc_width = sc_plan.Pr_core.Seen.width;
             sc_mask = Array.init n (Pr_core.Seen.mask_of sc_plan);
             live = Array.make (Graph.m g) true;
-            eff_weight = Array.init (Graph.m g) (fun i -> (Graph.edge g i).Graph.w) }
+            eff_weight = Array.init (Graph.m g) (fun i -> (Graph.edge g i).Graph.w);
+            bridges; connected }
         in
         Ok (fill structure ~tree:(Routing.tree routing))
   end
@@ -246,6 +265,7 @@ let footprint t =
       p "sc_mask" (Array.length t.sc_mask);
       p "live" (Array.length t.live);
       p "eff_weight" (Array.length t.eff_weight);
+      p "bridges" (Array.length t.bridges);
     ]
   in
   let total_bytes = List.fold_left (fun a pl -> a + pl.bytes) 0 planes in
@@ -368,6 +388,7 @@ let equal a b =
   && Array.length a.distance = Array.length b.distance
   && Array.for_all2 float_arrays_equal a.distance b.distance
   && float_arrays_equal a.eff_weight b.eff_weight
+  && a.bridges = b.bridges && a.connected = b.connected
 
 let raw_port_node t = t.port_node
 let raw_port_weight t = t.port_weight
@@ -378,6 +399,25 @@ let raw_distance t = t.distance
 let raw_cycle_col t = t.cycle_col
 let raw_sc_mask t = t.sc_mask
 let raw_live t = t.live
+let raw_degree t = t.degree
+let raw_bridges t = t.bridges
+
+let connected t = t.connected
+
+(* Whether [e] is in the sorted [b.(lo .. hi - 1)]. *)
+let rec mem_sorted (b : int array) e lo hi =
+  lo < hi
+  &&
+  let mid = (lo + hi) lsr 1 in
+  let c = b.(mid) in
+  c = e || if c < e then mem_sorted b e (mid + 1) hi else mem_sorted b e lo mid
+
+let is_bridge t ~u ~v =
+  Array.length t.bridges > 0
+  &&
+  match Graph.edge_index t.g u v with
+  | e -> mem_sorted t.bridges e 0 (Array.length t.bridges)
+  | exception Not_found -> false
 
 (* ---- the checkpoint codec ---- *)
 
@@ -546,6 +586,9 @@ module Codec = struct
                   eff_weight)
           | _ -> fail "truncated image"
         in
+        (* Not in the blob: the bridge table is the base graph's, rebuilt
+           so the decoded image shares no array with [base]. *)
+        let bridges, connected = bridge_table base.g in
         Ok
           {
             g = base.g;
@@ -565,6 +608,8 @@ module Codec = struct
             cycle_col;
             live;
             eff_weight;
+            bridges;
+            connected;
           }
     | _ -> fail "truncated image"
 end

@@ -56,11 +56,11 @@ val of_tables :
     neighbours than [ports] is a typed {!Port_overflow} error, never an
     assertion.  The tables must be built over the same graph.
 
-    Only the structure (ports, cycle column, shortcut masks, an all-live
-    admin state) is laid out here; the route columns come from the
-    per-destination fill {!Delta.recompile} also compiles with, run over
-    [Routing.tree] for every destination.  Sub-spans:
-    [fib.compile.ports], [.cycles], [.routes]. *)
+    Only the structure (ports, cycle column, shortcut masks, the bridge
+    table, an all-live admin state) is laid out here; the route columns
+    come from the per-destination fill {!Delta.recompile} also compiles
+    with, run over [Routing.tree] for every destination.  Sub-spans:
+    [fib.compile.ports], [.cycles], [.bridges], [.routes]. *)
 
 val of_tables_exn :
   ?ports:int -> Pr_core.Routing.t -> Pr_core.Cycle_table.t -> t
@@ -116,7 +116,8 @@ val footprint : t -> footprint
     its [n * n] cells plus, per column, the column's header and its
     pointer in the plane.  Columns an image shares with another are
     counted in each.  The shortcut-hint plane appears as [sc_mask] (one
-    word per node at {!sc_width} effective bits). *)
+    word per node at {!sc_width} effective bits), and the bridge table as
+    [bridges] (one word per bridge). *)
 
 val footprint_json : footprint -> string
 (** One-line JSON object: [total_bytes], [bytes_per_router], [planes]. *)
@@ -150,6 +151,30 @@ val eff_weight : t -> u:int -> v:int -> float
 val admin_down : t -> (int * int) list
 (** Administratively down links, canonical orientation, in base edge
     order. *)
+
+(** {2 The bridge table}
+
+    Each image stores its base graph's bridges, as sorted base edge
+    indices, and whether that graph is connected.  Both are structural:
+    {!of_tables} computes them once per base structure
+    ({!Pr_graph.Connectivity.bridges}, about 0.5 ms at BA n = 1000),
+    every {!Delta} image shares the parent's table as it shares the port
+    planes, and {!Codec.decode} rebuilds it from the base graph, so the
+    checkpoint format does not carry it.  {!footprint} counts it as the
+    [bridges] plane, one word per bridge.  A caller asking whether a
+    failure set can part two nodes of the base graph reads it: on a
+    connected base graph, an empty set or one non-bridge link parts none
+    ({!Kernel.components}).  Administrative state plays no part: a link an
+    edit took down is still a link of the base graph. *)
+
+val connected : t -> bool
+(** Whether the base graph is connected. *)
+
+val is_bridge : t -> u:int -> v:int -> bool
+(** Whether [u]-[v] is a bridge of the base graph, either orientation:
+    [false] for a link that is not a bridge and for a pair that is not a
+    link.  Two binary searches: the neighbour row for the edge index,
+    then the table. *)
 
 val equal : t -> t -> bool
 (** Bitwise equality of every compiled array (floats compared by their
@@ -246,6 +271,12 @@ val raw_sc_mask : t -> int array
 
 val raw_live : t -> bool array
 (** [m]: administrative liveness by base edge index *)
+
+val raw_degree : t -> int array
+(** [n]: each node's real degree *)
+
+val raw_bridges : t -> int array
+(** The base graph's bridges, sorted base edge indices *)
 
 (** {2 The checkpoint codec}
 

@@ -11,6 +11,45 @@ let d_lfa = 1
 
 let d_ddsat = 2
 
+(* The buffers a kernel writes besides its walk registers: the three port
+   planes, the cut list and the labelling's two n-int arrays.  One set per
+   domain stays resident between calls ({!with_resident}), so nothing here
+   may reference an image: the planes are repainted from whichever image
+   takes them. *)
+type buffers = {
+  for_n : int;
+  for_ports : int;
+  view_plane : Bytes.t;
+  truth_plane : Bytes.t;
+  admin_plane : Bytes.t;
+  mutable cut : int array;
+      (* the port slots the last [set_failures] cut, both ends of each
+         failed link, sorted in [0, ncut) *)
+  mutable ncut : int;
+  mutable repaint : bool;
+      (* a plane was written since, other than by [set_failures]: the next
+         one repaints in full instead of restoring [cut] *)
+  mutable label : int array;  (* [components]' labels, [||] until used *)
+  mutable queue : int array;  (* and its BFS queue *)
+  mutable busy : bool;  (* a kernel of a running call holds them *)
+}
+
+(* Uninitialised planes: whoever takes them paints them in full. *)
+let buffers ~n ~ports =
+  {
+    for_n = n;
+    for_ports = ports;
+    view_plane = Bytes.create (n * ports);
+    truth_plane = Bytes.create (n * ports);
+    admin_plane = Bytes.create (n * ports);
+    cut = Array.make 8 0;
+    ncut = 0;
+    repaint = false;
+    label = [||];
+    queue = [||];
+    busy = false;
+  }
+
 type t = {
   (* The bound image and every array read off it.  Mutable as a block:
      {!rebind} points the kernel at the next image of a lineage (a
@@ -31,6 +70,8 @@ type t = {
   mutable distance : float array array;
   mutable dd_hops : bool;  (* the image's DD kind is [Hops] *)
   mutable cycle_col : int array;
+  (* The planes of [bufs], held here too so that a hop reads them in one
+     load. *)
   view : Bytes.t;
   truth : Bytes.t;
   admin : Bytes.t;
@@ -134,6 +175,7 @@ type t = {
   mutable skip_rescues : int;
   mutable skip_saturations : int;
   mutable skip_exits : int;
+  bufs : buffers;  (* after every walk field, so that none moves *)
 }
 
 (* [fbuf] slots. *)
@@ -147,31 +189,36 @@ let f_lfa_best = 3 (* cost + distance of the LFA rung's best candidate *)
 
 let f_skip_dd = 4 (* carried DD at the fast-forward checkpoint *)
 
-(* Repaint [t.admin] from the image's administrative link state. *)
+(* Repaint [t.admin] from the image's administrative link state: a loop,
+   not [Graph.iter_edges], so that [rebind] allocates no closure. *)
 let load_admin t =
   Bytes.fill t.admin 0 (Bytes.length t.admin) '\001';
-  let live = Fib.raw_live t.fib in
-  Graph.iter_edges
-    (fun i (e : Graph.edge) ->
-      if not live.(i) then begin
-        Bytes.set t.admin (Fib.slot t.fib ~node:e.u ~other:e.v) '\000';
-        Bytes.set t.admin (Fib.slot t.fib ~node:e.v ~other:e.u) '\000'
-      end)
-    (Fib.graph t.fib)
+  let live = Fib.raw_live t.fib and g = Fib.graph t.fib in
+  for i = 0 to Array.length live - 1 do
+    if not live.(i) then begin
+      let e = Graph.edge g i in
+      Bytes.set t.admin (Fib.slot t.fib ~node:e.u ~other:e.v) '\000';
+      Bytes.set t.admin (Fib.slot t.fib ~node:e.v ~other:e.u) '\000'
+    end
+  done
 
 (* No failures: both port planes are the admin plane. *)
 let clear_failures t =
   Bytes.blit t.admin 0 t.view 0 (Bytes.length t.view);
-  Bytes.blit t.admin 0 t.truth 0 (Bytes.length t.truth)
+  Bytes.blit t.admin 0 t.truth 0 (Bytes.length t.truth);
+  t.bufs.ncut <- 0;
+  t.bufs.repaint <- false
 
-let create fib =
+(* A kernel on [fib] over [bufs], painted as a fresh one: the admin plane
+   from the image, view and truth equal to it, nothing cut. *)
+let on_buffers fib bufs =
   let n = Fib.n fib and ports = Fib.ports fib in
   let t =
   {
     fib;
     n;
     ports;
-    degree = Array.init n (Fib.degree fib);
+    degree = Fib.raw_degree fib;
     port_node = Fib.raw_port_node fib;
     port_weight = Fib.raw_port_weight fib;
     twin = Fib.raw_twin fib;
@@ -180,9 +227,9 @@ let create fib =
     distance = Fib.raw_distance fib;
     dd_hops = Fib.kind fib = Pr_core.Discriminator.Hops;
     cycle_col = Fib.raw_cycle_col fib;
-    view = Bytes.make (n * ports) '\001';
-    truth = Bytes.make (n * ports) '\001';
-    admin = Bytes.make (n * ports) '\001';
+    view = bufs.view_plane;
+    truth = bufs.truth_plane;
+    admin = bufs.admin_plane;
     default_ttl = Forward.default_ttl (Fib.graph fib);
     degr = Array.make 8 0;
     fbuf = Array.make 5 0.0;
@@ -235,11 +282,37 @@ let create fib =
     skip_rescues = 0;
     skip_saturations = 0;
     skip_exits = 0;
+    bufs;
   }
   in
   load_admin t;
   clear_failures t;
   t
+
+let create fib = on_buffers fib (buffers ~n:(Fib.n fib) ~ports:(Fib.ports fib))
+
+(* This domain's resident buffers, sized for the last image that took
+   them. *)
+let resident = Domain.DLS.new_key (fun () -> buffers ~n:0 ~ports:0)
+
+let with_resident fib f =
+  let r = Domain.DLS.get resident in
+  if r.busy then f (create fib)
+  else begin
+    let n = Fib.n fib and ports = Fib.ports fib in
+    let r =
+      if r.for_n = n && r.for_ports = ports then r
+      else begin
+        let r = buffers ~n ~ports in
+        Domain.DLS.set resident r;
+        r
+      end
+    in
+    r.busy <- true;
+    Fun.protect
+      ~finally:(fun () -> r.busy <- false)
+      (fun () -> f (on_buffers fib r))
+  end
 
 let fib t = t.fib
 
@@ -247,7 +320,7 @@ let rebind t fib =
   if not (Graph.equal_structure (Fib.graph t.fib) (Fib.graph fib)) then
     invalid_arg "Kernel.rebind: image over a different base topology";
   t.fib <- fib;
-  t.degree <- Array.init t.n (Fib.degree fib);
+  t.degree <- Fib.raw_degree fib;
   t.port_node <- Fib.raw_port_node fib;
   t.port_weight <- Fib.raw_port_weight fib;
   t.twin <- Fib.raw_twin fib;
@@ -268,7 +341,8 @@ let rebind t fib =
       Bytes.set t.view i '\000';
       Bytes.set t.truth i '\000'
     end
-  done
+  done;
+  t.bufs.repaint <- true
 
 (* A match, not [Trace.enabled]: a cross-module call is a real call in
    an unoptimised build, and a call on the walk spills its registers. *)
@@ -328,25 +402,59 @@ let set_linkload t linkload =
 
 (* ---- port state ---- *)
 
-(* Both port slots of link [u]-[v] go down in both planes. *)
+(* Slot [s] goes down in both planes and onto the cut list. *)
+let cut_slot t s =
+  let b = t.bufs in
+  Bytes.set t.view s '\000';
+  Bytes.set t.truth s '\000';
+  if b.ncut = Array.length b.cut then begin
+    let grown = Array.make (2 * b.ncut) 0 in
+    Array.blit b.cut 0 grown 0 b.ncut;
+    b.cut <- grown
+  end;
+  b.cut.(b.ncut) <- s;
+  b.ncut <- b.ncut + 1
+
+(* Both port slots of link [u]-[v]. *)
 let cut_link t u v =
-  let su = Fib.slot t.fib ~node:u ~other:v
-  and sv = Fib.slot t.fib ~node:v ~other:u in
-  Bytes.set t.view su '\000';
-  Bytes.set t.view sv '\000';
-  Bytes.set t.truth su '\000';
-  Bytes.set t.truth sv '\000'
+  cut_slot t (Fib.slot t.fib ~node:u ~other:v);
+  cut_slot t (Fib.slot t.fib ~node:v ~other:u)
+
+(* Insertion sort of [a.(0 .. len - 1)], in place: a cut list holds 2k
+   slots for k failed links, and is nearly always short. *)
+let sort_prefix (a : int array) len =
+  for i = 1 to len - 1 do
+    let x = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && a.(!j) > x do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done
 
 (* Links are read by their endpoints, never by edge index: the failure
    set's graph need only be structurally equal to the image's, and may
-   number its edges in another order. *)
+   number its edges in another order.  Only the slots the previous call
+   cut are restored, unless a plane was written since by anything else. *)
 let set_failures t failures =
   if not (Graph.equal_structure (Fib.graph t.fib) (Pr_core.Failure.graph failures))
   then invalid_arg "Kernel.set_failures: failure set over a different graph";
-  clear_failures t;
-  Pr_core.Failure.iter (cut_link t) failures
+  let b = t.bufs in
+  if b.repaint then clear_failures t
+  else begin
+    for j = 0 to b.ncut - 1 do
+      let s = b.cut.(j) in
+      Bytes.set t.view s (Bytes.get t.admin s);
+      Bytes.set t.truth s (Bytes.get t.admin s)
+    done;
+    b.ncut <- 0
+  end;
+  Pr_core.Failure.iter (cut_link t) failures;
+  sort_prefix b.cut b.ncut
 
 let fill_plane t plane f =
+  t.bufs.repaint <- true;
   for x = 0 to t.n - 1 do
     for p = 0 to t.degree.(x) - 1 do
       let i = (x * t.ports) + p in
@@ -376,12 +484,109 @@ let port_or_die t ~node ~other what =
 let set_believed t ~node ~other ~up =
   let p = port_or_die t ~node ~other "set_believed" in
   let i = (node * t.ports) + p in
+  t.bufs.repaint <- true;
   Bytes.set t.view i
     (if up && Bytes.get t.admin i <> '\000' then '\001' else '\000')
 
 let believed_up t ~node ~other =
   let p = port_or_die t ~node ~other "believed_up" in
   Bytes.get t.view ((node * t.ports) + p) <> '\000'
+
+(* ---- reachability under the loaded failure set ---- *)
+
+(* Whether slot [s] is in the sorted [cut.(lo .. hi - 1)]. *)
+let rec is_cut (cut : int array) s lo hi =
+  lo < hi
+  &&
+  let mid = (lo + hi) lsr 1 in
+  let c = cut.(mid) in
+  c = s || if c < s then is_cut cut s (mid + 1) hi else is_cut cut s lo mid
+
+(* [label] codes below 0: not yet reached; [flagged] marks an unreached
+   end of a failed link. *)
+let unreached = -1
+
+let flagged = -2
+
+(* Label into component [root], and queue at [tail], every unreached node
+   behind port slots [lo, hi) of one node, skipping the cut slots.
+   Returns the new tail.  A cut slot leads to an end of a failed link, so
+   only a port to a node still [flagged] is looked up in [cut], and the
+   lookup sits in [cross]: a call in this loop would spill its registers
+   on every port.  Unchecked reads: [lo, hi) lies within the node's real
+   ports, whose [port_node] cells are node ids, and each node is queued
+   once, so [tail < n]. *)
+let rec scan port_node label queue cut ncut ~root lo hi tail =
+  if lo >= hi then tail
+  else
+    let w = Array.unsafe_get port_node lo in
+    let l = Array.unsafe_get label w in
+    if l >= 0 then scan port_node label queue cut ncut ~root (lo + 1) hi tail
+    else if l = flagged then
+      cross port_node label queue cut ncut ~root lo hi tail
+    else begin
+      Array.unsafe_set queue tail w;
+      Array.unsafe_set label w root;
+      scan port_node label queue cut ncut ~root (lo + 1) hi (tail + 1)
+    end
+
+(* Slot [lo] leads to a [flagged] node: skip the slot if it is cut, else
+   unflag the node and let [scan] reach it. *)
+and cross port_node label queue cut ncut ~root lo hi tail =
+  if is_cut cut lo 0 ncut then
+    scan port_node label queue cut ncut ~root (lo + 1) hi tail
+  else begin
+    Array.unsafe_set label (Array.unsafe_get port_node lo) unreached;
+    scan port_node label queue cut ncut ~root lo hi tail
+  end
+
+(* One BFS over the degree/port_node planes into [b.label], with
+   [b.queue] as its queue: array reads only, no hashtable probe. *)
+let label_components t b =
+  let n = t.n and ports = t.ports and port_node = t.port_node in
+  let label = b.label and queue = b.queue and cut = b.cut and ncut = b.ncut in
+  Array.fill label 0 n unreached;
+  for j = 0 to ncut - 1 do
+    label.(cut.(j) / ports) <- flagged
+  done;
+  (* Once every node has a label, the queued rest can reach nothing new. *)
+  let labelled = ref 0 in
+  for root = 0 to n - 1 do
+    if label.(root) < 0 then begin
+      queue.(0) <- root;
+      label.(root) <- root;
+      let head = ref 0 and tail = ref 1 in
+      while !head < !tail && !labelled + !tail < n do
+        let x = queue.(!head) in
+        incr head;
+        let lo = x * ports in
+        tail :=
+          scan port_node label queue cut ncut ~root lo (lo + t.degree.(x)) !tail
+      done;
+      labelled := !labelled + !tail
+    end
+  done
+
+let components t =
+  let b = t.bufs in
+  (* The bridge table answers for an empty set or one link, both of whose
+     slots are on the cut list. *)
+  if
+    Fib.connected t.fib
+    && (b.ncut = 0
+       || b.ncut = 2
+          && not
+               (Fib.is_bridge t.fib ~u:(b.cut.(0) / t.ports)
+                  ~v:t.port_node.(b.cut.(0))))
+  then None
+  else begin
+    if Array.length b.label <> t.n then begin
+      b.label <- Array.make t.n 0;
+      b.queue <- Array.make t.n 0
+    end;
+    label_components t b;
+    Some b.label
+  end
 
 (* ---- the per-router decision, ported line-for-line from
    Pr_core.Forward.decide ---- *)

@@ -29,6 +29,26 @@
     A kernel is single-domain state: share the {!Fib} image, give each
     domain its own kernel.
 
+    {b Buffers.}  What a kernel writes besides its walk registers lives in
+    one buffer set: the view, truth and administrative planes ([n * ports]
+    bytes each, 222 KB at BA n = 1000), the list of port slots the last
+    {!set_failures} cut, and the two n-int arrays of {!components}.
+    {!create} allocates a fresh set.  {!with_resident} instead lends a
+    call this domain's resident set, which outlives the call: it is
+    re-allocated only when a call's image has another [n] or [ports], and
+    it references no image, so it pins none.  Everything a call can set
+    — the trace sink, guard mode, probe, link load, shortcut rung and the
+    walk registers — stays on the per-call kernel record, so a kernel on
+    resident buffers, painted from its image on entry, cannot be told
+    apart from a fresh one.
+
+    {b O(k) failure loading.}  {!set_failures} keeps the slots it cut on
+    the buffers' cut list, and the next call restores only those before
+    cutting its own: O(k) in the k failed links.  Once {!fill_view},
+    {!fill_truth}, {!set_believed} or {!rebind} has written a plane, the
+    next {!set_failures} repaints both planes from the administrative one
+    in full instead, two blits of [n * ports] bytes.
+
     {b Loop fast-forward.}  The walk is deterministic, so a packet whose
     state at a slow-path decision repeats is in a loop it can only leave
     by TTL expiry.  That state is the node, the arrival port, the PR bit,
@@ -65,8 +85,19 @@
 type t
 
 val create : Fib.t -> t
-(** A kernel on [fib] with no failures loaded: both port planes start as
-    the image's administrative plane. *)
+(** A kernel on [fib] with no failures loaded, on freshly allocated
+    buffers: both port planes start as the image's administrative plane.
+    It shares the image's arrays, the degree plane included. *)
+
+val with_resident : Fib.t -> (t -> 'a) -> 'a
+(** [with_resident fib f] is [f k] for a kernel [k] on [fib] built as
+    {!create} builds one, but on this domain's resident buffers, which
+    [k] holds until [f] returns or raises.  A call made while they are
+    held, such as one nested in [f], gets fresh buffers.  [k] is valid
+    only while [f] runs: the next call repaints its buffers.  Costs the
+    per-call kernel record plus one paint of the three planes, O(n *
+    ports) bytes and O(m) reads of the image's link state, and no buffer
+    allocation once the domain has buffers of the image's size. *)
 
 val fib : t -> Fib.t
 
@@ -77,21 +108,26 @@ val rebind : t -> Fib.t -> unit
     {!set_failures}/{!fill_view}/{!fill_truth} (links the new image
     administratively removed go down immediately, links it restored stay
     down until reloaded), so a packet walk never observes a torn state.
-    Raises [Invalid_argument] if the image is over a different base
-    topology. *)
+    Allocates nothing when the new image's graph is the old one's, as in
+    a {!Fib.Delta} lineage.  Raises [Invalid_argument] if the image is
+    over a different base topology. *)
 
 (** {2 Port state} *)
 
 val set_failures : t -> Pr_core.Failure.t -> unit
 (** Load a frozen failure set into {e both} truth and view (the
-    global-truth regime): both planes are blitted from the admin plane,
-    then the two port slots of each failed link are cleared.  Links are
-    read by their endpoints ({!Pr_core.Failure.iter}), never by edge
-    index, so the failure set may be over any graph structurally equal to
-    the image's ([Invalid_argument] otherwise), whatever its edge order.
-    Costs two blits of [n * ports] bytes plus O(k) in the k failed links;
-    over the image's own graph the structure check is a physical
-    equality. *)
+    global-truth regime): both planes return to the admin plane, then the
+    two port slots of each failed link are cleared and kept, sorted, on
+    the cut list.  Links are read by their endpoints
+    ({!Pr_core.Failure.iter}), never by edge index, so the failure set may
+    be over any graph structurally equal to the image's
+    ([Invalid_argument] otherwise), whatever its edge order.  Costs O(k)
+    in the k failed links and the previous call's: only the slots that
+    call cut are restored, unless a plane was written since by
+    {!fill_view}, {!fill_truth}, {!set_believed} or {!rebind}, which
+    makes this call repaint both planes in full (two blits of [n * ports]
+    bytes).  Over the image's own graph the structure check is a
+    physical equality. *)
 
 val fill_view : t -> (node:int -> other:int -> bool) -> unit
 (** Overwrite the view plane from a per-router belief function (e.g.
@@ -104,6 +140,19 @@ val set_believed : t -> node:int -> other:int -> up:bool -> unit
     [Invalid_argument] if [other] is not a neighbour of [node]. *)
 
 val believed_up : t -> node:int -> other:int -> bool
+
+val components : t -> int array option
+(** Which pairs the loaded failure set parts: [Some label], where
+    [label.(x)] is the smallest node of [x]'s component in the image's
+    base graph minus the links the last {!set_failures} cut, or [None]
+    when that set parts no pair — the base graph is connected
+    ({!Fib.connected}) and the set is empty or one link that is not a
+    bridge ({!Fib.is_bridge}).  Administrative state is ignored: a link
+    an edit took down still joins its ends, exactly as the failure set's
+    own graph would.  [None] costs O(1) and a bridge lookup; [Some] one
+    BFS over the image's [degree]/[port_node] planes, reading the sorted
+    cut list only at a port into an end of a failed link.  The array is
+    the kernel's buffer, overwritten by the next call. *)
 
 (** {2 Guard mode} *)
 
@@ -298,5 +347,5 @@ val forward_into :
     anything. *)
 
 val record_unreachable : counters -> unit
-(** Account a packet whose endpoints the caller found disconnected (the
-    kernel itself never tests connectivity). *)
+(** Account a packet whose endpoints the caller found disconnected
+    ({!components}); a walk never tests connectivity. *)

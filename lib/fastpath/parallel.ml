@@ -44,105 +44,15 @@ let all_pairs_single_failures fib =
       let e = Graph.edge g i in
       { failures = Failure.of_list g [ (e.u, e.v) ]; pairs })
 
-(* The port slots of an item's failed links, both ends, sorted: read by
-   endpoints, so the failure set's graph may number its edges in another
-   order. *)
-let cut_slots fib failures =
-  let cut = Array.make (2 * Failure.count failures) 0 and k = ref 0 in
-  Failure.iter
-    (fun u v ->
-      cut.(!k) <- Fib.slot fib ~node:u ~other:v;
-      cut.(!k + 1) <- Fib.slot fib ~node:v ~other:u;
-      k := !k + 2)
-    failures;
-  Array.sort Int.compare cut;
-  cut
-
-(* Whether slot [s] is in the sorted [cut.(lo .. hi - 1)]. *)
-let rec is_cut (cut : int array) s lo hi =
-  lo < hi
-  &&
-  let mid = (lo + hi) lsr 1 in
-  let c = cut.(mid) in
-  c = s || if c < s then is_cut cut s (mid + 1) hi else is_cut cut s lo mid
-
-(* [label] codes below 0: not yet reached; [flagged] marks an unreached
-   end of a failed link. *)
-let unreached = -1
-
-let flagged = -2
-
-(* Label into component [root], and queue at [tail], every unreached node
-   behind port slots [lo, hi) of one node, skipping the cut slots.
-   Returns the new tail.  A cut slot leads to an end of a failed link, so
-   only a port to a node still [flagged] is looked up in [cut], and the
-   lookup sits in [cross]: a call in this loop would spill its registers
-   on every port.  Unchecked reads: [lo, hi) lies within the node's real
-   ports, whose [port_node] cells are node ids, and each node is queued
-   once, so [tail < n]. *)
-let rec scan port_node label queue cut ~root lo hi tail =
-  if lo >= hi then tail
-  else
-    let w = Array.unsafe_get port_node lo in
-    let l = Array.unsafe_get label w in
-    if l >= 0 then scan port_node label queue cut ~root (lo + 1) hi tail
-    else if l = flagged then cross port_node label queue cut ~root lo hi tail
-    else begin
-      Array.unsafe_set queue tail w;
-      Array.unsafe_set label w root;
-      scan port_node label queue cut ~root (lo + 1) hi (tail + 1)
-    end
-
-(* Slot [lo] leads to a [flagged] node: skip the slot if it is cut, else
-   unflag the node and let [scan] reach it. *)
-and cross port_node label queue cut ~root lo hi tail =
-  if is_cut cut lo 0 (Array.length cut) then
-    scan port_node label queue cut ~root (lo + 1) hi tail
-  else begin
-    Array.unsafe_set label (Array.unsafe_get port_node lo) unreached;
-    scan port_node label queue cut ~root lo hi tail
-  end
-
-(* Component labels of the image's base graph minus the item's failed
-   links, into [label] (the smallest node of each component), so
-   disconnected pairs are accounted without walking.  One BFS over the
-   image's degree/port_node planes, with [queue] as its queue: array
-   reads only, no hashtable probe.  Administrative state is ignored: a
-   link an edit took down still joins its ends, exactly as the failure
-   set's own graph would. *)
-let component_labels fib failures ~label ~queue =
-  let n = Fib.n fib and ports = Fib.ports fib in
-  let port_node = Fib.raw_port_node fib in
-  let cut = cut_slots fib failures in
-  Array.fill label 0 n unreached;
-  for j = 0 to Array.length cut - 1 do
-    label.(cut.(j) / ports) <- flagged
-  done;
-  (* Once every node has a label, the queued rest can reach nothing new. *)
-  let labelled = ref 0 in
-  for root = 0 to n - 1 do
-    if label.(root) < 0 then begin
-      queue.(0) <- root;
-      label.(root) <- root;
-      let head = ref 0 and tail = ref 1 in
-      while !head < !tail && !labelled + !tail < n do
-        let x = queue.(!head) in
-        incr head;
-        let lo = x * ports in
-        tail :=
-          scan port_node label queue cut ~root lo (lo + Fib.degree fib x) !tail
-      done;
-      labelled := !labelled + !tail
-    end
-  done
-
-let run_item kernel config prepare rng slot probe linkload ~label ~queue item =
+let run_item kernel config prepare rng slot probe linkload item =
   Kernel.set_failures kernel item.failures;
+  (* Labelled before [prepare], which may run a call of its own; the
+     labels ignore the view it perturbs. *)
+  let components = Kernel.components kernel in
   Kernel.set_probe kernel probe;
   Kernel.set_linkload kernel linkload;
   Kernel.set_shortcut kernel config.shortcut;
   (match prepare with None -> () | Some f -> f kernel ~rng item);
-  component_labels (Kernel.fib kernel) item.failures ~label ~queue;
   (* Built once here: as labelled arguments each would be a fresh [Some]
      on every packet. *)
   let termination = Some config.termination
@@ -150,13 +60,13 @@ let run_item kernel config prepare rng slot probe linkload ~label ~queue item =
   and budget_guard = Some config.budget_guard in
   Array.iter
     (fun (src, dst) ->
-      if label.(src) <> label.(dst) then begin
-        Kernel.record_unreachable slot;
-        match probe with None -> () | Some p -> Probe.record_unreachable p
-      end
-      else
-        Kernel.forward_into ?termination ?quantise ?dd_bits:config.dd_bits
-          ?budget_guard ?ttl:config.ttl kernel slot ~src ~dst)
+      match components with
+      | Some label when label.(src) <> label.(dst) -> (
+          Kernel.record_unreachable slot;
+          match probe with None -> () | Some p -> Probe.record_unreachable p)
+      | _ ->
+          Kernel.forward_into ?termination ?quantise ?dd_bits:config.dd_bits
+            ?budget_guard ?ttl:config.ttl kernel slot ~src ~dst)
     item.pairs
 
 (* [images], when given, is the image each item forwards on: a worker's
@@ -176,8 +86,7 @@ let run_items ?images ~domains ~config ~prepare ~seed ~probes ~linkloads fib
   let streams = Array.init n_items (fun _ -> Rng.split master) in
   let slots = Array.init n_items (fun _ -> Kernel.fresh_counters ()) in
   let work d =
-    let kernel = Kernel.create fib in
-    let label = Array.make (Fib.n fib) 0 and queue = Array.make (Fib.n fib) 0 in
+    Kernel.with_resident fib @@ fun kernel ->
     let i = ref d in
     while !i < n_items do
       (match images with
@@ -192,7 +101,7 @@ let run_items ?images ~domains ~config ~prepare ~seed ~probes ~linkloads fib
         match linkloads with None -> None | Some ls -> Some ls.(d)
       in
       run_item kernel config prepare streams.(!i) slots.(!i) probe linkload
-        ~label ~queue items.(!i);
+        items.(!i);
       i := !i + domains
     done
   in

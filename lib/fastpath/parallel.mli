@@ -3,7 +3,8 @@
     Work is an array of {!item}s — one frozen failure scenario plus the
     (src, dst) pairs to push through it.  Items are dealt round-robin to
     [domains] workers ({!Stdlib.Domain.spawn}); each worker owns a private
-    {!Kernel} over the shared immutable image, so no locking is needed.
+    {!Kernel} over the shared immutable image, on its domain's resident
+    buffers ({!Kernel.with_resident}), so no locking is needed.
 
     {b Determinism.}  Results are bit-identical regardless of [domains]:
 
@@ -58,16 +59,25 @@ val run :
     to 1 (inline, no spawn).  [prepare] runs once per item after
     {!Kernel.set_failures}, with the item's private stream — use it to
     perturb the kernel's view plane (imperfect detection) deterministically.
-    Pairs whose endpoints the scenario disconnects are accounted
-    unreachable without walking.  Raises [Invalid_argument] if
+    The kernel it is passed is valid only during its item: the next item
+    reloads its planes, and once the call returns its buffers serve the
+    next call.  Pairs whose endpoints the scenario disconnects are
+    accounted unreachable without walking.  Raises [Invalid_argument] if
     [domains < 1].
 
-    {b Cost.}  Per call: one {!Kernel.create} and two n-int scratch
-    arrays per domain.  Per item: {!Kernel.set_failures} (O(k) in the k
-    failed links plus two port-plane blits) and one breadth-first
-    labelling over the image's [degree]/[port_node] planes, which runs
-    whether or not the item has pairs — array reads only, no hashtable
-    probe.  The labelling cuts the failure set's links and nothing else:
+    {b Cost.}  A call pays for its packets, not for a kernel.  Per call
+    and domain: one {!Kernel.with_resident}, a kernel record on the
+    domain's resident buffers plus one paint of its three port planes
+    ([n * ports] bytes each); the buffers themselves are allocated only
+    when the image's [n] or [ports] differ from the last call's, and on
+    every call of a spawned domain.  Per item: {!Kernel.set_failures},
+    O(k) in its k failed links and the previous item's, and
+    {!Kernel.components}.  On a connected base graph an item with no
+    failed link or one that is not a bridge parts no pair, so the image's
+    bridge table answers and nothing is labelled; any other item takes
+    one breadth-first labelling over the image's [degree]/[port_node]
+    planes — array reads only, no hashtable probe — and a label test per
+    pair.  The labelling cuts the failure set's links and nothing else:
     it ignores administrative state, so a link an edit took down still
     joins its ends there, and a pair only such a link joins is walked,
     not counted unreachable.  Per packet: the walk, which allocates

@@ -99,8 +99,8 @@ val measure_norm :
 type compile_profile = {
   compile : Pr_telemetry.Span.node;  (** the recorded [fib.compile] span *)
   planes : Pr_telemetry.Span.node list;
-      (** its per-plane children: the structural [fib.compile.ports]
-          and [.cycles], then the fill's [.routes] *)
+      (** its per-plane children: the structural [fib.compile.ports],
+          [.cycles] and [.bridges], then the fill's [.routes] *)
   costs : (int * int64) list;
       (** sampled (dst, wall ns) route-column costs, destination
           order — {!Pr_fastpath.Fib.last_compile_costs} *)

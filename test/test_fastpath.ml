@@ -941,16 +941,17 @@ let oracle_component_labels failures =
   done;
   label
 
-(* [Parallel.run] spelled out on one kernel: the same per-item streams,
-   set-up order and per-item slots merged in item order, with the oracle
-   deciding reachability. *)
+(* [Parallel.run] spelled out: the same per-item streams, set-up order
+   and per-item slots merged in item order, with the oracle deciding
+   reachability.  Each item gets a fresh kernel, so no buffer, plane or
+   setting outlives it here. *)
 let oracle_run ?prepare ~config ~seed fib (items : Parallel.item array) =
-  let kernel = Kernel.create fib in
   let master = Rng.create ~seed in
   let streams = Array.map (fun _ -> Rng.split master) items in
   let total = Kernel.fresh_counters () in
   Array.iteri
     (fun i (item : Parallel.item) ->
+      let kernel = Kernel.create fib in
       let slot = Kernel.fresh_counters () in
       Kernel.set_failures kernel item.failures;
       Kernel.set_shortcut kernel config.Parallel.shortcut;
@@ -1001,30 +1002,63 @@ let gen_bridged_graph =
          (pair (int_range 1 3) bool)))
 
 (* Items over [g]: 0-4 random failed links or one or two failed nodes,
-   each with a handful of random pairs. *)
-let random_items rng g =
+   then the cases the bridge table answers — no failed link, one bridge
+   and one non-bridge — each with a handful of random pairs.  The
+   failure sets are over [over] (default [g]), a graph structurally equal
+   to [g] that may number its edges otherwise. *)
+let random_items ?(over : Graph.t option) rng g =
   let n = Graph.n g in
-  Array.init 6 (fun _ ->
-      let failures =
-        if Rng.int rng 4 = 0 then
-          Failure.of_nodes g
-            (List.init (1 + Rng.int rng 2) (fun _ -> Rng.int rng n))
-        else
-          Failure.of_list g
-            (List.map
-               (fun i ->
-                 let e = Graph.edge g i in
-                 (e.Graph.u, e.Graph.v))
-               (Rng.sample_without_replacement rng
-                  ~k:(min (Rng.int rng 5) (Graph.m g))
-                  ~n:(Graph.m g)))
-      in
-      let pairs =
-        Array.init 12 (fun _ ->
-            let src = Rng.int rng n in
-            (src, (src + 1 + Rng.int rng (n - 1)) mod n))
-      in
-      { Parallel.failures; pairs })
+  let over = Option.value over ~default:g in
+  let pairs () =
+    Array.init 12 (fun _ ->
+        let src = Rng.int rng n in
+        (src, (src + 1 + Rng.int rng (n - 1)) mod n))
+  in
+  let drawn =
+    Array.init 6 (fun _ ->
+        let failures =
+          if Rng.int rng 4 = 0 then
+            Failure.of_nodes over
+              (List.init (1 + Rng.int rng 2) (fun _ -> Rng.int rng n))
+          else
+            Failure.of_list over
+              (List.map
+                 (fun i ->
+                   let e = Graph.edge g i in
+                   (e.Graph.u, e.Graph.v))
+                 (Rng.sample_without_replacement rng
+                    ~k:(min (Rng.int rng 5) (Graph.m g))
+                    ~n:(Graph.m g)))
+        in
+        { Parallel.failures; pairs = pairs () })
+  in
+  let bridges = Pr_graph.Connectivity.bridges g in
+  let others =
+    List.filter
+      (fun (e : Graph.edge) -> not (List.mem (e.u, e.v) bridges))
+      (Array.to_list (Graph.edges g))
+  in
+  let one links = { Parallel.failures = Failure.of_list over links; pairs = pairs () } in
+  let pick l = List.nth l (Rng.int rng (List.length l)) in
+  Array.concat
+    [
+      drawn;
+      [| one [] |];
+      (if bridges = [] then [||] else [| one [ pick bridges ] |]);
+      (match others with
+      | [] -> [||]
+      | _ ->
+          let e = pick others in
+          [| one [ (e.u, e.v) ] |]);
+    ]
+
+(* [g] with its edge list reversed: structurally equal, every link
+   numbered otherwise. *)
+let reversed_edges g =
+  Graph.create ~n:(Graph.n g)
+    (List.rev_map
+       (fun (e : Graph.edge) -> (e.u, e.v, e.w))
+       (Array.to_list (Graph.edges g)))
 
 let qcheck_reachability_oracle =
   QCheck.Test.make
@@ -1040,17 +1074,22 @@ let qcheck_reachability_oracle =
           [ { Fib.Delta.u = e.Graph.u; v = e.Graph.v; change = Fib.Delta.Down } ]
       in
       let items = random_items rng g in
+      let renumbered = random_items ~over:(reversed_edges g) rng g in
       let config =
         { Parallel.default_config with ttl = Some ((4 * Graph.n g) + 8) }
       in
       List.for_all
         (fun image ->
           List.for_all
-            (fun prepare ->
+            (fun (items, prepare) ->
               let got = Parallel.run ?prepare ~config ~seed:5 image items in
               let expect = oracle_run ?prepare ~config ~seed:5 image items in
               Kernel.equal_counters got expect)
-            [ None; Some (flip_prepare image) ])
+            [
+              (items, None);
+              (items, Some (flip_prepare image));
+              (renumbered, None);
+            ])
         [ fib; delta ])
 
 (* Abilene twice: as listed, and with its edge list reversed, so the two
@@ -1058,12 +1097,7 @@ let qcheck_reachability_oracle =
 let abilene_both_orders () =
   let topo = Pr_topo.Abilene.topology () in
   let g = topo.Pr_topo.Topology.graph in
-  let reversed =
-    Graph.create ~n:(Graph.n g)
-      (List.rev_map
-         (fun (e : Graph.edge) -> (e.u, e.v, e.w))
-         (Array.to_list (Graph.edges g)))
-  in
+  let reversed = reversed_edges g in
   let _, _, fib = compile g (Pr_embed.Geometric.of_topology topo) in
   (g, reversed, fib)
 
@@ -1117,6 +1151,242 @@ let test_reordered_combine () =
     "union of the endpoints"
     (List.sort compare [ (a.u, a.v); (b.u, b.v) ])
     (Failure.edges union)
+
+let check_oracle what expect got =
+  Alcotest.(check string) what (golden_summary expect) (golden_summary got);
+  Alcotest.(check bool) (what ^ ": bit-identical") true
+    (Kernel.equal_counters expect got)
+
+(* Abilene's renumbered failure sets through the reachability oracle:
+   no failed link, every single link (each a non-bridge, so the bridge
+   table answers) and every two links (labelled), all over the reversed
+   graph, so each lookup goes by endpoints. *)
+let test_reordered_oracle () =
+  let g, reversed, fib = abilene_both_orders () in
+  let links = Array.to_list (Graph.edges g) in
+  let pairs = Array.of_list (Helpers.all_pairs g) in
+  let item l = { Parallel.failures = Failure.of_list reversed l; pairs } in
+  let singles = List.map (fun (e : Graph.edge) -> [ (e.u, e.v) ]) links in
+  let doubles =
+    List.concat_map
+      (fun (a : Graph.edge) ->
+        List.filter_map
+          (fun (b : Graph.edge) ->
+            if compare (a.u, a.v) (b.u, b.v) < 0 then
+              Some [ (a.u, a.v); (b.u, b.v) ]
+            else None)
+          links)
+      links
+  in
+  let items = Array.of_list (List.map item (([] :: singles) @ doubles)) in
+  let config = Parallel.default_config in
+  check_oracle "renumbered sets"
+    (oracle_run ~config ~seed:3 fib items)
+    (Parallel.run ~config ~seed:3 fib items)
+
+(* ---- Parallel: resident buffers ---- *)
+
+(* Géant's image and one Down edit of it, with items of one or two failed
+   links and random pairs. *)
+let resident_inputs () =
+  let topo = Pr_topo.Geant.topology () in
+  let g = topo.Pr_topo.Topology.graph in
+  let _, _, fib = compile g (Pr_embed.Geometric.of_topology topo) in
+  let e = Graph.edge g 7 in
+  let delta, _ =
+    Fib.Delta.apply_exn fib
+      [ { Fib.Delta.u = e.Graph.u; v = e.Graph.v; change = Fib.Delta.Down } ]
+  in
+  (g, fib, delta)
+
+let resident_items ~seed g =
+  let rng = Rng.create ~seed in
+  let n = Graph.n g in
+  Array.init 8 (fun _ ->
+      {
+        Parallel.failures = random_failures rng g ~k:(1 + Rng.int rng 2);
+        pairs =
+          Array.init 40 (fun _ ->
+              let src = Rng.int rng n in
+              (src, (src + 1 + Rng.int rng (n - 1)) mod n));
+      })
+
+(* (a) What one call's [prepare] arms — guard mode, a trace sink and
+   believed-down ports — is gone in the next call, on the same image and
+   on another of its lineage: the counters are a fresh kernel's and the
+   old sink hears nothing. *)
+let test_resident_settings_reset () =
+  let g, fib, delta = resident_inputs () in
+  let items = resident_items ~seed:3 g in
+  let config = Parallel.default_config in
+  let events = ref 0 in
+  let arm kernel ~rng item =
+    Kernel.set_guard kernel true;
+    Kernel.set_trace kernel (Pr_telemetry.Trace.Emit (fun _ -> incr events));
+    flip_prepare fib kernel ~rng item
+  in
+  check_oracle "armed call"
+    (oracle_run ~prepare:arm ~config ~seed:5 fib items)
+    (Parallel.run ~prepare:arm ~config ~seed:5 fib items);
+  Alcotest.(check bool) "the armed call was traced" true (!events > 0);
+  let heard = !events in
+  List.iter
+    (fun (what, image) ->
+      check_oracle what
+        (oracle_run ~config ~seed:5 image items)
+        (Parallel.run ~config ~seed:5 image items))
+    [ ("plain call, same image", fib); ("plain call, delta image", delta) ];
+  Alcotest.(check int) "the stale sink heard nothing" heard !events
+
+(* (b) A call nested in [prepare] runs on buffers of its own: neither it
+   nor the call around it sees the other's failures or labels. *)
+let test_resident_nested_call () =
+  let g, fib, _ = resident_inputs () in
+  let outer = resident_items ~seed:3 g and inner = resident_items ~seed:4 g in
+  let config = Parallel.default_config in
+  let nested = ref [] in
+  let prepare _kernel ~rng:_ _item =
+    nested := Parallel.run ~config ~seed:6 fib inner :: !nested
+  in
+  check_oracle "outer call"
+    (oracle_run ~config ~seed:5 fib outer)
+    (Parallel.run ~prepare ~config ~seed:5 fib outer);
+  let expect = oracle_run ~config ~seed:6 fib inner in
+  Alcotest.(check int) "one nested call per item" (Array.length outer)
+    (List.length !nested);
+  List.iter (check_oracle "nested call" expect) !nested
+
+(* Bytes one call allocates; [Gc.allocated_bytes]'s own boxing cancels. *)
+let allocated_bytes f =
+  let a0 = Gc.allocated_bytes () in
+  let a1 = Gc.allocated_bytes () in
+  let r = f () in
+  let a2 = Gc.allocated_bytes () in
+  (a2 -. a1 -. (a1 -. a0), r)
+
+(* (c) A call that raises gives its buffers back: the next call is a
+   fresh kernel's, and allocates exactly what a call on resident buffers
+   did before (a call on fresh ones allocates the planes too). *)
+let test_resident_after_raise () =
+  let g, fib, _ = resident_inputs () in
+  let items = resident_items ~seed:3 g in
+  let config = Parallel.default_config in
+  ignore (Parallel.run ~config ~seed:5 fib items);
+  let warm, _ = allocated_bytes (fun () -> Parallel.run ~config ~seed:5 fib items) in
+  let bad =
+    Array.mapi
+      (fun i (it : Parallel.item) ->
+        if i = 3 then { it with pairs = Array.append it.pairs [| (2, 2) |] }
+        else it)
+      items
+  in
+  (match Parallel.run ~config ~seed:5 fib bad with
+  | _ -> Alcotest.fail "src = dst was accepted"
+  | exception Invalid_argument _ -> ());
+  let after, c = allocated_bytes (fun () -> Parallel.run ~config ~seed:5 fib items) in
+  check_oracle "call after the raise" (oracle_run ~config ~seed:5 fib items) c;
+  Alcotest.(check (float 0.0)) "allocates as a warm call" warm after
+
+(* A [Weak] pointer to [fib]'s image, compiled and forwarded on here and
+   dropped on return. *)
+let forwarded_image g rotation items =
+  let _, _, fib = compile g rotation in
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some fib);
+  ignore (Parallel.run ~seed:5 fib items);
+  w
+[@@inline never]
+
+(* (d) Once a call returns, nothing it leaves behind pins its image. *)
+let test_resident_pins_no_image () =
+  let topo = Pr_topo.Geant.topology () in
+  let g = topo.Pr_topo.Topology.graph in
+  let w =
+    forwarded_image g (Pr_embed.Geometric.of_topology topo)
+      (resident_items ~seed:3 g)
+  in
+  Gc.full_major ();
+  Alcotest.(check bool) "the image was collected" true (Weak.get w 0 = None)
+
+(* (e) Calls alternating between two sizes of image re-size the buffers
+   and stay a fresh kernel's. *)
+let test_resident_alternating_sizes () =
+  let image topo =
+    let g = topo.Pr_topo.Topology.graph in
+    let _, _, fib = compile g (Pr_embed.Geometric.of_topology topo) in
+    (fib, resident_items ~seed:(Graph.n g) g)
+  in
+  let abilene = image (Pr_topo.Abilene.topology ())
+  and geant = image (Pr_topo.Geant.topology ()) in
+  let config = Parallel.default_config in
+  List.iter
+    (fun (what, (fib, items)) ->
+      check_oracle what
+        (oracle_run ~config ~seed:5 fib items)
+        (Parallel.run ~config ~seed:5 fib items))
+    [
+      ("abilene", abilene); ("geant", geant); ("abilene again", abilene);
+      ("geant again", geant);
+    ]
+
+(* [rebind] within a lineage reuses the image's planes, the degree plane
+   included: it allocates nothing. *)
+let test_rebind_allocates_nothing () =
+  let _, fib, delta = resident_inputs () in
+  let kernel = Kernel.create fib in
+  Kernel.rebind kernel delta;
+  let bytes, () = allocated_bytes (fun () -> Kernel.rebind kernel fib) in
+  Alcotest.(check (float 0.0)) "rebind to the base" 0.0 bytes;
+  let bytes, () = allocated_bytes (fun () -> Kernel.rebind kernel delta) in
+  Alcotest.(check (float 0.0)) "rebind to the edit" 0.0 bytes
+
+(* ---- the bridge table ---- *)
+
+let bridge_indices g =
+  List.sort compare
+    (List.map
+       (fun (u, v) -> Graph.edge_index g u v)
+       (Pr_graph.Connectivity.bridges g))
+
+(* The table is the base graph's, through a codec round trip and edits
+   of any link, a bridge included; [is_bridge] reads it by endpoints. *)
+let qcheck_bridge_table =
+  QCheck.Test.make ~name:"the bridge table survives codec and deltas"
+    ~count:40
+    QCheck.(
+      pair (make ~print:Helpers.graph_print gen_bridged_graph) (int_bound 1_000_000))
+    (fun (g, seed) ->
+      let rng = Rng.create ~seed in
+      let _, _, fib = compile g (Pr_embed.Rotation.adjacency g) in
+      let e = Graph.edge g (Rng.int rng (Graph.m g)) in
+      let down, _ =
+        Fib.Delta.apply_exn fib
+          [ { Fib.Delta.u = e.Graph.u; v = e.Graph.v; change = Fib.Delta.Down } ]
+      in
+      let reweighted, _ =
+        Fib.Delta.apply_exn down
+          [ { Fib.Delta.u = e.Graph.u; v = e.Graph.v; change = Fib.Delta.Weight 7.0 } ]
+      in
+      let decoded =
+        match Fib.Codec.decode ~base:fib (Fib.Codec.encode reweighted) with
+        | Ok t -> t
+        | Error m -> QCheck.Test.fail_report m
+      in
+      let expect = bridge_indices g in
+      let bridges = Pr_graph.Connectivity.bridges g in
+      List.for_all
+        (fun image ->
+          Array.to_list (Fib.raw_bridges image) = expect
+          && Fib.connected image = Pr_graph.Connectivity.is_connected g
+          && Graph.fold_edges
+               (fun _ (e : Graph.edge) ok ->
+                 ok
+                 && Fib.is_bridge image ~u:e.v ~v:e.u
+                    = List.mem (e.u, e.v) bridges)
+               g true)
+        [ fib; down; reweighted; decoded ]
+      && Fib.equal decoded reweighted
+      && Fib.raw_bridges decoded != Fib.raw_bridges fib)
 
 (* Whether the primary path from [src] to [dst] crosses a link
    [failures] has down. *)
@@ -1606,6 +1876,20 @@ let suite =
       test_reordered_parallel;
     Alcotest.test_case "reordered graph: combine by endpoints" `Quick
       test_reordered_combine;
+    Alcotest.test_case "reordered graph: the reachability oracle" `Quick
+      test_reordered_oracle;
+    Alcotest.test_case "resident buffers: prepare's settings reset" `Quick
+      test_resident_settings_reset;
+    Alcotest.test_case "resident buffers: a nested call" `Quick
+      test_resident_nested_call;
+    Alcotest.test_case "resident buffers: released on a raise" `Quick
+      test_resident_after_raise;
+    Alcotest.test_case "resident buffers: no image pinned" `Quick
+      test_resident_pins_no_image;
+    Alcotest.test_case "resident buffers: alternating image sizes" `Quick
+      test_resident_alternating_sizes;
+    Alcotest.test_case "rebind allocates nothing" `Quick
+      test_rebind_allocates_nothing;
     Alcotest.test_case "parallel minor words per packet" `Quick
       test_parallel_alloc;
     Alcotest.test_case "shortcut differential: single failures" `Slow
@@ -1625,6 +1909,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_view_differential;
     QCheck_alcotest.to_alcotest qcheck_shortcut_differential;
     QCheck_alcotest.to_alcotest qcheck_reachability_oracle;
+    QCheck_alcotest.to_alcotest qcheck_bridge_table;
     QCheck_alcotest.to_alcotest qcheck_skip_matches_full_walks;
     QCheck_alcotest.to_alcotest qcheck_skip_tailed;
   ]
