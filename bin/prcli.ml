@@ -1603,7 +1603,7 @@ let refuse_overwrite ~force path =
 
 (* The scale observatory: synthetic BA/Waxman campaigns, exiting before
    any named-topology work — the campaign generates its own graphs. *)
-let bench_scale ~domains ~seed ~repeat ~force ~scale_nodes ~scale_family
+let bench_scale ~domains ~seed ~force ~scale_nodes ~scale_family
     ~scale_scenarios ~scale_pairs ~scale_out ~scale_spans_out ~progress ~ledger
     ~no_ledger =
   refuse_overwrite ~force scale_out;
@@ -1645,7 +1645,7 @@ let bench_scale ~domains ~seed ~repeat ~force ~scale_nodes ~scale_family
   let c =
     Fun.protect ~finally:progress_off (fun () ->
         Pr_report.Scale.run ~domains ~scenarios:scale_scenarios
-          ~pairs:scale_pairs ~repeat ~families ~sizes ~seed ())
+          ~pairs:scale_pairs ~families ~sizes ~seed ())
   in
   print_string (Pr_report.Scale.render c);
   let write path s =
@@ -1665,7 +1665,6 @@ let bench_scale ~domains ~seed ~repeat ~force ~scale_nodes ~scale_family
   Pr_telemetry.Flight.knob_str fl "nodes" scale_nodes;
   Pr_telemetry.Flight.knob_int fl "scenarios" scale_scenarios;
   Pr_telemetry.Flight.knob_int fl "pairs" scale_pairs;
-  Pr_telemetry.Flight.knob_int fl "repeat" repeat;
   List.iter
     (fun (r : Pr_report.Scale.result) ->
       let pre = Printf.sprintf "%s.%d" r.family r.n in
@@ -1701,9 +1700,15 @@ let bench_scale ~domains ~seed ~repeat ~force ~scale_nodes ~scale_family
      then 0
      else 1)
 
-let bench name embedding seed backend_spec domains json probe repeat probe_out
-    force linkload_flag linkload_out swap_flag swap_out guard_flag guard_out
-    shortcut shortcut_out scale scale_nodes scale_family
+(* Each suite writes its artifact here; only [--force] overwrites one. *)
+let bench_artifact suite = "BENCH_" ^ suite ^ ".json"
+
+module Kernel = Pr_fastpath.Kernel
+module Parallel = Pr_fastpath.Parallel
+module Metrics = Pr_sim.Metrics
+
+let bench name embedding seed backend_spec domains json probe force
+    linkload_flag swap_flag guard_flag shortcut scale scale_nodes scale_family
     scale_scenarios scale_pairs scale_out scale_spans_out progress_flag ledger
     no_ledger =
   let backend = parse_backend backend_spec in
@@ -1711,32 +1716,29 @@ let bench name embedding seed backend_spec domains json probe repeat probe_out
     Printf.eprintf "domains must be >= 1\n";
     exit 1
   end;
-  if repeat < 1 then begin
-    Printf.eprintf "repeat must be >= 1\n";
-    exit 1
-  end;
   if scale then
-    bench_scale ~domains ~seed ~repeat ~force ~scale_nodes ~scale_family
+    bench_scale ~domains ~seed ~force ~scale_nodes ~scale_family
       ~scale_scenarios ~scale_pairs ~scale_out ~scale_spans_out
       ~progress:progress_flag ~ledger ~no_ledger;
   (* Malformed widths die before the clobber checks, which die before
      any timing work is spent. *)
   let shortcut = shortcut_range_or_die shortcut in
-  if probe then refuse_overwrite ~force probe_out;
-  if linkload_flag then refuse_overwrite ~force linkload_out;
-  if swap_flag then refuse_overwrite ~force swap_out;
-  if guard_flag then refuse_overwrite ~force guard_out;
-  if shortcut <> None then refuse_overwrite ~force shortcut_out;
+  List.iter
+    (fun (wanted, suite) ->
+      if wanted then refuse_overwrite ~force (bench_artifact suite))
+    [
+      (probe, "probe"); (linkload_flag, "linkload"); (swap_flag, "swap");
+      (guard_flag, "guard"); (shortcut <> None, "shortcut");
+    ];
   let topo = load_topology name in
   let config = { (Pr_exp.Fig2.default topo ~k:1) with embedding; seed } in
   let rotation = Pr_exp.Fig2.resolve_rotation config topo in
   let g = topo.Topology.graph in
+  let backend_name = Pr_sim.Engine.backend_name backend in
   let fl =
-    Pr_telemetry.Flight.create ~cmd:"bench" ~seed
-      ~backend:(Pr_sim.Engine.backend_name backend) ()
+    Pr_telemetry.Flight.create ~cmd:"bench" ~seed ~backend:backend_name ()
   in
   Pr_telemetry.Flight.knob_str fl "topology" topo.Topology.name;
-  Pr_telemetry.Flight.knob_int fl "repeat" repeat;
   Pr_telemetry.Flight.metric fl "domains" (float_of_int domains);
   (* The control-plane build runs under its own span recorder: the
      library stages (routing.build, fib.compile and its per-plane
@@ -1761,41 +1763,77 @@ let bench name embedding seed backend_spec domains json probe repeat probe_out
           Pr_telemetry.Span.timed "cycles.build" (fun () ->
               Pr_core.Cycle_table.build rotation)
         in
-        let fib = Pr_fastpath.Fib.of_tables_exn routing cycles in
+        let fib = Fib.of_tables_exn routing cycles in
         (routing, shortcut, cycles, fib))
   in
   Pr_telemetry.Flight.set_spans fl (Pr_telemetry.Span.roots recorder);
   Option.iter (fun w -> Pr_telemetry.Flight.knob_int fl "shortcut" w) shortcut;
   Pr_telemetry.Flight.section fl "footprint"
-    (Pr_fastpath.Fib.footprint_json (Pr_fastpath.Fib.footprint fib));
-  let items = Pr_fastpath.Parallel.all_pairs_single_failures fib in
+    (Fib.footprint_json (Fib.footprint fib));
+  let items = Parallel.all_pairs_single_failures fib in
   let packets =
     Array.fold_left
-      (fun acc (it : Pr_fastpath.Parallel.item) -> acc + Array.length it.pairs)
+      (fun acc (it : Parallel.item) -> acc + Array.length it.pairs)
       0 items
   in
-  (* The sweeps are deterministic, so best-of-[repeat] timing keeps the
-     result and discards scheduler noise. *)
-  let best_of run =
-    let best = ref infinity and result = ref None in
-    for _ = 1 to repeat do
-      let t0 = Unix.gettimeofday () in
-      let r = run () in
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt;
-      result := Some r
-    done;
-    (Option.get !result, !best)
+  let per_packet ns = ns /. float_of_int (max 1 packets) in
+  let num = Pr_util.Json.number and str = Printf.sprintf "%S" in
+  (* The one artifact writer: the suite and topology, then [fields]
+     (name, raw JSON value), one member a line. *)
+  let write_artifact suite fields =
+    let path = bench_artifact suite in
+    let member (k, v) = Printf.sprintf "  %S: %s" k v in
+    let fields =
+      ("suite", str suite) :: ("topology", str topo.Topology.name) :: fields
+    in
+    let oc = open_out path in
+    output_string oc
+      ("{\n" ^ String.concat ",\n" (List.map member fields) ^ "\n}\n");
+    close_out oc;
+    Pr_telemetry.Flight.artifact fl path;
+    path
+  in
+  (* An overhead suite: the off and on legs' best per-call times and
+     their ratio, then the suite's own [tail] members. *)
+  let overhead ~suite ~backend ~domains ~tail off_ns on_ns =
+    let ratio = if off_ns > 0.0 then on_ns /. off_ns else 1.0 in
+    let leg ns =
+      Printf.sprintf "{\"elapsed_s\": %s, \"ns_per_packet\": %s}"
+        (num (ns /. 1e9)) (num (per_packet ns))
+    in
+    let path =
+      write_artifact suite
+        ([
+           ("backend", str backend);
+           ("domains", string_of_int domains);
+           ("scenarios", string_of_int (Array.length items));
+           ("packets", string_of_int packets);
+           (suite ^ "_off", leg off_ns);
+           (suite ^ "_on", leg on_ns);
+           ("overhead_ratio", num ratio);
+         ]
+        @ tail)
+    in
+    Printf.printf
+      "  %s: off %.0f ns/packet, on %.0f ns/packet (x%.3f); wrote %s\n" suite
+      (per_packet off_ns) (per_packet on_ns) ratio path;
+    Pr_telemetry.Flight.metric fl (suite ^ "_overhead") ratio
+  in
+  let referee ~suite same =
+    if not same then begin
+      Printf.eprintf "%s-on run changed the verdicts — %s bug\n" suite suite;
+      exit 1
+    end
   in
   let reference_sweep ?probe ?linkload () =
-    let metrics = Pr_sim.Metrics.create () in
+    let metrics = Metrics.create () in
     Array.iter
-      (fun (it : Pr_fastpath.Parallel.item) ->
+      (fun (it : Parallel.item) ->
         let failures = it.failures in
         Array.iter
           (fun (src, dst) ->
             if not (Pr_core.Failure.pair_connected failures src dst) then begin
-              Pr_sim.Metrics.record_unreachable metrics;
+              Metrics.record_unreachable metrics;
               Option.iter Probe.record_unreachable probe
             end
             else
@@ -1806,126 +1844,99 @@ let bench name embedding seed backend_spec domains json probe repeat probe_out
               in
               match trace.Pr_core.Forward.outcome with
               | Pr_core.Forward.Delivered ->
-                  Pr_sim.Metrics.record_delivery metrics
-                    ~stretch:
-                      (Pr_core.Forward.stretch ~routing ~trace ~src ~dst)
-              | Pr_core.Forward.Ttl_exceeded ->
-                  Pr_sim.Metrics.record_loop metrics
+                  Metrics.record_delivery metrics
+                    ~stretch:(Pr_core.Forward.stretch ~routing ~trace ~src ~dst)
+              | Pr_core.Forward.Ttl_exceeded -> Metrics.record_loop metrics
               | Pr_core.Forward.Dropped_no_interface
               | Pr_core.Forward.Dropped_unreachable ->
-                  Pr_sim.Metrics.record_drop metrics
+                  Metrics.record_drop metrics
               | Pr_core.Forward.Dropped_corrupt ->
-                  Pr_sim.Metrics.record_drop ~reason:Pr_sim.Metrics.Corrupt
-                    metrics)
+                  Metrics.record_drop ~reason:Metrics.Corrupt metrics)
           it.pairs)
       items;
     metrics
   in
-  let run_off () =
+  (* The plain sweep and each requested sink suite's sweep (the same
+     calls with one sink attached) take turns on the leg timer.  A leg
+     returns its verdicts, refereed exactly (the compiled counters before
+     [Metrics.of_fastpath], or the reference walk's whole metrics), and
+     its sink's JSON. *)
+  let no_sink () = "" in
+  let plain () =
+    match backend with
+    | `Compiled -> (`Counters (Parallel.run ~domains ~seed fib items), no_sink)
+    | `Reference -> (`Metrics (reference_sweep ()), no_sink)
+  in
+  let probed () =
     match backend with
     | `Compiled ->
-        Pr_sim.Metrics.of_fastpath
-          (Pr_fastpath.Parallel.run ~domains ~seed fib items)
-    | `Reference -> reference_sweep ()
+        let c, p = Parallel.run_probed ~domains ~seed fib items in
+        (`Counters c, fun () -> Probe.to_json p)
+    | `Reference ->
+        let p = Probe.create () in
+        (`Metrics (reference_sweep ~probe:p ()), fun () -> Probe.to_json p)
   in
-  let metrics, elapsed = best_of run_off in
-  let ns_per_packet = elapsed *. 1e9 /. float_of_int (max 1 packets) in
+  let loaded () =
+    match backend with
+    | `Compiled ->
+        let c, ll = Parallel.run_loaded ~domains ~seed fib items in
+        (`Counters c, fun () -> Pr_obs.Linkload.to_json ll)
+    | `Reference ->
+        let ll = Pr_obs.Linkload.create g in
+        ( `Metrics (reference_sweep ~linkload:ll ()),
+          fun () -> Pr_obs.Linkload.to_json ll )
+  in
+  let same a b =
+    match (a, b) with
+    | `Counters a, `Counters b -> Kernel.equal_counters a b
+    | `Metrics a, `Metrics b -> a = b
+    | _ -> false
+  in
+  let sinks =
+    List.filter_map
+      (fun (wanted, sink) -> if wanted then Some sink else None)
+      [ (probe, ("probe", probed)); (linkload_flag, ("linkload", loaded)) ]
+  in
+  let timed =
+    Pr_report.Report.time_best_ns (Array.of_list (plain :: List.map snd sinks))
+  in
+  let plain_ns, (verdicts, _) = timed.(0) in
+  let sunk = List.mapi (fun i (suite, _) -> (suite, timed.(i + 1))) sinks in
+  List.iter (fun (suite, (_, (v, _))) -> referee ~suite (same verdicts v)) sunk;
+  let metrics =
+    match verdicts with `Counters c -> Metrics.of_fastpath c | `Metrics m -> m
+  in
+  let elapsed = plain_ns /. 1e9 and ns_per_packet = per_packet plain_ns in
   if json then
     Printf.printf
       "{\"topology\":%S,\"backend\":%S,\"domains\":%d,\"scenarios\":%d,\"packets\":%d,\"elapsed_s\":%.6f,\"ns_per_packet\":%.1f,\"injected\":%d,\"delivered\":%d,\"dropped\":%d,\"looped\":%d,\"unreachable\":%d,\"delivery_ratio\":%.6f,\"mean_stretch\":%.6f}\n"
-      topo.Topology.name
-      (Pr_sim.Engine.backend_name backend)
-      domains (Array.length items) packets elapsed ns_per_packet
-      metrics.Pr_sim.Metrics.injected metrics.Pr_sim.Metrics.delivered
-      metrics.Pr_sim.Metrics.dropped metrics.Pr_sim.Metrics.looped
-      metrics.Pr_sim.Metrics.unreachable
-      (Pr_sim.Metrics.delivery_ratio metrics)
-      (Pr_sim.Metrics.mean_stretch metrics)
+      topo.Topology.name backend_name domains (Array.length items) packets
+      elapsed ns_per_packet metrics.Metrics.injected metrics.Metrics.delivered
+      metrics.Metrics.dropped metrics.Metrics.looped metrics.Metrics.unreachable
+      (Metrics.delivery_ratio metrics)
+      (Metrics.mean_stretch metrics)
   else begin
     Printf.printf
       "bench: %s all-pairs single-failure sweep, %s backend, %d domain(s)\n"
-      topo.Topology.name
-      (Pr_sim.Engine.backend_name backend)
-      domains;
+      topo.Topology.name backend_name domains;
     Printf.printf "  %d scenario(s), %d packet(s), %.3f ms, %.0f ns/packet\n"
       (Array.length items) packets (elapsed *. 1e3) ns_per_packet;
-    Format.printf "  %a@." Pr_sim.Metrics.pp metrics
+    Format.printf "  %a@." Metrics.pp metrics
   end;
   Pr_telemetry.Flight.count fl "scenarios" (Array.length items);
   Pr_telemetry.Flight.count fl "packets" packets;
-  Pr_telemetry.Flight.count fl "injected" metrics.Pr_sim.Metrics.injected;
-  Pr_telemetry.Flight.count fl "delivered" metrics.Pr_sim.Metrics.delivered;
-  Pr_telemetry.Flight.count fl "dropped" metrics.Pr_sim.Metrics.dropped;
-  Pr_telemetry.Flight.count fl "looped" metrics.Pr_sim.Metrics.looped;
-  Pr_telemetry.Flight.count fl "unreachable" metrics.Pr_sim.Metrics.unreachable;
+  Pr_telemetry.Flight.count fl "injected" metrics.Metrics.injected;
+  Pr_telemetry.Flight.count fl "delivered" metrics.Metrics.delivered;
+  Pr_telemetry.Flight.count fl "dropped" metrics.Metrics.dropped;
+  Pr_telemetry.Flight.count fl "looped" metrics.Metrics.looped;
+  Pr_telemetry.Flight.count fl "unreachable" metrics.Metrics.unreachable;
   Pr_telemetry.Flight.metric fl "elapsed_s" elapsed;
   Pr_telemetry.Flight.metric fl "ns_per_packet" ns_per_packet;
-  (* The probe and link-load overhead legs: the plain sweep again with
-     one sink attached — [run_on] returns its metrics and the filled
-     sink — refereed against the plain run's metrics and timed
-     best-of-[repeat] against its time.  Writes the suite's JSON, the
-     sink's [payload] under the suite's name. *)
-  let sink_pair ~suite ~out run_on payload =
-    let (metrics_on, sink), elapsed_on = best_of run_on in
-    let render m = Format.asprintf "%a" Pr_sim.Metrics.pp m in
-    if render metrics_on <> render metrics then begin
-      Printf.eprintf "%s-on run changed the metrics — %s bug\n" suite suite;
-      exit 1
-    end;
-    let ns_on = elapsed_on *. 1e9 /. float_of_int (max 1 packets) in
-    let ratio = if elapsed > 0.0 then elapsed_on /. elapsed else 1.0 in
-    let oc = open_out out in
-    Printf.fprintf oc
-      "{\n\
-      \  \"suite\": %S,\n\
-      \  \"topology\": %S,\n\
-      \  \"backend\": %S,\n\
-      \  \"domains\": %d,\n\
-      \  \"repeat\": %d,\n\
-      \  \"scenarios\": %d,\n\
-      \  \"packets\": %d,\n\
-      \  \"%s_off\": {\"elapsed_s\": %.6f, \"ns_per_packet\": %.2f},\n\
-      \  \"%s_on\": {\"elapsed_s\": %.6f, \"ns_per_packet\": %.2f},\n\
-      \  \"overhead_ratio\": %.4f,\n\
-      \  %S: %s\n\
-       }\n"
-      suite topo.Topology.name
-      (Pr_sim.Engine.backend_name backend)
-      domains repeat (Array.length items) packets suite elapsed ns_per_packet
-      suite elapsed_on ns_on ratio suite (payload sink);
-    close_out oc;
-    Printf.printf
-      "  %s: off %.0f ns/packet, on %.0f ns/packet (x%.3f); wrote %s\n"
-      suite ns_per_packet ns_on ratio out;
-    Pr_telemetry.Flight.metric fl (suite ^ "_overhead") ratio;
-    Pr_telemetry.Flight.artifact fl out
-  in
-  if probe then
-    sink_pair ~suite:"probe" ~out:probe_out
-      (fun () ->
-        match backend with
-        | `Compiled ->
-            let total, p =
-              Pr_fastpath.Parallel.run_probed ~domains ~seed fib items
-            in
-            (Pr_sim.Metrics.of_fastpath total, p)
-        | `Reference ->
-            let p = Probe.create () in
-            (reference_sweep ~probe:p (), p))
-      Probe.to_json;
-  if linkload_flag then
-    sink_pair ~suite:"linkload" ~out:linkload_out
-      (fun () ->
-        match backend with
-        | `Compiled ->
-            let total, ll =
-              Pr_fastpath.Parallel.run_loaded ~domains ~seed fib items
-            in
-            (Pr_sim.Metrics.of_fastpath total, ll)
-        | `Reference ->
-            let ll = Pr_obs.Linkload.create g in
-            (reference_sweep ~linkload:ll (), ll))
-      Pr_obs.Linkload.to_json;
+  List.iter
+    (fun (suite, (on_ns, (_, payload))) ->
+      overhead ~suite ~backend:backend_name ~domains
+        ~tail:[ (suite, payload ()) ] plain_ns on_ns)
+    sunk;
   if swap_flag then begin
     (* Control-plane costs: per-edge single-edit incremental repair vs a
        full recompile of the same image, and the hot-swap pause (publish
@@ -1936,184 +1947,129 @@ let bench name embedding seed backend_spec domains json probe repeat probe_out
         g []
     in
     let n_edges = List.length edges in
-    let down u v =
-      [ { Pr_fastpath.Fib.Delta.u; v; change = Pr_fastpath.Fib.Delta.Down } ]
-    in
+    let down u v = [ { Delta.u; v; change = Delta.Down } ] in
     let incremental () =
-      List.iter
-        (fun (u, v) ->
-          ignore
-            (Pr_fastpath.Fib.Delta.apply_exn fib (down u v)))
-        edges
+      List.iter (fun (u, v) -> ignore (Delta.apply_exn fib (down u v))) edges
     in
     let images =
-      List.map
-        (fun (u, v) ->
-          fst (Pr_fastpath.Fib.Delta.apply_exn fib (down u v)))
-        edges
+      List.map (fun (u, v) -> fst (Delta.apply_exn fib (down u v))) edges
     in
     let full () =
-      List.iter
-        (fun image -> ignore (Pr_fastpath.Fib.Delta.recompile image))
-        images
+      List.iter (fun image -> ignore (Delta.recompile image)) images
     in
     let swap_pause () =
       let store = Pr_fastpath.Swap.create fib in
-      let kernel = Pr_fastpath.Kernel.create fib in
+      let kernel = Kernel.create fib in
       List.iter
         (fun image ->
           ignore (Pr_fastpath.Swap.publish store image);
           let epoch, pinned = Pr_fastpath.Swap.pin store in
-          Pr_fastpath.Kernel.rebind kernel pinned;
+          Kernel.rebind kernel pinned;
           Pr_fastpath.Swap.unpin store ~epoch)
         images
     in
-    let per run = snd (best_of run) *. 1e9 /. float_of_int (max 1 n_edges) in
-    let incremental_ns = per incremental in
-    let full_ns = per full in
-    let pause_ns = per swap_pause in
+    let timed =
+      Pr_report.Report.time_best_ns [| incremental; full; swap_pause |]
+    in
+    let per i = fst timed.(i) /. float_of_int (max 1 n_edges) in
+    let incremental_ns = per 0 and full_ns = per 1 and pause_ns = per 2 in
     let norm = if full_ns > 0.0 then incremental_ns /. full_ns else 1.0 in
-    let oc = open_out swap_out in
-    Printf.fprintf oc
-      "{\n\
-      \  \"suite\": \"swap\",\n\
-      \  \"topology\": %S,\n\
-      \  \"repeat\": %d,\n\
-      \  \"edges\": %d,\n\
-      \  \"incremental_ns\": %.1f,\n\
-      \  \"full_ns\": %.1f,\n\
-      \  \"swap_pause_ns\": %.1f,\n\
-      \  \"norm\": %.4f\n\
-       }\n"
-      topo.Topology.name repeat n_edges incremental_ns full_ns pause_ns norm;
-    close_out oc;
+    let path =
+      write_artifact "swap"
+        [
+          ("edges", string_of_int n_edges);
+          ("incremental_ns", num incremental_ns);
+          ("full_ns", num full_ns);
+          ("swap_pause_ns", num pause_ns);
+          ("norm", num norm);
+        ]
+    in
     Printf.printf
       "  swap: incremental %.0f ns, full %.0f ns per recompile (x%.3f), \
        pause %.0f ns; wrote %s\n"
-      incremental_ns full_ns norm pause_ns swap_out;
+      incremental_ns full_ns norm pause_ns path;
     Pr_telemetry.Flight.metric fl "swap_incremental_ns" incremental_ns;
     Pr_telemetry.Flight.metric fl "swap_full_ns" full_ns;
     Pr_telemetry.Flight.metric fl "swap_pause_ns" pause_ns;
-    Pr_telemetry.Flight.metric fl "swap_norm" norm;
-    Pr_telemetry.Flight.artifact fl swap_out
+    Pr_telemetry.Flight.metric fl "swap_norm" norm
   end;
   (* The guard and shortcut overhead legs: the same single-threaded
-     kernel sweep with one feature disarmed and armed.  Each leg's kernel
-     is built and configured, and every pair's connectivity decided,
-     before its timed region, and the legs alternate so that drift on a
-     shared machine hits both alike; [same] referees the two legs'
-     counters.  Writes the suite's JSON; returns the armed leg's
-     counters. *)
-  let armed_pair ~suite ~out ~arm ~same ~head ~tail ~note =
+     kernel sweep with nothing armed and with one feature armed, each
+     with its referee and its own artifact members (the shortcut's also
+     go to the flight record).  Guard mode (FIB-cell
+     bounds checks) must keep every counter on clean traffic, so its
+     ratio prices the checks alone.  The deja-vu shortcut rung may
+     shorten a recycled walk but never changes a verdict, so its ratio
+     prices the hint updates and grant checks alone. *)
+  let verdicts (c : Kernel.counters) =
+    (c.injected, c.delivered, c.dropped, c.looped, c.unreachable)
+  in
+  let guard =
+    ( "guard",
+      (fun k -> Kernel.set_guard k true),
+      Kernel.equal_counters,
+      fun _ -> [] )
+  in
+  let shortcut_suite w =
+    let tail (on : Kernel.counters) =
+      Pr_telemetry.Flight.count fl "shortcut_exits" on.shortcut_exits;
+      [
+        ("width", string_of_int w);
+        ("shortcut_exits", string_of_int on.shortcut_exits);
+      ]
+    in
+    ( "shortcut",
+      (fun k -> Kernel.set_shortcut k (Some w)),
+      (fun a b -> verdicts a = verdicts b),
+      tail )
+  in
+  let armed =
+    (if guard_flag then [ guard ] else [])
+    @ Option.to_list (Option.map shortcut_suite shortcut)
+  in
+  if guard_flag || shortcut <> None then begin
+    (* Each leg's kernel is built and configured, and every pair's
+       connectivity decided, before any timing; the armed legs share the
+       disarmed one on the leg timer. *)
     let connected =
       Array.map
-        (fun (it : Pr_fastpath.Parallel.item) ->
+        (fun (it : Parallel.item) ->
           Array.map
             (fun (src, dst) -> Pr_core.Failure.pair_connected it.failures src dst)
             it.pairs)
         items
     in
-    let leg armed =
-      let kernel = Pr_fastpath.Kernel.create fib in
-      arm kernel armed;
+    let leg arm =
+      let kernel = Kernel.create fib in
+      arm kernel;
       fun () ->
-        let counters = Pr_fastpath.Kernel.fresh_counters () in
+        let counters = Kernel.fresh_counters () in
         Array.iteri
-          (fun i (it : Pr_fastpath.Parallel.item) ->
-            Pr_fastpath.Kernel.set_failures kernel it.failures;
+          (fun i (it : Parallel.item) ->
+            Kernel.set_failures kernel it.failures;
             Array.iteri
               (fun j (src, dst) ->
                 if connected.(i).(j) then
-                  Pr_fastpath.Kernel.forward_into kernel counters ~src ~dst
-                else Pr_fastpath.Kernel.record_unreachable counters)
+                  Kernel.forward_into kernel counters ~src ~dst
+                else Kernel.record_unreachable counters)
               it.pairs)
           items;
         counters
     in
-    let legs = [| leg false; leg true |] in
-    let best = [| infinity; infinity |] in
-    let last = Array.map (fun run -> run ()) legs in
-    for _ = 1 to repeat do
-      Array.iteri
-        (fun i run ->
-          let t0 = Unix.gettimeofday () in
-          last.(i) <- run ();
-          best.(i) <- Float.min best.(i) (Unix.gettimeofday () -. t0))
-        legs
-    done;
-    let off = last.(0) and on = last.(1) in
-    let elapsed_off = best.(0) and elapsed_on = best.(1) in
-    if not (same off on) then begin
-      Printf.eprintf "%s-on run changed the verdicts — %s bug\n" suite suite;
-      exit 1
-    end;
-    let ns e = e *. 1e9 /. float_of_int (max 1 packets) in
-    let ratio = if elapsed_off > 0.0 then elapsed_on /. elapsed_off else 1.0 in
-    let fields = List.map (fun (k, v) -> Printf.sprintf "  %S: %s,\n" k v) in
-    let oc = open_out out in
-    Printf.fprintf oc
-      "{\n\
-      \  \"suite\": %S,\n\
-      \  \"topology\": %S,\n\
-      \  \"backend\": \"compiled\",\n\
-      \  \"repeat\": %d,\n\
-      \  \"scenarios\": %d,\n\
-      \  \"packets\": %d,\n\
-       %s\
-      \  \"%s_off\": {\"elapsed_s\": %.6f, \"ns_per_packet\": %.2f},\n\
-      \  \"%s_on\": {\"elapsed_s\": %.6f, \"ns_per_packet\": %.2f},\n\
-       %s\
-      \  \"overhead_ratio\": %.4f\n\
-       }\n"
-      suite topo.Topology.name repeat (Array.length items) packets
-      (String.concat "" (fields head))
-      suite elapsed_off (ns elapsed_off) suite elapsed_on (ns elapsed_on)
-      (String.concat "" (fields (tail on)))
-      ratio;
-    close_out oc;
-    Printf.printf "  %s: off %.0f ns/packet, on %.0f ns/packet (x%.3f)%s; wrote %s\n"
-      suite (ns elapsed_off) (ns elapsed_on) ratio (note on) out;
-    Pr_telemetry.Flight.metric fl (suite ^ "_overhead") ratio;
-    Pr_telemetry.Flight.artifact fl out;
-    on
-  in
-  if guard_flag then
-    (* Guard mode (FIB-cell bounds checks): clean traffic must keep every
-       verdict — the counters are compared exactly — so the ratio prices
-       the checks alone. *)
-    ignore
-      (armed_pair ~suite:"guard" ~out:guard_out ~arm:Pr_fastpath.Kernel.set_guard
-         ~same:Pr_fastpath.Kernel.equal_counters ~head:[]
-         ~tail:(fun _ -> [])
-         ~note:(fun _ -> "")
-        : Pr_fastpath.Kernel.counters);
-  (match shortcut with
-  | None -> ()
-  | Some w ->
-      (* The deja-vu shortcut rung may reroute a recycled walk early but
-         never changes a verdict — the verdict counters are compared
-         exactly — so the ratio prices the hint updates and the grant
-         checks alone. *)
-      let verdicts (c : Pr_fastpath.Kernel.counters) =
-        ( c.Pr_fastpath.Kernel.injected,
-          c.Pr_fastpath.Kernel.delivered,
-          c.Pr_fastpath.Kernel.dropped,
-          c.Pr_fastpath.Kernel.looped,
-          c.Pr_fastpath.Kernel.unreachable )
-      in
-      let exits (c : Pr_fastpath.Kernel.counters) =
-        c.Pr_fastpath.Kernel.shortcut_exits
-      in
-      let on =
-        armed_pair ~suite:"shortcut" ~out:shortcut_out
-          ~arm:(fun k armed ->
-            Pr_fastpath.Kernel.set_shortcut k (if armed then Some w else None))
-          ~same:(fun a b -> verdicts a = verdicts b)
-          ~head:[ ("width", string_of_int w) ]
-          ~tail:(fun on -> [ ("shortcut_exits", string_of_int (exits on)) ])
-          ~note:(fun on -> Printf.sprintf ", %d exit(s)" (exits on))
-      in
-      Pr_telemetry.Flight.count fl "shortcut_exits" (exits on));
+    let timed =
+      Pr_report.Report.time_best_ns
+        (Array.of_list
+           (leg ignore :: List.map (fun (_, arm, _, _) -> leg arm) armed))
+    in
+    let off_ns, off = timed.(0) in
+    List.iteri
+      (fun i (suite, _, equal, tail) ->
+        let on_ns, on = timed.(i + 1) in
+        referee ~suite (equal off on);
+        overhead ~suite ~backend:"compiled" ~domains:1 ~tail:(tail on) off_ns
+          on_ns)
+      armed
+  end;
   ledger_append ~no_ledger ~ledger fl
 
 let bench_cmd =
@@ -2129,55 +2085,31 @@ let bench_cmd =
     Arg.(value & flag & info [ "probe" ]
            ~doc:"Also run the sweep with a telemetry probe attached and
                  write its counters and histograms, plus the probe-on vs
-                 probe-off timing delta, as JSON.")
-  in
-  let repeat =
-    Arg.(value & opt int 1 & info [ "repeat" ] ~docv:"INT"
-           ~doc:"Time each sweep this many times and keep the best run
-                 (the sweeps are deterministic).")
-  in
-  let probe_out =
-    Arg.(value & opt string "BENCH_probe.json" & info [ "probe-out" ]
-           ~docv:"FILE" ~doc:"Where --probe writes its JSON.")
+                 probe-off timing delta, to BENCH_probe.json.")
   in
   let force =
     Arg.(value & flag & info [ "force" ]
-           ~doc:"Overwrite existing --probe-out / --linkload-out files
-                 instead of refusing.")
+           ~doc:"Overwrite an existing BENCH_<suite>.json (or --scale-out /
+                 --scale-spans-out file) instead of refusing.")
   in
   let linkload =
     Arg.(value & flag & info [ "linkload" ]
            ~doc:"Also run the sweep with per-link load accounting attached
                  and write the merged table, plus the on vs off timing
-                 delta, as JSON.")
-  in
-  let linkload_out =
-    Arg.(value & opt string "BENCH_linkload.json" & info [ "linkload-out" ]
-           ~docv:"FILE" ~doc:"Where --linkload writes its JSON.")
+                 delta, to BENCH_linkload.json.")
   in
   let swap =
     Arg.(value & flag & info [ "swap" ]
            ~doc:"Also time the control plane: per-edge incremental FIB
                  repair vs full recompile, and the epoch-store hot-swap
-                 pause, written as JSON.")
-  in
-  let swap_out =
-    Arg.(value & opt string "BENCH_swap.json" & info [ "swap-out" ]
-           ~docv:"FILE" ~doc:"Where --swap writes its JSON.")
+                 pause, written to BENCH_swap.json.")
   in
   let guard =
     Arg.(value & flag & info [ "guard" ]
            ~doc:"Also time the kernel sweep with guard mode (FIB-cell
                  bounds checks) off and on, verify the verdicts are
-                 unchanged, and write the overhead ratio as JSON.")
-  in
-  let guard_out =
-    Arg.(value & opt string "BENCH_guard.json" & info [ "guard-out" ]
-           ~docv:"FILE" ~doc:"Where --guard writes its JSON.")
-  in
-  let shortcut_out =
-    Arg.(value & opt string "BENCH_shortcut.json" & info [ "shortcut-out" ]
-           ~docv:"FILE" ~doc:"Where --shortcut writes its JSON.")
+                 unchanged, and write the overhead ratio to
+                 BENCH_guard.json.")
   in
   let scale =
     Arg.(value & flag & info [ "scale" ]
@@ -2217,13 +2149,17 @@ let bench_cmd =
   Cmd.v
     (Cmd.info "bench"
        ~doc:"Time the all-pairs single-failure PR sweep on the reference or
-             compiled data plane.")
+             compiled data plane.  Every timed leg runs on one leg timer:
+             warmed once, then interleaved with the legs it is compared
+             to until each has had at least 100 ms in at least 7 batches;
+             the best per-call time is reported.  With $(b,--shortcut),
+             writes the armed/ungated kernel ratio to
+             BENCH_shortcut.json.")
     Term.(const bench $ topo_arg $ embedding_arg $ seed_arg $ backend_arg
-          $ domains $ json $ probe $ repeat $ probe_out $ force $ linkload
-          $ linkload_out $ swap $ swap_out $ guard $ guard_out
-          $ shortcut_arg $ shortcut_out $ scale $ scale_nodes
-          $ scale_family $ scale_scenarios $ scale_pairs $ scale_out
-          $ scale_spans_out $ progress_arg $ ledger_arg $ no_ledger_arg)
+          $ domains $ json $ probe $ force $ linkload $ swap $ guard
+          $ shortcut_arg $ scale $ scale_nodes $ scale_family
+          $ scale_scenarios $ scale_pairs $ scale_out $ scale_spans_out
+          $ progress_arg $ ledger_arg $ no_ledger_arg)
 
 (* ---- report: the network observatory rollup ---- *)
 
@@ -2354,7 +2290,7 @@ let report_cmd =
 
 (* ---- history: the perf-trend anomaly observatory ---- *)
 
-let history_run dir ledger measure name embedding seed repeat json_flag out =
+let history_run dir ledger measure name embedding seed json_flag out =
   let extra =
     if not measure then []
     else begin
@@ -2363,9 +2299,7 @@ let history_run dir ledger measure name embedding seed repeat json_flag out =
       let topo = load_topology name in
       let config = { (Pr_exp.Fig2.default topo ~k:1) with embedding; seed } in
       let rotation = Pr_exp.Fig2.resolve_rotation config topo in
-      let norm =
-        Pr_report.Report.measure_norm ~repeat:(max repeat 3) topo rotation
-      in
+      let norm = Pr_report.Report.measure_norm topo rotation in
       [ ("bench.fastpath", { Pr_report.History.source = "measured"; value = norm }) ]
     end
   in
@@ -2399,10 +2333,6 @@ let history_cmd =
                  $(b,bench.fastpath) series before assessment — the live leg
                  of the CI regression gate.")
   in
-  let repeat =
-    Arg.(value & opt int 3 & info [ "repeat" ] ~docv:"INT"
-           ~doc:"Timing repetitions for --measure (best run kept).")
-  in
   let json =
     Arg.(value & flag & info [ "json" ]
            ~doc:"Also emit the machine-readable pr.history/1 report on
@@ -2421,7 +2351,7 @@ let history_cmd =
              gate on short series), render sparkline trends, and exit
              non-zero if any series is anomalous.")
     Term.(const history_run $ dir $ ledger $ measure $ topo_arg
-          $ embedding_arg $ seed_arg $ repeat $ json $ out)
+          $ embedding_arg $ seed_arg $ json $ out)
 
 let main_cmd =
   Cmd.group

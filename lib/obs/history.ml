@@ -5,10 +5,10 @@
    FLIGHT_*.jsonl flight ledger (one record per run: the "metrics" and
    "timings" objects each contribute a point per member).  Points are
    grouped into named series — ["bench.<suite>"], or
-   ["flight.<cmd>.<metric>"] — and each series is assessed with a
-   robust median-absolute-deviation rule, falling back to the
-   historical flat-threshold check when the series is too short for
-   robust statistics to mean anything.
+   ["flight.<cmd>.<metric>{backend=…,knob=…}"] — and each series is
+   assessed with a robust median-absolute-deviation rule, falling back
+   to the historical flat-threshold check when the series is too short
+   for robust statistics to mean anything.
 
    Direction: every tracked quantity is a cost (overhead ratio,
    normalised time, ns per packet), so only increases are anomalous. *)
@@ -42,6 +42,28 @@ type report = {
 }
 
 (* ---- gathering ---- *)
+
+(* Records of unlike runs must not pool: a reference-walk bench and a
+   compiled one, or two topologies, time different things.  A record's
+   backend and knobs qualify its series key as [{backend=…,knob=…}]; a
+   record with neither keeps the bare ["flight.<cmd>.<metric>"].  Every
+   knob writer records a string or a number. *)
+let qualifier j =
+  let label (k, v) =
+    match v with
+    | Json.Str s -> k ^ "=" ^ s
+    | Json.Num x -> k ^ "=" ^ Json.number x
+    | _ -> k
+  in
+  let knobs =
+    match Json.member "knobs" j with Some (Json.Obj ms) -> ms | _ -> []
+  in
+  let backend =
+    match Json.member "backend" j with Some b -> [ ("backend", b) ] | None -> []
+  in
+  match List.map label (backend @ knobs) with
+  | [] -> ""
+  | labels -> "{" ^ String.concat "," labels ^ "}"
 
 let ledger_series ~errors path =
   let acc = Hashtbl.create 16 in
@@ -77,6 +99,7 @@ let ledger_series ~errors path =
                     let source =
                       Printf.sprintf "%s:%d" (Filename.basename path) !lineno
                     in
+                    let qualifier = qualifier j in
                     List.iter
                       (fun section ->
                         match Json.member section j with
@@ -86,7 +109,8 @@ let ledger_series ~errors path =
                                 match Json.num v with
                                 | Some value when Float.is_finite value ->
                                     add
-                                      (Printf.sprintf "flight.%s.%s" cmd name)
+                                      (Printf.sprintf "flight.%s.%s%s" cmd name
+                                         qualifier)
                                       { source; value }
                                 | _ -> ())
                               members

@@ -4,9 +4,11 @@
     every committed BENCH_*.json and every FLIGHT_*.jsonl flight
     ledger under a directory is folded into named series —
     ["bench.<suite>"] (one point per artifact, sorted-name order) and
-    ["flight.<cmd>.<metric>"] (one point per ledger record, append
-    order) — and each series is assessed for a regression in its
-    {e latest} point.
+    ["flight.<cmd>.<metric>{backend=…,knob=…}"] (one point per ledger
+    record, append order; a record's backend and knobs qualify its key,
+    so runs of another backend, topology or width never pool, and a
+    record with neither keeps the bare ["flight.<cmd>.<metric>"]) — and
+    each series is assessed for a regression in its {e latest} point.
 
     Assessment rules, by series length:
     - [n >= min_points] ({b mad}): robust z-score of the latest point

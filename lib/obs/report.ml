@@ -428,42 +428,77 @@ let scan_bench ~dir =
   in
   (List.rev entries, List.rev errs)
 
-let time_best_ns repeat f =
-  let best = ref infinity in
-  for _ = 1 to repeat do
-    let t0 = Probe.now_ns () in
-    f ();
-    let dt = Int64.to_float (Int64.sub (Probe.now_ns ()) t0) in
-    if dt < !best then best := dt
-  done;
-  !best
+(* ---- the leg timer ---- *)
 
-let measure_norm ?(repeat = 5) (topo : Topology.t) rotation =
+(* Every overhead gate is a quotient of leg times, so its legs are timed
+   alike: each is warmed once, and that call's time sizes the leg's
+   batches to about [batch_ns].  The legs then take turns, one batch
+   each, so drift on a shared machine hits them in the same window,
+   until every leg has spent [leg_ns] in [min_batches] batches or more:
+   a leg whose calls take milliseconds still gets seven samples. *)
+let leg_ns = 100_000_000
+
+let batch_ns = 2_000_000
+
+let min_batches = 7
+
+let time_best_ns legs =
+  let n = Array.length legs in
+  let elapsed t0 = Int64.to_int (Int64.sub (Probe.now_ns ()) t0) in
+  let calls = Array.make n 1 in
+  let last =
+    Array.mapi
+      (fun i leg ->
+        let t0 = Probe.now_ns () in
+        let r = leg () in
+        calls.(i) <- max 1 (batch_ns / max 1 (elapsed t0));
+        r)
+      legs
+  in
+  let best = Array.make n infinity and spent = Array.make n 0 in
+  let batches = ref 0 in
+  while !batches < min_batches || Array.exists (fun s -> s < leg_ns) spent do
+    Array.iteri
+      (fun i leg ->
+        let t0 = Probe.now_ns () in
+        for _ = 1 to calls.(i) do
+          last.(i) <- leg ()
+        done;
+        let dt = elapsed t0 in
+        spent.(i) <- spent.(i) + dt;
+        best.(i) <-
+          Float.min best.(i) (float_of_int dt /. float_of_int calls.(i)))
+      legs;
+    incr batches
+  done;
+  Array.map2 (fun b r -> (b, r)) best last
+
+let measure_norm (topo : Topology.t) rotation =
   let g = topo.Topology.graph in
   let routing = Pr_core.Routing.build g in
   let cycles = Pr_core.Cycle_table.build rotation in
   let fib = Pr_fastpath.Fib.of_tables_exn routing cycles in
   let items = Parallel.all_pairs_single_failures fib in
-  let compiled_ns =
-    time_best_ns repeat (fun () ->
-        ignore (Parallel.run ~domains:1 ~seed:0 fib items))
-  in
-  let reference_ns =
-    time_best_ns repeat (fun () ->
-        Array.iter
-          (fun (it : Parallel.item) ->
-            Array.iter
-              (fun (src, dst) ->
-                if Pr_core.Failure.pair_connected it.failures src dst then
-                  ignore
-                    (Forward.run ~termination:Forward.Distance_discriminator
-                       ~routing ~cycles ~failures:it.failures ~src ~dst ()))
-              it.pairs)
-          items)
+  let timed =
+    time_best_ns
+      [|
+        (fun () -> ignore (Parallel.run ~domains:1 ~seed:0 fib items));
+        (fun () ->
+          Array.iter
+            (fun (it : Parallel.item) ->
+              Array.iter
+                (fun (src, dst) ->
+                  if Pr_core.Failure.pair_connected it.failures src dst then
+                    ignore
+                      (Forward.run ~termination:Forward.Distance_discriminator
+                         ~routing ~cycles ~failures:it.failures ~src ~dst ()))
+                it.pairs)
+            items);
+      |]
   in
   (* Packets cancel in the ratio; this is the machine-portable quantity
      the committed artifacts also determine. *)
-  compiled_ns /. reference_ns
+  fst timed.(0) /. fst timed.(1)
 
 (* ---- compile-cost attribution ---- *)
 

@@ -88,11 +88,24 @@ val scan_bench : dir:string -> bench_entry list * string list
 (** Every [BENCH_*.json] under [dir] (sorted by name), parsed; second
     component is the parse failures, one message each. *)
 
-val measure_norm :
-  ?repeat:int -> Pr_topo.Topology.t -> Pr_embed.Rotation.t -> float
+(** {2 The leg timer} *)
+
+val time_best_ns : (unit -> 'a) array -> (float * 'a) array
+(** [time_best_ns legs] times legs that are already built, so their
+    set-up stays outside the timed region, and returns each leg's best
+    per-call time in ns and the result of its last call, for the
+    caller's referee.  Each leg is called once to warm it, and that
+    call's time sizes the leg's batches to about 2 ms of calls.  The
+    legs then take turns, one batch each, on the monotonic clock, until
+    every leg has spent at least 100 ms in at least 7 batches; the best
+    per-call time is the fastest batch's mean.  A leg's exception
+    propagates.  Every overhead gate in [prcli bench], the
+    {!Pr_report.Scale} legs and {!measure_norm} are timed here. *)
+
+val measure_norm : Pr_topo.Topology.t -> Pr_embed.Rotation.t -> float
 (** Time the compiled and reference all-pairs single-failure sweeps
-    (best of [repeat], default 5) and return compiled/reference
-    per-packet time — the fastpath [norm], measured now. *)
+    together on {!time_best_ns} and return compiled/reference per-packet
+    time — the fastpath [norm], measured now. *)
 
 (** {2 Compile-cost attribution} *)
 

@@ -84,30 +84,15 @@ let sample_workload rng ~scenarios ~pairs g =
   in
   (Array.of_list items, scenarios, pairs)
 
-(* Best-of-[repeat] wall time for one forwarding leg; the leg's verdicts
-   are deterministic, so only the clock varies between runs and the
-   first run's output stands for all of them. *)
-let leg_best_ns ~repeat f =
-  let out = ref None in
-  let best = ref infinity in
-  for i = 1 to repeat do
-    let t0 = Probe.now_ns () in
-    let r = f () in
-    let dt = Int64.to_float (Int64.sub (Probe.now_ns ()) t0) in
-    if dt < !best then best := dt;
-    if i = 1 then out := Some r
-  done;
-  (Option.get !out, !best)
-
 let last_root sp =
   match List.rev (Span.roots sp) with
   | root :: _ -> root
   | [] -> invalid_arg "Scale: recorder lost the case root"
 
-let case sp ~domains ~scenarios ~pairs ~repeat ~ba_k ~waxman_alpha ~waxman_beta
+let case sp ~domains ~scenarios ~pairs ~ba_k ~waxman_alpha ~waxman_beta
     ~seed rng family n =
   let label = Printf.sprintf "scale.%s.%d" (family_name family) n in
-  let made =
+  let finish =
     Span.timed_on sp label @@ fun () ->
     let topo =
       match family with
@@ -138,22 +123,29 @@ let case sp ~domains ~scenarios ~pairs ~repeat ~ba_k ~waxman_alpha ~waxman_beta
       sample_workload rng ~scenarios ~pairs g
     in
     let packets = scenarios * pairs in
-    let plain, plain_ns =
-      Span.timed "forward.plain" @@ fun () ->
-      leg_best_ns ~repeat (fun () -> Parallel.run ~domains ~seed fib items)
+    (* The three legs take turns on the one leg timer; each call files
+       its own span, so the stage still shows under its name. *)
+    let leg name run () = Span.timed name run in
+    let probed ?create_probe () =
+      let counters, probe =
+        Parallel.run_probed ~domains ~seed ?create_probe fib items
+      in
+      (counters, Some probe)
     in
-    let (probe_counters, probe_off), off_ns =
-      Span.timed "forward.probe" @@ fun () ->
-      leg_best_ns ~repeat (fun () ->
-          Parallel.run_probed ~domains ~seed fib items)
+    let timed =
+      Report.time_best_ns
+        [|
+          leg "forward.plain" (fun () ->
+              (Parallel.run ~domains ~seed fib items, None));
+          leg "forward.probe" (fun () -> probed ());
+          leg "forward.sketch"
+            (probed ~create_probe:(fun () -> Probe.create ~sketch:true ()));
+        |]
     in
-    let (sketch_counters, probe_on), on_ns =
-      Span.timed "forward.sketch" @@ fun () ->
-      leg_best_ns ~repeat (fun () ->
-          Parallel.run_probed ~domains ~seed
-            ~create_probe:(fun () -> Probe.create ~sketch:true ())
-            fib items)
-    in
+    let plain_ns, (plain, _) = timed.(0) in
+    let off_ns, (probe_counters, probe_off) = timed.(1) in
+    let on_ns, (sketch_counters, probe_on) = timed.(2) in
+    let probe_off = Option.get probe_off and probe_on = Option.get probe_on in
     if not (Kernel.equal_counters plain probe_counters) then
       invalid_arg (label ^ ": probed leg changed the counters");
     if not (Kernel.equal_counters plain sketch_counters) then
@@ -167,74 +159,48 @@ let case sp ~domains ~scenarios ~pairs ~repeat ~ba_k ~waxman_alpha ~waxman_beta
     in
     let fp = Fib.footprint fib in
     let per_packet ns = ns /. float_of_int (max 1 packets) in
-    ( topo,
-      plain,
-      quantiles Probe.stretch_sketch,
-      quantiles Probe.hops_sketch,
-      fp,
-      linkload_bytes,
-      scenarios,
-      pairs,
-      packets,
-      per_packet plain_ns,
-      per_packet off_ns,
-      per_packet on_ns )
+    (* The stage times live in the case's span, which closes on return. *)
+    fun root ->
+      let stage name =
+        match Span.find root name with Some nd -> Span.wall_ms nd | None -> 0.0
+      in
+      {
+        family = family_name family;
+        n;
+        m = Graph.m g;
+        scenarios;
+        pairs;
+        packets;
+        gen_ms = stage ("topo.generate." ^ family_name family);
+        embed_ms = stage "embed.geometric";
+        routing_ms = stage "routing.build";
+        cycles_ms = stage "cycles.build";
+        fib_compile_ms = stage "fib.compile";
+        swap_publish_ms = stage "swap.publish";
+        image_bytes = fp.Fib.total_bytes;
+        bytes_per_router = fp.Fib.bytes_per_router;
+        linkload_bytes;
+        ns_per_packet = per_packet plain_ns;
+        sketch_off_ns = per_packet off_ns;
+        sketch_on_ns = per_packet on_ns;
+        sketch_overhead = on_ns /. off_ns;
+        delivered = plain.Kernel.delivered;
+        dropped = plain.Kernel.dropped;
+        looped = plain.Kernel.looped;
+        unreachable = plain.Kernel.unreachable;
+        stretch_q = quantiles Probe.stretch_sketch;
+        hops_q = quantiles Probe.hops_sketch;
+        span_coverage = Span.coverage root;
+        span = root;
+      }
   in
-  let ( topo,
-        counters,
-        stretch_q,
-        hops_q,
-        fp,
-        linkload_bytes,
-        scenarios,
-        pairs,
-        packets,
-        ns_per_packet,
-        sketch_off_ns,
-        sketch_on_ns ) =
-    made
-  in
-  let root = last_root sp in
-  let stage name =
-    match Span.find root name with Some nd -> Span.wall_ms nd | None -> 0.0
-  in
-  {
-    family = family_name family;
-    n;
-    m = Graph.m topo.Topology.graph;
-    scenarios;
-    pairs;
-    packets;
-    gen_ms =
-      stage ("topo.generate." ^ family_name family);
-    embed_ms = stage "embed.geometric";
-    routing_ms = stage "routing.build";
-    cycles_ms = stage "cycles.build";
-    fib_compile_ms = stage "fib.compile";
-    swap_publish_ms = stage "swap.publish";
-    image_bytes = fp.Fib.total_bytes;
-    bytes_per_router = fp.Fib.bytes_per_router;
-    linkload_bytes;
-    ns_per_packet;
-    sketch_off_ns;
-    sketch_on_ns;
-    sketch_overhead = sketch_on_ns /. sketch_off_ns;
-    delivered = counters.Kernel.delivered;
-    dropped = counters.Kernel.dropped;
-    looped = counters.Kernel.looped;
-    unreachable = counters.Kernel.unreachable;
-    stretch_q;
-    hops_q;
-    span_coverage = Span.coverage root;
-    span = root;
-  }
+  finish (last_root sp)
 
-let run ?(domains = 1) ?(scenarios = 4) ?(pairs = 20000) ?(repeat = 3)
-    ?(ba_k = 3) ?(waxman_alpha = 0.05) ?(waxman_beta = 0.15) ~families ~sizes
-    ~seed () =
+let run ?(domains = 1) ?(scenarios = 4) ?(pairs = 20000) ?(ba_k = 3)
+    ?(waxman_alpha = 0.05) ?(waxman_beta = 0.15) ~families ~sizes ~seed () =
   if families = [] || sizes = [] then
     invalid_arg "Scale.run: empty families or sizes";
-  if domains < 1 || scenarios < 1 || pairs < 1 || repeat < 1 then
+  if domains < 1 || scenarios < 1 || pairs < 1 then
     invalid_arg "Scale.run: non-positive knob";
   if ba_k < 1 || waxman_alpha <= 0.0 || waxman_beta <= 0.0 then
     invalid_arg "Scale.run: bad generator parameter";
@@ -250,8 +216,8 @@ let run ?(domains = 1) ?(scenarios = 4) ?(pairs = 20000) ?(repeat = 3)
       (fun family ->
         List.map
           (fun n ->
-            case sp ~domains ~scenarios ~pairs ~repeat ~ba_k ~waxman_alpha
-              ~waxman_beta ~seed (Rng.split rng) family n)
+            case sp ~domains ~scenarios ~pairs ~ba_k ~waxman_alpha ~waxman_beta
+              ~seed (Rng.split rng) family n)
           sizes)
       families
   in

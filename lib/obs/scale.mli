@@ -21,10 +21,12 @@
     - {b sketch}: the same with sketch-armed probes — quantiles, and
       the sketch-on leg of [sketch_overhead].
 
-    Each timed leg takes the best of [repeat] runs, so a descheduled
-    run can't fake a regression; the probe legs must agree on every
-    verdict count ({!Pr_telemetry.Probe.equal_counts}) or the campaign
-    raises — sketches are passive and may never change an outcome.
+    The three legs take turns on {!Report.time_best_ns}, each call
+    under its own [forward.<leg>] span, so a descheduled stretch hits
+    them alike and can't fake a regression; the probe legs must agree
+    on every verdict count ({!Pr_telemetry.Probe.equal_counts}) or the
+    campaign raises — sketches are passive and may never change an
+    outcome.
 
     Workloads are sampled, not exhaustive: [scenarios] single failed
     links and [pairs] ordered (src, dst) pairs, drawn from the
@@ -57,7 +59,7 @@ type result = {
   image_bytes : int;  (** {!Pr_fastpath.Fib.footprint} payload bytes *)
   bytes_per_router : float;
   linkload_bytes : int;  (** one {!Pr_obs.Linkload} table over this graph *)
-  ns_per_packet : float;  (** plain leg, best of [repeat] *)
+  ns_per_packet : float;  (** plain leg, best per-call time *)
   sketch_off_ns : float;  (** probe leg, ns/packet *)
   sketch_on_ns : float;  (** sketch-armed leg, ns/packet *)
   sketch_overhead : float;  (** [sketch_on_ns /. sketch_off_ns] *)
@@ -88,7 +90,6 @@ val run :
   ?domains:int ->
   ?scenarios:int ->
   ?pairs:int ->
-  ?repeat:int ->
   ?ba_k:int ->
   ?waxman_alpha:float ->
   ?waxman_beta:float ->
@@ -99,7 +100,7 @@ val run :
   campaign
 (** Run the campaign.  Defaults: [domains = 1], [scenarios = 4],
     [pairs = 20000] (capped at the case's ordered-pair count),
-    [repeat = 3], [ba_k = 3], [waxman_alpha = 0.05] (the value at
+    [ba_k = 3], [waxman_alpha = 0.05] (the value at
     n = 1000 before self-scaling), [waxman_beta = 0.15].  Raises
     [Invalid_argument] on an empty [families]/[sizes] or
     non-positive knobs. *)

@@ -627,6 +627,132 @@ let test_history_rules () =
     (List.length r.verdicts);
   Alcotest.(check int) "nothing anomalous" 0 r.anomalies
 
+(* Unlike runs never pool: five compiled bench records and one
+   reference record are two series, both clean, while a 1.25x step
+   inside one backend's series is still an anomaly.  A record with
+   neither backend nor knobs keeps the bare key. *)
+let test_history_keys_by_backend () =
+  let record ~backend ns =
+    Printf.sprintf
+      "{\"cmd\":\"bench\",\"seed\":42,\"backend\":%S,\
+       \"knobs\":{\"topology\":\"abilene\"},\
+       \"metrics\":{\"ns_per_packet\":%s}}"
+      backend (Json.number ns)
+  in
+  let assess lines =
+    let dir = Filename.temp_file "pr_history" "" in
+    Sys.remove dir;
+    Sys.mkdir dir 0o755;
+    let ledger = Filename.concat dir "FLIGHT_test.jsonl" in
+    Fun.protect
+      ~finally:(fun () ->
+        Sys.remove ledger;
+        Sys.rmdir dir)
+      (fun () ->
+        Out_channel.with_open_text ledger (fun oc ->
+            List.iter (fun l -> output_string oc (l ^ "\n")) lines);
+        Pr_report.History.run ~dir ())
+  in
+  let compiled =
+    List.map (record ~backend:"compiled") [ 121.0; 122.0; 123.0; 122.0; 121.5 ]
+  in
+  let r = assess (compiled @ [ record ~backend:"reference" 1982.0 ]) in
+  Alcotest.(check int) "a reference record after compiled ones is clean" 0
+    r.Pr_report.History.anomalies;
+  let keys (r : Pr_report.History.report) =
+    List.map (fun (v : Pr_report.History.verdict) -> v.key) r.verdicts
+  in
+  Alcotest.(check (list string)) "one series per backend"
+    [
+      "flight.bench.ns_per_packet{backend=compiled,topology=abilene}";
+      "flight.bench.ns_per_packet{backend=reference,topology=abilene}";
+    ]
+    (keys r);
+  let r = assess (compiled @ [ record ~backend:"compiled" (1.25 *. 122.0) ]) in
+  Alcotest.(check int) "a 1.25x step inside one backend is an anomaly" 1
+    r.Pr_report.History.anomalies;
+  let r = assess [ "{\"cmd\":\"bench\",\"metrics\":{\"cost\":1.0}}" ] in
+  Alcotest.(check (list string)) "no backend and no knobs: the bare key"
+    [ "flight.bench.cost" ] (keys r)
+
+(* ---- the leg timer ---- *)
+
+let spin ns =
+  let t0 = Probe.now_ns () in
+  while Int64.sub (Probe.now_ns ()) t0 < ns do
+    ()
+  done
+
+(* Three legs of unequal cost, each slower than a batch's 2 ms target so
+   that every batch is one call, logging their index on each call: the
+   log is 0, 1, 2 repeated (the warm-up round, then one batch each per
+   round), every leg sees at least seven batches and at least 100 ms of
+   timed calls, and each returns its last call's result. *)
+let test_leg_timer () =
+  let log = ref [] in
+  let calls = Array.make 3 0 in
+  let busy = Array.make 3 0L in
+  let leg i cost () =
+    log := i :: !log;
+    calls.(i) <- calls.(i) + 1;
+    let t0 = Probe.now_ns () in
+    spin cost;
+    (* The warm-up call is not timed. *)
+    if calls.(i) > 1 then
+      busy.(i) <- Int64.add busy.(i) (Int64.sub (Probe.now_ns ()) t0);
+    calls.(i)
+  in
+  let timed =
+    Report.time_best_ns
+      [| leg 0 2_500_000L; leg 1 3_500_000L; leg 2 2_200_000L |]
+  in
+  let log = List.rev !log in
+  let rounds = List.length log / 3 in
+  Alcotest.(check (list int)) "round-robin, one batch per leg per round"
+    (List.concat (List.init rounds (fun _ -> [ 0; 1; 2 ])))
+    log;
+  Alcotest.(check bool) "a warm-up round and at least 7 batches" true
+    (rounds >= 8);
+  Array.iteri
+    (fun i (best_ns, last) ->
+      Alcotest.(check int) (Printf.sprintf "leg %d returns its last call" i)
+        calls.(i) last;
+      Alcotest.(check bool)
+        (Printf.sprintf "leg %d best is a per-call time" i)
+        true
+        (Float.is_finite best_ns && best_ns > 0.0);
+      (* The leg's own clock misses only the loop between calls. *)
+      let timed_ms = Int64.to_float busy.(i) /. 1e6 in
+      if timed_ms < 99.0 then
+        Alcotest.failf "leg %d: %.1f ms of timed calls, want >= 100" i
+          timed_ms)
+    timed;
+  (* A leg of 20 ms calls meets 100 ms in five batches but still gets
+     seven, after its warm-up call. *)
+  let slow = ref 0 in
+  ignore
+    (Report.time_best_ns
+       [|
+         (fun () ->
+           incr slow;
+           spin 20_000_000L);
+       |]);
+  Alcotest.(check int) "a slow leg: warm-up plus seven batches" 8 !slow;
+  Alcotest.(check (array (pair (float 0.0) int))) "no legs, no work" [||]
+    (Report.time_best_ns [||])
+
+let test_leg_timer_raises () =
+  let n = ref 0 in
+  Alcotest.check_raises "a leg's exception propagates" Exit (fun () ->
+      ignore
+        (Report.time_best_ns
+           [|
+             (fun () -> spin 10_000L);
+             (fun () ->
+               incr n;
+               if !n = 3 then raise Exit);
+           |]))
+
 (* ---- compile-cost attribution ---- *)
 
 (* [prcli report --compile]'s source: the fib.compile span with one child
@@ -694,5 +820,11 @@ let suite =
     Alcotest.test_case "flight record schema and fingerprint" `Quick
       test_flight_record_schema;
     Alcotest.test_case "history assessment rules" `Quick test_history_rules;
+    Alcotest.test_case "history keys flight series by backend and knobs"
+      `Quick test_history_keys_by_backend;
+    Alcotest.test_case "leg timer round-robin, floor and last results" `Quick
+      test_leg_timer;
+    Alcotest.test_case "leg timer propagates a leg's exception" `Quick
+      test_leg_timer_raises;
     Alcotest.test_case "compile profile on geant" `Quick test_profile_compile;
   ]

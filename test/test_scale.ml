@@ -382,7 +382,7 @@ let test_fib_footprint () =
 
 let test_scale_campaign_smoke () =
   let c =
-    Scale.run ~scenarios:2 ~pairs:300 ~repeat:1
+    Scale.run ~scenarios:2 ~pairs:300
       ~families:[ Scale.Ba; Scale.Waxman ] ~sizes:[ 48 ] ~seed:5 ()
   in
   Alcotest.(check int) "one result per (family, size)" 2
@@ -465,8 +465,6 @@ let test_scale_rejects_bad_knobs () =
   knob "zero scenarios" (fun () ->
       ignore
         (Scale.run ~scenarios:0 ~families:[ Scale.Ba ] ~sizes:[ 48 ] ~seed:1 ()));
-  knob "zero repeat" (fun () ->
-      ignore (Scale.run ~repeat:0 ~families:[ Scale.Ba ] ~sizes:[ 48 ] ~seed:1 ()));
   Alcotest.(check (option string)) "family parser" (Some "waxman")
     (Option.map Scale.family_name (Scale.family_of_string "waxman"));
   Alcotest.(check bool) "unknown family" true
@@ -600,7 +598,7 @@ let flight_of_campaign (c : Scale.campaign) =
 
 let test_flight_stable_across_domains () =
   let campaign d =
-    Scale.run ~domains:d ~scenarios:2 ~pairs:200 ~repeat:1
+    Scale.run ~domains:d ~scenarios:2 ~pairs:200
       ~families:[ Scale.Ba ] ~sizes:[ 32 ] ~seed:7 ()
   in
   let records = List.map (fun d -> flight_of_campaign (campaign d)) [ 1; 2; 4 ] in
