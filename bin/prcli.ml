@@ -1832,10 +1832,8 @@ let bench name embedding seed backend_spec domains json probe force
         let failures = it.failures in
         Array.iter
           (fun (src, dst) ->
-            if not (Pr_core.Failure.pair_connected failures src dst) then begin
-              Metrics.record_unreachable metrics;
-              Option.iter Probe.record_unreachable probe
-            end
+            if not (Pr_core.Failure.pair_connected failures src dst) then
+              Metrics.record_unreachable metrics
             else
               let trace =
                 Pr_core.Forward.run
@@ -1999,10 +1997,17 @@ let bench name embedding seed backend_spec domains json probe force
      go to the flight record).  Guard mode (FIB-cell
      bounds checks) must keep every counter on clean traffic, so its
      ratio prices the checks alone.  The deja-vu shortcut rung may
-     shorten a recycled walk but never changes a verdict, so its ratio
-     prices the hint updates and grant checks alone. *)
-  let verdicts (c : Kernel.counters) =
-    (c.injected, c.delivered, c.dropped, c.looped, c.unreachable)
+     shorten a recycled walk, and where walks loop under DD termination
+     alone it may turn a loop into a delivery; it never loses a delivery
+     or changes a drop.  So its referee wants equal injected,
+     unreachable and dropped counts, drop for drop by reason, and no
+     fewer deliveries. *)
+  let improves (off : Kernel.counters) (on : Kernel.counters) =
+    on.injected = off.injected
+    && on.unreachable = off.unreachable
+    && on.dropped = off.dropped
+    && on.drops_by_reason = off.drops_by_reason
+    && on.delivered >= off.delivered
   in
   let guard =
     ( "guard",
@@ -2020,7 +2025,7 @@ let bench name embedding seed backend_spec domains json probe force
     in
     ( "shortcut",
       (fun k -> Kernel.set_shortcut k (Some w)),
-      (fun a b -> verdicts a = verdicts b),
+      improves,
       tail )
   in
   let armed =
@@ -2084,8 +2089,9 @@ let bench_cmd =
   let probe =
     Arg.(value & flag & info [ "probe" ]
            ~doc:"Also run the sweep with a telemetry probe attached and
-                 write its counters and histograms, plus the probe-on vs
-                 probe-off timing delta, to BENCH_probe.json.")
+                 write its stretch, hops and re-cycle depth histograms,
+                 plus the probe-on vs probe-off timing delta, to
+                 BENCH_probe.json.")
   in
   let force =
     Arg.(value & flag & info [ "force" ]

@@ -439,25 +439,6 @@ let inject_of_field ~dd_bits field =
   | Error _ -> Error (Bad_field { field })
   | Ok { Header.pr; dd } -> Ok { pr_bit = pr; dd_value = float_of_int dd }
 
-let probe_reason = function
-  | No_route -> Probe.reason_no_route
-  | Interfaces_down -> Probe.reason_interfaces_down
-  | Continuation_lost -> Probe.reason_continuation_lost
-  | Budget_exhausted -> Probe.reason_budget_exhausted
-  | Stale_view -> Probe.reason_stale_view
-
-(* Latency class of one decision, in the kernel's [slow_class] order: a
-   ladder rung outranks the shortcut/episode/cycle state it left behind. *)
-let decision_class = function
-  | Degraded_drop _ -> Probe.cls_drop
-  | Forwarded { degradations; shortcut; episode_started; header; _ } ->
-      if List.mem Lfa_rescue degradations then Probe.cls_lfa
-      else if List.mem Retry_complementary degradations then Probe.cls_retry
-      else if shortcut then Probe.cls_shortcut
-      else if episode_started then Probe.cls_episode
-      else if header.pr_bit then Probe.cls_cycle
-      else Probe.cls_routed
-
 let run_guarded ?termination ?ttl ?quantise ?dd_bits ?(budget_guard = 0)
     ?(header = fresh_header) ?arrived_from ?(trace = Trace.null) ?probe
     ?linkload ?shortcut ?view ~routing ~cycles ~failures ~src ~dst () =
@@ -504,26 +485,15 @@ let run_guarded ?termination ?ttl ?quantise ?dd_bits ?(budget_guard = 0)
   in
   let account hits degradations =
     failure_hits := !failure_hits + hits;
-    all_degradations := List.rev_append degradations !all_degradations;
-    match probe with
-    | None -> ()
-    | Some p ->
-        List.iter
-          (function
-            | Retry_complementary -> Probe.record_retry p
-            | Lfa_rescue -> Probe.record_lfa p
-            | Dd_saturated -> Probe.record_dd_saturation p)
-          degradations
+    all_degradations := List.rev_append degradations !all_degradations
   in
   (* Every walk ends here, at [node] with [ttl] hops left: the verdict
      event and the probe record.  A corrupt verdict — an entry fault or a
      seeded walk's expiry — is [Drop "corrupt"], never [Expire]. *)
   let finish ?fault ?drop outcome ~node ~ttl acc =
     let hops = ttl0 - ttl and path = List.rev acc in
-    let reason, slot =
-      match drop with
-      | Some r -> (drop_reason_name r, probe_reason r)
-      | None -> ("corrupt", Probe.reason_corrupt)
+    let reason =
+      match drop with Some r -> drop_reason_name r | None -> "corrupt"
     in
     if traced then
       Trace.emit trace
@@ -534,22 +504,12 @@ let run_guarded ?termination ?ttl ?quantise ?dd_bits ?(budget_guard = 0)
             Trace.Drop { node; reason });
     (match probe with
     | None -> ()
-    | Some p ->
-        let depth = !pr_episodes in
-        (match outcome with
-        | Delivered ->
-            let stretch =
-              Pr_graph.Paths.cost g path
-              /. Routing.distance routing ~node:src ~dst
-            in
-            Probe.record_delivery p ~stretch ~hops ~depth
-        | Ttl_exceeded -> Probe.record_loop p ~hops ~depth
-        | Dropped_no_interface | Dropped_unreachable | Dropped_corrupt ->
-            Probe.record_drop p ~reason:slot ~hops ~depth);
-        for _ = 1 to !pr_episodes do
-          Probe.record_episode p
-        done;
-        Probe.add_failure_hits p !failure_hits);
+    | Some p when outcome = Delivered ->
+        let stretch =
+          Pr_graph.Paths.cost g path /. Routing.distance routing ~node:src ~dst
+        in
+        Probe.record_delivery p ~stretch ~hops ~depth:!pr_episodes
+    | Some p -> Probe.record_drop p ~hops ~depth:!pr_episodes);
     {
       trace =
         {
@@ -583,17 +543,7 @@ let run_guarded ?termination ?ttl ?quantise ?dd_bits ?(budget_guard = 0)
           ~ttl acc
       else finish Ttl_exceeded ~node:x ~ttl acc
     else
-      let decision =
-        match probe with
-        | None -> decide_at x arrived_from header ~ttl
-        | Some p ->
-            let t0 = Probe.now_ns () in
-            let r = decide_at x arrived_from header ~ttl in
-            Probe.record_latency p ~cls:(decision_class r)
-              ~ns:(Int64.sub (Probe.now_ns ()) t0);
-            r
-      in
-      match decision with
+      match decide_at x arrived_from header ~ttl with
       | Degraded_drop { reason; failure_hits = hits; degradations } ->
           account hits degradations;
           finish ~drop:reason
@@ -615,10 +565,7 @@ let run_guarded ?termination ?ttl ?quantise ?dd_bits ?(budget_guard = 0)
             episodes := (x, header.dd_value) :: !episodes;
             if header.dd_value > !max_dd then max_dd := header.dd_value
           end;
-          if sc then begin
-            incr shortcuts;
-            match probe with None -> () | Some p -> Probe.record_shortcut p
-          end;
+          if sc then incr shortcuts;
           track_seen x header;
           if traced then
             Trace.emit trace

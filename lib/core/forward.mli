@@ -343,11 +343,10 @@ val run_guarded :
       [Divergence] then [Drop "stale-view"] at the far end; a corrupt
       verdict (entry fault or seeded expiry) is [Drop "corrupt"] with no
       [Expire].  Hop counts are TTL-derived.
-    - [probe] clocks every decision, classed lfa > retry > shortcut >
-      episode > cycle > routed (a drop is [cls_drop]); files the verdict
-      with stretch, hop count and re-cycle depth, a drop in its reason's
-      slot; and counts degradations, episodes, shortcuts and failure
-      hits.
+    - [probe] takes the walk's hop count and re-cycle depth at its
+      verdict, and a delivery's stretch.  The verdict, degradations,
+      episodes, shortcuts and failure hits are this walk's result, not
+      the probe's.
     - [linkload] counts every transmission against its directed link on
       the wire, before any stale-view death, classed rescue (a
       complementary retry or LFA rescue) > shortcut > recycled (PR bit

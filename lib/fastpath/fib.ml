@@ -120,7 +120,7 @@ let fill t ~tree =
   Pr_telemetry.Span.timed "fib.compile.routes" (fun () ->
       for dst = 0 to n - 1 do
         let sampled = recording && dst mod sample_every = 0 in
-        let t0 = if sampled then Pr_telemetry.Probe.now_ns () else 0L in
+        let t0 = if sampled then Pr_telemetry.Span.now () else 0L in
         let tree : Dijkstra.tree = tree dst in
         let parent = tree.parent in
         (* [x]'s next hop is its port to its parent, found by a scan of
@@ -145,7 +145,7 @@ let fill t ~tree =
         disc_q.(dst) <- q;
         if sampled then begin
           last_costs :=
-            (dst, Int64.sub (Pr_telemetry.Probe.now_ns ()) t0) :: !last_costs;
+            (dst, Int64.sub (Pr_telemetry.Span.now ()) t0) :: !last_costs;
           Pr_telemetry.Flight.Progress.tick
             ~frac:(float_of_int dst /. float_of_int n)
             ()

@@ -138,10 +138,6 @@ type t = {
   mutable seeded : bool;
       (* header state was injected ({!run_one}): TTL expiry is the
          walk-blowup fault, not a loop, as in [Forward.run_guarded] *)
-  mutable lat_tick : int;
-      (* countdown to the next clocked slow-path decision; lives here
-         rather than on the probe record so the per-decide test touches
-         the kernel's hot scratch, not the probe's cold cache line *)
   mutable guard_mode : bool;
       (* bounds-checked forwarding: every FIB-cell read that yields an
          out-of-range port or node becomes an accounted [Corrupt] verdict
@@ -261,7 +257,6 @@ let on_buffers fib bufs =
     walk_ttl0 = 0;
     walk_ep0 = 0;
     seeded = false;
-    lat_tick = 0;
     guard_mode = false;
     fault_code = 0;
     fault_node = -1;
@@ -1068,34 +1063,6 @@ let record_unreachable c =
   c.injected <- c.injected + 1;
   c.unreachable <- c.unreachable + 1
 
-let probe_reason = function
-  | No_route -> Probe.reason_no_route
-  | Interfaces_down -> Probe.reason_interfaces_down
-  | Continuation_lost -> Probe.reason_continuation_lost
-  | Budget_exhausted -> Probe.reason_budget_exhausted
-  | Stale_view -> Probe.reason_stale_view
-  | Corrupt -> Probe.reason_corrupt
-
-(* Latency class of the slow-path decision just made (registers still
-   hot): a ladder rung outranks the episode/cycle state it left behind. *)
-let slow_class t code =
-  if code <> 0 then Probe.cls_drop
-  else begin
-    let cls =
-      ref
-        (if t.out_shortcut then Probe.cls_shortcut
-         else if t.out_started then Probe.cls_episode
-         else if t.out_pr then Probe.cls_cycle
-         else Probe.cls_routed)
-    in
-    for j = 0 to t.degr_len - 1 do
-      let d = t.degr.(j) in
-      if d = d_lfa then cls := Probe.cls_lfa
-      else if d = d_retry && !cls <> Probe.cls_lfa then cls := Probe.cls_retry
-    done;
-    !cls
-  end
-
 let[@inline] probe_depth t c = c.pr_episodes - t.walk_ep0
 
 (* The walk rule of the shortcut hint, applied after every successful
@@ -1129,13 +1096,15 @@ let[@inline] track_seen t x =
    The float cost is not carried over: a looping walk never delivers, so
    it is never read.
 
-   Only a walk that nothing watches hop by hop skips: a trace, link load
-   or {!run_one}'s capture must see every transmission, and a probe every
-   decision.  Nor one under a budget guard, whose routed-resume rung
-   reads the TTL and can turn the loop into a delivery whose cost sums
-   every hop.  That is decided at the walk's first decision past the
-   warm-up, when {!run_one} has long armed its capture; before it, a
-   walk pays one store and, per slow-path decision, the gate test. *)
+   Only a walk that nothing watches skips: a trace, link load or
+   {!run_one}'s capture must see every transmission.  A probed walk does
+   not skip either: its hops and depth would survive the skip, but no
+   referee checks that yet.  Nor one under a budget guard, whose
+   routed-resume rung reads the TTL and can turn the loop into a
+   delivery whose cost sums every hop.  That is decided at the walk's
+   first decision past the warm-up, when {!run_one} has long armed its
+   capture; before it, a walk pays one store and, per slow-path
+   decision, the gate test. *)
 
 (* Hops a walk makes before it looks for a repeat: a delivered walk
    seldom gets this far. *)
@@ -1238,9 +1207,7 @@ let[@inline] prepare_walk t c ~termination ~quantise ~dd_bits ~budget_guard
   t.fbuf.(f_in_dd) <- 0.0;
   t.fbuf.(f_cost) <- 0.0
 
-let[@inline] finish_walk t c =
-  c.failure_hits <- c.failure_hits + t.hits;
-  match t.probe with None -> () | Some p -> Probe.add_failure_hits p t.hits
+let[@inline] finish_walk t c = c.failure_hits <- c.failure_hits + t.hits
 
 let deliver t c ~dst ~hops =
   c.delivered <- c.delivered + 1;
@@ -1263,9 +1230,7 @@ let drop t c ~node reason ~hops =
     Trace.emit t.trace (Trace.Drop { node; reason = reason_name reason });
   match t.probe with
   | None -> ()
-  | Some prb ->
-      Probe.record_drop prb ~reason:(probe_reason reason) ~hops
-        ~depth:(probe_depth t c)
+  | Some p -> Probe.record_drop p ~hops ~depth:(probe_depth t c)
 
 (* A guard check fired on a cell read at [node]. *)
 let corrupt_drop t c ~node ~cell ~hops =
@@ -1287,7 +1252,7 @@ let expire t c ~node =
     if traced t then Trace.emit t.trace (Trace.Expire { node; hops });
     match t.probe with
     | None -> ()
-    | Some p -> Probe.record_loop p ~hops ~depth:(probe_depth t c)
+    | Some p -> Probe.record_drop p ~hops ~depth:(probe_depth t c)
   end
 
 (* Account the degradations [decide] just noted. *)
@@ -1297,12 +1262,6 @@ let note_degradations t c =
     if d = d_retry then c.complementary_retries <- c.complementary_retries + 1
     else if d = d_lfa then c.lfa_rescues <- c.lfa_rescues + 1
     else c.dd_saturations <- c.dd_saturations + 1;
-    (match t.probe with
-    | None -> ()
-    | Some prb ->
-        if d = d_retry then Probe.record_retry prb
-        else if d = d_lfa then Probe.record_lfa prb
-        else Probe.record_dd_saturation prb);
     if t.capture then t.cap_degr <- degradation_of_code d :: t.cap_degr
   done
 
@@ -1325,9 +1284,8 @@ let on_wire t ~x ~next ~slot ~pr ~cls =
    eight immediate arguments: registers only, and no allocation.  A
    non-tail call spills its live values at the nearest join, so calls
    sit on branches that end in a tail call.  The probe sees only
-   verdicts and slow-path decisions, so its cost follows trouble, not
-   traffic; every other sink rides behind the one [t.armed] test in
-   [transmit]. *)
+   verdicts, one feed per packet; every other sink rides behind the one
+   [t.armed] test in [transmit]. *)
 let rec walk t c ~dst x arrived_port pr ttl =
   if x = dst then deliver t c ~dst ~hops:(t.walk_ttl0 - ttl)
   else if ttl = 0 then expire t c ~node:x
@@ -1355,46 +1313,18 @@ and decide_hop t c ~dst x arrived_port pr ttl =
     if ttl <= t.skip_gate then skip_step t c ~x ~arrived_port ~pr ~ttl else ttl
   in
   t.degr_len <- 0;
-  (* On loop-heavy sweeps one walk can make thousands of slow-path decides
-     (TTL-bounded cycle following), so the per-decide probe work is itself
-     on the overhead budget: a countdown on the kernel's own hot scratch,
-     and the clock only one decision in [Probe.lat_sample]. *)
-  let clocked =
-    match t.probe with
-    | None -> false
-    | Some _ when t.lat_tick <> 0 ->
-        t.lat_tick <- t.lat_tick - 1;
-        false
-    | Some prb ->
-        t.lat_tick <- Probe.lat_sample prb - 1;
-        true
-  in
-  let t0 = if clocked then Probe.now_ns () else 0L in
   let code = decide t ~hops_left:ttl ~dst ~x ~arrived_port ~pr in
-  (match t.probe with
-  | Some prb when clocked ->
-      Probe.record_latency prb ~cls:(slow_class t code)
-        ~ns:(Int64.sub (Probe.now_ns ()) t0)
-  | _ -> ());
   if t.degr_len <> 0 then note_degradations t c;
   if code <> 0 then
     drop t c ~node:x (reason_of_code code) ~hops:(t.walk_ttl0 - ttl)
   else begin
     if t.out_started then begin
       c.pr_episodes <- c.pr_episodes + 1;
-      (match t.probe with
-      | None -> ()
-      | Some prb -> Probe.record_episode prb);
       if t.capture then
         t.cap_episodes <-
           (x, Array.unsafe_get t.fbuf f_out_dd) :: t.cap_episodes
     end;
-    if t.out_shortcut then begin
-      c.shortcut_exits <- c.shortcut_exits + 1;
-      match t.probe with
-      | None -> ()
-      | Some prb -> Probe.record_shortcut prb
-    end;
+    if t.out_shortcut then c.shortcut_exits <- c.shortcut_exits + 1;
     track_seen t x;
     let cls = if t.armed then hop_cls t else 0 in
     transmit t c ~dst x ((x * t.ports) + t.out_port) t.out_pr ttl ~cls

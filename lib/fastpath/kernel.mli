@@ -65,8 +65,10 @@
     looping walk never does.
 
     The skip is off for a walk that something watches hop by hop — a
-    trace sink, a link-load table, {!run_one}'s capture or a probe — since
-    each must see every period.  It is also off under a budget guard,
+    trace sink, a link-load table or {!run_one}'s capture — since each
+    must see every period.  It is off under a probe too: a probe's hops
+    and depth would survive the skip, but no referee checks that yet.
+    It is also off under a budget guard,
     whose routed-resume rung reads the TTL and can turn a loop into a
     delivery whose cost sums every hop.  Both are read at the walk's
     first decision past 64 hops, when {!run_one} has armed its capture.
@@ -207,13 +209,10 @@ val set_trace : t -> Pr_telemetry.Trace.sink -> unit
     constructed. *)
 
 val set_probe : t -> Pr_telemetry.Probe.t option -> unit
-(** Attach a probe fed by every walk ({!forward_into} and {!run_one}):
-    per-packet verdict, stretch,
-    hops and re-cycle depth, plus a monotonic-clock latency sample
-    around one slow-path [decide] in {!Pr_telemetry.Probe.lat_sample}.
-    The fault-free fast path is untouched — probe-on cost is
-    proportional to slow-path decisions encountered, not traffic
-    carried. *)
+(** Attach a probe fed by every walk ({!forward_into} and {!run_one}) at
+    its verdict: hops, re-cycle depth and a delivery's stretch.  The
+    verdict counts stay in the walk's {!counters}.  The fault-free fast
+    path is untouched: probe-on cost is one feed per packet. *)
 
 val set_linkload : t -> Pr_obs.Linkload.t option -> unit
 (** Attach a link-load table fed by every walk: one count per

@@ -61,9 +61,8 @@ let run_item kernel config prepare rng slot probe linkload item =
   Array.iter
     (fun (src, dst) ->
       match components with
-      | Some label when label.(src) <> label.(dst) -> (
-          Kernel.record_unreachable slot;
-          match probe with None -> () | Some p -> Probe.record_unreachable p)
+      | Some label when label.(src) <> label.(dst) ->
+          Kernel.record_unreachable slot
       | _ ->
           Kernel.forward_into ?termination ?quantise ?dd_bits:config.dd_bits
             ?budget_guard ?ttl:config.ttl kernel slot ~src ~dst)

@@ -98,9 +98,9 @@ val run_probed :
   Kernel.counters * Pr_telemetry.Probe.t
 (** {!run} with a {!Pr_telemetry.Probe.t} attached to every walk.  One
     probe slot per item, merged in item-index order after the join
-    barrier, so every probe count (and float sum) is bit-identical
-    regardless of [domains] — latency histograms excepted, they measure
-    wall time.  [create_probe] (default [Probe.create ()]) builds every
+    barrier, so every histogram is bit-identical regardless of
+    [domains].  An unreachable pair is never walked, so it reaches no
+    probe.  [create_probe] (default [Probe.create ()]) builds every
     per-item slot and the merge target: pass
     [fun () -> Probe.create ~sketch:true ()] to carry streaming
     quantile sketches through the batch — sketch merges happen in the

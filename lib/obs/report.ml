@@ -20,7 +20,6 @@ type sweep = {
   loads_agree : bool;
   counters_agree : bool;
   counters : Kernel.counters;
-  probe : Probe.t;
   scenario_max : float list;
   stretches : float list;
   shortcut : int option;
@@ -45,23 +44,20 @@ let sweep ?(domains = 2) ?shortcut (topo : Topology.t) rotation =
       (fun acc (it : Parallel.item) -> acc + Array.length it.pairs)
       0 items
   in
-  (* Reference walk.  A disconnected pair is accounted unreachable
-     without walking — the compiled batch's rule, which the reference
-     must share for the tables to be comparable at all. *)
+  (* Reference walk.  A disconnected pair is not walked — the compiled
+     batch's rule, which the reference must share for the tables to be
+     comparable at all. *)
   let reference = Linkload.create g in
   let scratch = Linkload.create g in
-  let probe = Probe.create () in
   let scenario_max = ref [] in
   let stretches = ref [] in
   Array.iter
     (fun (it : Parallel.item) ->
       Array.iter
         (fun (src, dst) ->
-          if not (Pr_core.Failure.pair_connected it.failures src dst) then
-            Probe.record_unreachable probe
-          else
+          if Pr_core.Failure.pair_connected it.failures src dst then
             let trace =
-              Forward.run ~termination:Forward.Distance_discriminator ~probe
+              Forward.run ~termination:Forward.Distance_discriminator
                 ~linkload:scratch ?shortcut:sc_plan ~routing ~cycles
                 ~failures:it.failures ~src ~dst ()
             in
@@ -140,7 +136,6 @@ let sweep ?(domains = 2) ?shortcut (topo : Topology.t) rotation =
       Linkload.equal reference compiled && Linkload.equal compiled parallel;
     counters_agree = Kernel.equal_counters compiled_counters counters;
     counters;
-    probe;
     scenario_max = List.rev !scenario_max;
     stretches = List.rev !stretches;
     shortcut;
@@ -444,12 +439,12 @@ let min_batches = 7
 
 let time_best_ns legs =
   let n = Array.length legs in
-  let elapsed t0 = Int64.to_int (Int64.sub (Probe.now_ns ()) t0) in
+  let elapsed t0 = Int64.to_int (Int64.sub (Pr_telemetry.Span.now ()) t0) in
   let calls = Array.make n 1 in
   let last =
     Array.mapi
       (fun i leg ->
-        let t0 = Probe.now_ns () in
+        let t0 = Pr_telemetry.Span.now () in
         let r = leg () in
         calls.(i) <- max 1 (batch_ns / max 1 (elapsed t0));
         r)
@@ -460,7 +455,7 @@ let time_best_ns legs =
   while !batches < min_batches || Array.exists (fun s -> s < leg_ns) spent do
     Array.iteri
       (fun i leg ->
-        let t0 = Probe.now_ns () in
+        let t0 = Pr_telemetry.Span.now () in
         for _ = 1 to calls.(i) do
           last.(i) <- leg ()
         done;

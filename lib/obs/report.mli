@@ -31,7 +31,6 @@ type sweep = {
   loads_agree : bool;          (** all three tables structurally equal *)
   counters_agree : bool;       (** compiled vs parallel verdict counters *)
   counters : Pr_fastpath.Kernel.counters;  (** the parallel run's *)
-  probe : Pr_telemetry.Probe.t;            (** fed by the reference walk *)
   scenario_max : float list;
       (** per-scenario maximum directed-link load, sweep order *)
   stretches : float list;      (** delivered stretches, sweep order *)

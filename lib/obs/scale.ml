@@ -151,7 +151,7 @@ let case sp ~domains ~scenarios ~pairs ~ba_k ~waxman_alpha ~waxman_beta
     if not (Kernel.equal_counters plain sketch_counters) then
       invalid_arg (label ^ ": sketch-armed leg changed the counters");
     if not (Probe.equal_counts probe_off probe_on) then
-      invalid_arg (label ^ ": sketches changed a probe verdict");
+      invalid_arg (label ^ ": sketches changed a probe histogram");
     let quantiles pick =
       match pick probe_on with
       | Some bank -> Array.map Sketch.quantile bank

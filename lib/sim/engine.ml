@@ -310,36 +310,20 @@ let run ?observer ?detection ?(backend = `Reference) ?control ?probe ?linkload
     | None -> ()
     | Some o -> o.on_packet ~time ~src ~dst ~failures ~quiesced ~verdict ~trace
   in
-  (* Feed one PR-scheme packet to the probe.  Hops are path length − 1 —
-     the TTL-derived count of both reference and compiled walks (a
-     stale-view wire death keeps its failed hop on the path in both). *)
-  let probe_record ~(trace : Forward.trace) ~verdict ~reason ~degradations =
+  (* Feed one walked PR-scheme packet to the probe.  Hops are path
+     length − 1 — the TTL-derived count of both reference and compiled
+     walks (a stale-view wire death keeps its failed hop on the path in
+     both). *)
+  let probe_record ~(trace : Forward.trace) ~verdict =
     match probe with
     | None -> ()
-    | Some p ->
+    | Some p -> (
         let hops = List.length trace.Forward.path - 1 in
         let depth = trace.Forward.pr_episodes in
-        (match verdict with
+        match verdict with
         | Delivered { stretch } -> Probe.record_delivery p ~stretch ~hops ~depth
-        | Looped -> Probe.record_loop p ~hops ~depth
-        | Dropped ->
-            let r =
-              match reason with
-              | Some r -> Metrics.probe_reason r
-              | None -> Probe.reason_unclassified
-            in
-            Probe.record_drop p ~reason:r ~hops ~depth
-        | Unreachable -> Probe.record_unreachable p);
-        List.iter
-          (function
-            | Forward.Retry_complementary -> Probe.record_retry p
-            | Forward.Lfa_rescue -> Probe.record_lfa p
-            | Forward.Dd_saturated -> Probe.record_dd_saturation p)
-          degradations;
-        for _ = 1 to trace.Forward.pr_episodes do
-          Probe.record_episode p
-        done;
-        Probe.add_failure_hits p trace.Forward.failure_hits
+        | Looped | Dropped -> Probe.record_drop p ~hops ~depth
+        | Unreachable -> ())
   in
   let handle_packet ({ src; dst; time } : Workload.injection) =
     let failures =
@@ -359,9 +343,6 @@ let run ?observer ?detection ?(backend = `Reference) ?control ?probe ?linkload
       (* No scheme can deliver across a partition; PR packets would wander
          until the IP TTL kills them, others drop at the failure. *)
       Metrics.record_unreachable metrics;
-      (match probe with
-      | None -> ()
-      | Some p -> Probe.record_unreachable p);
       notify ~time ~src ~dst ~failures ~verdict:Unreachable ~trace:None
     end
     else
@@ -428,7 +409,7 @@ let run ?observer ?detection ?(backend = `Reference) ?control ?probe ?linkload
               Metrics.record_drop ~reason:Metrics.Corrupt metrics;
               Dropped
         in
-        probe_record ~trace ~verdict ~reason ~degradations;
+        probe_record ~trace ~verdict;
         flush_load ~time;
         notify ~time ~src ~dst ~failures ~verdict ~trace:(Some trace)
     | Lfa_scheme -> (

@@ -192,12 +192,11 @@ val run :
     identically on both backends.
 
     [probe] (PR schemes only; the other schemes leave it untouched)
-    records every injection's verdict, stretch, hop count, re-cycle
-    depth and degradations into the given {!Pr_telemetry.Probe.t}, the
-    same way on both backends; no decision latency is clocked, so its
-    latency histograms stay empty.  {!Metrics.of_probes} on the probe
-    reproduces the outcome's metrics for PR-only workloads — pinned by
-    the telemetry suite.
+    takes every walked packet's hop count and re-cycle depth, and each
+    delivery's stretch, the same way on both backends.  An unreachable
+    packet is not walked and reaches no probe, so its histograms sum to
+    the outcome's delivered and injected-minus-unreachable counts —
+    pinned by the telemetry suite.
 
     [linkload] (PR schemes only — the other schemes' walks compute
     costs, not wire occupancy) accumulates one count per transmission

@@ -138,36 +138,6 @@ let of_fastpath (c : Pr_fastpath.Kernel.counters) =
   t.shortcut_exits <- c.shortcut_exits;
   t
 
-(* The probe's reason slots are laid out in [all_reasons] order by
-   construction (pinned by a test), so the arrays line up index for
-   index. *)
-let probe_reason = function
-  | No_route -> Pr_telemetry.Probe.reason_no_route
-  | Interfaces_down -> Pr_telemetry.Probe.reason_interfaces_down
-  | No_alternate -> Pr_telemetry.Probe.reason_no_alternate
-  | Continuation_lost -> Pr_telemetry.Probe.reason_continuation_lost
-  | Budget_exhausted -> Pr_telemetry.Probe.reason_budget_exhausted
-  | Stale_view -> Pr_telemetry.Probe.reason_stale_view
-  | Unclassified -> Pr_telemetry.Probe.reason_unclassified
-  | Corrupt -> Pr_telemetry.Probe.reason_corrupt
-
-let of_probes (p : Pr_telemetry.Probe.t) =
-  let t = create () in
-  t.injected <- p.injected;
-  t.delivered <- p.delivered;
-  t.dropped <- p.dropped;
-  t.looped <- p.looped;
-  t.unreachable <- p.unreachable;
-  t.stretch_sum <- Pr_telemetry.Probe.stretch_sum p;
-  t.worst_stretch <- Pr_telemetry.Probe.worst_stretch p;
-  Array.blit p.drops_by_reason 0 t.drops_by_reason 0
-    (Array.length t.drops_by_reason);
-  t.complementary_retries <- p.complementary_retries;
-  t.lfa_rescues <- p.lfa_rescues;
-  t.dd_saturations <- p.dd_saturations;
-  t.shortcut_exits <- p.shortcut_exits;
-  t
-
 let drop_count t reason = t.drops_by_reason.(reason_index reason)
 
 (* Every reason, zero counts included, in [all_reasons] order — so two

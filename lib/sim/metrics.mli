@@ -68,17 +68,6 @@ val of_fastpath : Pr_fastpath.Kernel.counters -> t
     [prcli bench] and the determinism suite to print {!Pr_fastpath.Parallel}
     results with {!pp}. *)
 
-val probe_reason : drop_reason -> int
-(** The {!Pr_telemetry.Probe} reason slot of a drop reason — the inverse
-    direction of {!of_probes}'s straight copy, shared by the engines'
-    probe feeding. *)
-
-val of_probes : Pr_telemetry.Probe.t -> t
-(** Shape a probe's verdict counters as a metrics record.  The probe's
-    reason slots are already in {!all_reasons} order, so the mapping is a
-    straight copy; the probe's histograms and PR counters beyond the
-    ladder trio are dropped. *)
-
 val drop_count : t -> drop_reason -> int
 
 val drop_breakdown : t -> (drop_reason * int) list

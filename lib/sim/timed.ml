@@ -32,7 +32,6 @@ type packet = {
   hops : int;
   cost : float;
   episodes : int;         (** PR episodes started so far — probe depth *)
-  failure_hits : int;
   was_deliverable : bool; (** dst reachable at injection time *)
 }
 
@@ -112,7 +111,6 @@ let run ?observer ?probe ?linkload ?series config ~link_events ~injections =
              hops = 0;
              cost = 0.0;
              episodes = 0;
-             failure_hits = 0;
              was_deliverable = true (* fixed up at processing time *);
            }))
     injections;
@@ -134,42 +132,18 @@ let run ?observer ?probe ?linkload ?series config ~link_events ~injections =
     | None -> ()
     | Some se -> Pr_obs.Series.record_verdict se ~time v
   in
-  (* Probe feeding mirrors [metrics] call for call, so
-     [Metrics.of_probes] reproduces the outcome's counters — the same
-     pin the untimed engine carries.  Per-step latencies are not
-     clocked: arrival processing interleaves packets, so wall time per
-     decision is not meaningful here. *)
+  (* The probe takes a finished packet's hops and re-cycle depth, and a
+     delivery's stretch; [metrics] keeps the verdicts.  As in the
+     untimed engine, a packet charged to [unreachable] reaches no
+     probe. *)
   let probe_finish (p : packet) ~verdict =
-    (match probe with
-    | None -> ()
-    | Some pr ->
-        (match verdict with
-        | `Delivered stretch ->
-            Pr_telemetry.Probe.record_delivery pr ~stretch ~hops:p.hops
-              ~depth:p.episodes
-        | `Unreachable -> Pr_telemetry.Probe.record_unreachable pr
-        | `Looped ->
-            Pr_telemetry.Probe.record_loop pr ~hops:p.hops ~depth:p.episodes
-        | `Dropped reason ->
-            Pr_telemetry.Probe.record_drop pr
-              ~reason:(Metrics.probe_reason reason)
-              ~hops:p.hops ~depth:p.episodes);
-        for _ = 1 to p.episodes do
-          Pr_telemetry.Probe.record_episode pr
-        done;
-        Pr_telemetry.Probe.add_failure_hits pr p.failure_hits)
-  in
-  let probe_degradations degradations =
-    match probe with
-    | None -> ()
-    | Some pr ->
-        List.iter
-          (function
-            | Forward.Retry_complementary -> Pr_telemetry.Probe.record_retry pr
-            | Forward.Lfa_rescue -> Pr_telemetry.Probe.record_lfa pr
-            | Forward.Dd_saturated ->
-                Pr_telemetry.Probe.record_dd_saturation pr)
-          degradations
+    match (probe, verdict) with
+    | None, _ -> ()
+    | Some pr, `Delivered stretch ->
+        Pr_telemetry.Probe.record_delivery pr ~stretch ~hops:p.hops
+          ~depth:p.episodes
+    | Some pr, `Lost ->
+        Pr_telemetry.Probe.record_drop pr ~hops:p.hops ~depth:p.episodes
   in
   let observe_hop time (p : packet) ~sent ~ttl_exceeded =
     match observer with
@@ -191,22 +165,19 @@ let run ?observer ?probe ?linkload ?series config ~link_events ~injections =
   let account_lost ?reason (p : packet) ~looped ~time =
     (* A packet that could never have been delivered is charged to
        [unreachable]; a deliverable one that died is a protocol loss.
-       The probe and series mirror the same ordering. *)
+       The series mirrors the same ordering. *)
     if not p.was_deliverable then begin
       Metrics.record_unreachable metrics;
-      probe_finish p ~verdict:`Unreachable;
       series_verdict time `Unreachable
     end
     else if looped then begin
       Metrics.record_loop metrics;
-      probe_finish p ~verdict:`Looped;
+      probe_finish p ~verdict:`Lost;
       series_verdict time `Looped
     end
     else begin
       Metrics.record_drop ?reason metrics;
-      probe_finish p
-        ~verdict:
-          (`Dropped (Option.value reason ~default:Metrics.Unclassified));
+      probe_finish p ~verdict:`Lost;
       series_verdict time `Dropped
     end
   in
@@ -235,7 +206,7 @@ let run ?observer ?probe ?linkload ?series config ~link_events ~injections =
       observe_hop time p ~sent:None ~ttl_exceeded:true
     end
     else begin
-      let send next header ~started ~hits =
+      let send next header ~started =
         observe_hop time p ~sent:(Some (next, header)) ~ttl_exceeded:false;
         Event.schedule queue ~time:(time +. config.latency)
           (Arrive
@@ -247,7 +218,6 @@ let run ?observer ?probe ?linkload ?series config ~link_events ~injections =
                hops = p.hops + 1;
                cost = p.cost +. Graph.weight g p.at next;
                episodes = (p.episodes + if started then 1 else 0);
-               failure_hits = p.failure_hits + hits;
              })
       in
       match det with
@@ -257,20 +227,17 @@ let run ?observer ?probe ?linkload ?series config ~link_events ~injections =
               ~cycles ~failures:(effective_failures ()) ~dst:p.dst ~node:p.at
               ~arrived_from:p.arrived_from ~header:p.header ()
           with
-          | Forward.Stuck { failure_hits = hits; _ } ->
-              account_lost
-                { p with failure_hits = p.failure_hits + hits }
-                ~looped:false ~time;
+          | Forward.Stuck _ ->
+              account_lost p ~looped:false ~time;
               observe_hop time p ~sent:None ~ttl_exceeded:false
-          | Forward.Transmit
-              { next; header; episode_started; failure_hits = hits; _ } ->
+          | Forward.Transmit { next; header; episode_started; _ } ->
               (* Strict [step] never takes a ladder rung: the header on
                  the wire classes the hop. *)
               record_hop_load time ~node:p.at ~next
                 ~cls:
                   (if header.Forward.pr_bit then Pr_obs.Linkload.cls_recycled
                    else Pr_obs.Linkload.cls_shortest);
-              send next header ~started:episode_started ~hits)
+              send next header ~started:episode_started)
       | Some d -> (
           (* The router decides on its own beliefs at arrival time; a
              packet sent into a link wrongly believed up dies on the
@@ -286,26 +253,14 @@ let run ?observer ?probe ?linkload ?series config ~link_events ~injections =
               ~dst:p.dst ~node:p.at ~arrived_from:p.arrived_from
               ~header:p.header ()
           with
-          | Forward.Degraded_drop { reason; degradations; failure_hits = hits }
-            ->
+          | Forward.Degraded_drop { reason; degradations; _ } ->
               Metrics.record_degradations metrics degradations;
-              probe_degradations degradations;
-              account_lost
-                { p with failure_hits = p.failure_hits + hits }
-                ~looped:false ~time
+              account_lost p ~looped:false ~time
                 ~reason:(Metrics.reason_of_forward reason);
               observe_hop time p ~sent:None ~ttl_exceeded:false
-          | Forward.Forwarded
-              {
-                next;
-                header;
-                episode_started;
-                degradations;
-                failure_hits = hits;
-                _;
-              } ->
+          | Forward.Forwarded { next; header; episode_started; degradations; _ }
+            ->
               Metrics.record_degradations metrics degradations;
-              probe_degradations degradations;
               (* Counted on the wire, before any stale-view death; a
                  rescue rung outranks the PR bit it left behind. *)
               record_hop_load time ~node:p.at ~next
@@ -322,16 +277,15 @@ let run ?observer ?probe ?linkload ?series config ~link_events ~injections =
                      Pr_obs.Linkload.cls_recycled
                    else Pr_obs.Linkload.cls_shortest);
               if effective_up p.at next then
-                send next header ~started:episode_started ~hits
+                send next header ~started:episode_started
               else begin
-                (* The fatal hop counts — hops, episode and hits follow
-                   the engine's ladder-walk convention. *)
+                (* The fatal hop counts — hops and episode follow the
+                   engine's ladder-walk convention. *)
                 account_lost
                   {
                     p with
                     hops = p.hops + 1;
                     episodes = (p.episodes + if episode_started then 1 else 0);
-                    failure_hits = p.failure_hits + hits;
                   }
                   ~looped:false ~time ~reason:Metrics.Stale_view;
                 observe_hop time p ~sent:None ~ttl_exceeded:false

@@ -91,12 +91,11 @@ val run :
     [unreachable] only if they also fail to arrive; a repair mid-flight
     can still save them.
 
-    [probe] mirrors the [metrics] accounting call for call — verdicts,
-    stretch, hops, re-cycle depth, ladder degradations and failure hits —
-    so {!Metrics.of_probes} reproduces the outcome's counters exactly
-    (pinned by the observability suite).  Unlike {!Engine.run}, per-step
-    latencies are not clocked: arrival processing interleaves packets,
-    so per-decision wall time is not meaningful here.
+    [probe] takes every finished packet's hop count and re-cycle depth,
+    and each delivery's stretch; a packet charged to [unreachable]
+    reaches no probe.  So its histograms sum to the outcome's delivered
+    and injected-minus-unreachable counts (pinned by the observability
+    suite).
 
     [linkload] counts every transmission (classed exactly as the
     engines class theirs) against its directed link; [series]

@@ -3,8 +3,8 @@
 
     One sketch tracks one quantile [q] with five markers — five heights
     and five positions, ~13 words total — whatever the stream length:
-    the state that lets {!Pr_telemetry.Probe} carry p50/p90/p99 stretch,
-    hops and latency through multi-million-packet campaigns without the
+    the state that lets {!Pr_telemetry.Probe} carry p50/p90/p99 stretch
+    and hops through multi-million-packet campaigns without the
     unbounded sample lists an exact quantile would need.  {!observe} is
     allocation-free.
 

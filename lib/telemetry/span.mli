@@ -77,6 +77,11 @@ val recording : unit -> bool
     — the guard instrumented stages use before doing span-only work
     (e.g. the FIB compiler's sampled per-destination cost clocks). *)
 
+val now : unit -> int64
+(** The monotonic clock spans read, in nanoseconds.  Exported for the
+    repo's other wall-time readings (the FIB compiler's cost samples,
+    the overhead gates' leg timer), so there is one clock. *)
+
 (** {2 Stage observer} — how a progress sink learns where the pipeline
     is.  Fires only on the ambient owner-domain [timed] path: never on
     worker domains, never when no recorder is installed. *)

@@ -90,3 +90,21 @@ let close ?(eps = 1e-9) a b = Float.abs (a -. b) <= eps
 let grid_with_rotation ~rows ~cols =
   let topo = Pr_topo.Generate.grid ~rows ~cols in
   (topo, Pr_embed.Geometric.of_topology topo)
+
+(* A probe against its walker's own counts: the stretch histogram sums
+   to the deliveries, the hops and depth histograms to the walked
+   packets (injected minus unreachable).  A walker that drops one of its
+   probe feeds fails here. *)
+let check_probe_totals what (p : Pr_telemetry.Probe.t) ~delivered ~walked =
+  let sum = Array.fold_left ( + ) 0 in
+  Alcotest.(check int) (what ^ ": stretch histogram = delivered") delivered
+    (sum p.stretch_hist);
+  Alcotest.(check int) (what ^ ": hops histogram = walked") walked
+    (sum p.hops_hist);
+  Alcotest.(check int) (what ^ ": depth histogram = walked") walked
+    (sum p.depth_hist)
+
+(* The same, for an engine's metrics. *)
+let check_probe_metrics what probe (m : Pr_sim.Metrics.t) =
+  check_probe_totals what probe ~delivered:m.delivered
+    ~walked:(m.injected - m.unreachable)

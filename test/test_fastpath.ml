@@ -1437,31 +1437,28 @@ let alloc_inputs () =
 
 (* The plain call allocates at most 5 words per packet.  A probed call
    allocates at most the residue probe.mli states on top of it: 2 words
-   per delivery, 9 per clocked slow-path decision, and one probe slot of
-   at most 300 words per item plus the merge target. *)
+   per delivery, and one probe slot per item plus the merge target.  A
+   slot is the probe record and its three histograms, 38 words, plus its
+   cell in the call's slot array and the [Some] that hands it to the
+   kernel: 41.2-41.3 words measured, so the bound is 42.  A first call
+   allocates this domain's resident buffers, so one runs untimed. *)
 let test_parallel_alloc () =
   let fib, inputs = alloc_inputs () in
   List.iter
     (fun (name, items) ->
+      ignore (Parallel.run ~seed:42 fib items);
       let plain, (c : Kernel.counters) =
         minor_words (fun () -> Parallel.run ~seed:42 fib items)
       in
-      let probed, (_, p) =
+      let probed, _ =
         minor_words (fun () -> Parallel.run_probed ~seed:42 fib items)
       in
       let packets = float_of_int c.injected in
       if plain /. packets > 5.0 then
         Alcotest.failf "%s: %.2f minor words/packet (bound 5)" name
           (plain /. packets);
-      let clocked =
-        Array.fold_left
-          (Array.fold_left ( + ))
-          0 p.Pr_telemetry.Probe.rung_latency
-      in
       let residue =
-        float_of_int
-          ((2 * c.delivered) + (9 * clocked)
-          + (300 * (Array.length items + 1)))
+        float_of_int ((2 * c.delivered) + (42 * (Array.length items + 1)))
       in
       if probed -. plain > residue then
         Alcotest.failf

@@ -10,9 +10,9 @@
      times clamp to window 0, and the report is dense.
    - Optional-argument plumbing (the audit pin): a probe, a link-load
      table and a series handed to [Engine.run] / [Timed.run] are
-     actually fed — [Metrics.of_probes] reproduces the outcome metrics,
-     the series' verdict totals match, and reference/compiled engine
-     runs fill equal tables.
+     actually fed — the probe's histograms sum to the outcome's
+     delivered and walked counts, the series' verdict totals match, and
+     reference/compiled engine runs fill equal tables.
    - Committed benchmark artifacts: BENCH_*.json files parse and carry
      the members the history tracker reads, with finite positive
      numbers. *)
@@ -202,12 +202,12 @@ let test_engine_feeds_observers () =
     (outcome, probe, linkload, series)
   in
   let outcome, probe, reference_ll, series = run `Reference in
-  let outcome_c, _, compiled_ll, _ = run `Compiled in
+  let outcome_c, probe_c, compiled_ll, _ = run `Compiled in
   (* A dropped probe or linkload argument would leave these empty /
      unequal — the regression this test pins. *)
-  Alcotest.(check string) "of_probes reproduces the engine metrics"
-    (render_metrics outcome.Engine.metrics)
-    (render_metrics (Metrics.of_probes probe));
+  Helpers.check_probe_metrics "reference engine" probe outcome.Engine.metrics;
+  Helpers.check_probe_metrics "compiled engine" probe_c
+    outcome_c.Engine.metrics;
   Alcotest.(check string) "backends agree on the metrics"
     (render_metrics outcome.Engine.metrics)
     (render_metrics outcome_c.Engine.metrics);
@@ -236,9 +236,8 @@ let test_timed_feeds_observers () =
   let outcome =
     Pr_sim.Timed.run ~probe ~linkload ~series config ~link_events ~injections
   in
-  Alcotest.(check string) "of_probes reproduces the timed metrics"
-    (render_metrics outcome.Pr_sim.Timed.metrics)
-    (render_metrics (Metrics.of_probes probe));
+  Helpers.check_probe_metrics "timed engine" probe
+    outcome.Pr_sim.Timed.metrics;
   Alcotest.(check bool) "timed fed the linkload" true
     (Linkload.total linkload > 0);
   (* The timed engine buckets hops at their own simulated times, so the
@@ -678,8 +677,8 @@ let test_history_keys_by_backend () =
 (* ---- the leg timer ---- *)
 
 let spin ns =
-  let t0 = Probe.now_ns () in
-  while Int64.sub (Probe.now_ns ()) t0 < ns do
+  let t0 = Span.now () in
+  while Int64.sub (Span.now ()) t0 < ns do
     ()
   done
 
@@ -695,11 +694,11 @@ let test_leg_timer () =
   let leg i cost () =
     log := i :: !log;
     calls.(i) <- calls.(i) + 1;
-    let t0 = Probe.now_ns () in
+    let t0 = Span.now () in
     spin cost;
     (* The warm-up call is not timed. *)
     if calls.(i) > 1 then
-      busy.(i) <- Int64.add busy.(i) (Int64.sub (Probe.now_ns ()) t0);
+      busy.(i) <- Int64.add busy.(i) (Int64.sub (Span.now ()) t0);
     calls.(i)
   in
   let timed =

@@ -269,7 +269,7 @@ let hist_quantile_bucket hist q =
 let check_differential name topo =
   let fib = compile topo in
   let items = Parallel.all_pairs_single_failures fib in
-  let _, probe =
+  let counters, probe =
     Parallel.run_probed ~seed:11
       ~create_probe:(fun () -> Probe.create ~sketch:true ())
       fib items
@@ -291,7 +291,7 @@ let check_differential name topo =
         Alcotest.failf "%s hops q=%.2f: sketch bucket %d vs histogram %d" name
           q sbh hbh)
     Probe.sketch_qs;
-  if probe.Probe.delivered <= 0 then
+  if counters.Kernel.delivered <= 0 then
     Alcotest.failf "%s: differential ran no delivered packets" name
 
 let test_sketch_histogram_differential () =

@@ -6,13 +6,13 @@
      (events carry no timestamps, so this is plain [=]), and so do
      ladder walks on a router's own view (Abilene, Géant), with equal
      verdicts, probes and link loads.
-   - Probes: the reference sweep and the batch kernel feed bit-identical
-     counts through the shared probe record, and the Domain-parallel
-     driver preserves them at any domain count.
+   - Probes: the reference sweep and the batch kernel feed identical
+     histograms through the shared probe record, and the Domain-parallel
+     driver preserves them at any domain count.  Every feeder's
+     histograms sum to its own counts: deliveries for stretch, walked
+     packets for hops and depth.
    - Zero-cost off switch: attaching the null sink or detaching the
-     probe never changes a verdict, a trace, or a counter bit.
-   - Layout pins: probe drop-reason slots are the Metrics.all_reasons
-     order; Metrics.of_probes round-trips the engine's own metrics. *)
+     probe never changes a verdict, a trace, or a counter bit. *)
 
 module Graph = Pr_graph.Graph
 module Routing = Pr_core.Routing
@@ -220,46 +220,56 @@ let test_event_differential_ladder_views () =
 
 (* ---- probes: reference sweep = kernel sweep, at any domain count ---- *)
 
-(* The reference side of the bench sweep, grouped exactly as
-   Parallel.run_probed groups it (one probe per item, merged in item
-   order) so the float sums are bit-comparable. *)
+(* The reference side of the bench sweep, with the walk's own counts of
+   deliveries and walked packets: a disconnected pair is not walked. *)
 let reference_sweep_probe routing cycles items =
-  let merged = Probe.create () in
+  let probe = Probe.create () in
+  let delivered = ref 0 and walked = ref 0 in
   Array.iter
     (fun (item : Parallel.item) ->
-      let p = Probe.create () in
       Array.iter
         (fun (src, dst) ->
-          if Failure.pair_connected item.Parallel.failures src dst then
-            ignore
-              (Forward.run ~probe:p ~routing ~cycles
-                 ~failures:item.Parallel.failures ~src ~dst ())
-          else Probe.record_unreachable p)
-        item.Parallel.pairs;
-      Probe.merge ~into:merged p)
+          if Failure.pair_connected item.Parallel.failures src dst then begin
+            incr walked;
+            let trace =
+              Forward.run ~probe ~routing ~cycles
+                ~failures:item.Parallel.failures ~src ~dst ()
+            in
+            if trace.Forward.outcome = Forward.Delivered then incr delivered
+          end)
+        item.Parallel.pairs)
     items;
-  merged
+  (probe, !delivered, !walked)
+
+(* The kernel's totals come from its own counters; [run_probed] on one
+   domain is {!Kernel.forward_into} over the items in order. *)
+let check_kernel_totals what probe (c : Kernel.counters) =
+  Helpers.check_probe_totals what probe ~delivered:c.delivered
+    ~walked:(c.injected - c.unreachable)
 
 let test_probe_parity_sweep () =
   let topo, rotation = abilene () in
   let g = topo.Pr_topo.Topology.graph in
   let routing, cycles, fib = compile g rotation in
   let items = Parallel.all_pairs_single_failures fib in
-  let expect = reference_sweep_probe routing cycles items in
+  let expect, delivered, walked = reference_sweep_probe routing cycles items in
+  Helpers.check_probe_totals "reference walk" expect ~delivered ~walked;
   let counters1, probe1 = Parallel.run_probed ~domains:1 ~seed:3 fib items in
-  let counters3, probe3 = Parallel.run_probed ~domains:3 ~seed:3 fib items in
+  check_kernel_totals "1 domain" probe1 counters1;
   Alcotest.(check bool) "kernel probe = reference probe" true
     (Probe.equal_counts expect probe1);
-  Alcotest.(check bool) "probe bit-identical at 3 domains" true
-    (Probe.equal_counts probe1 probe3);
-  Alcotest.(check bool) "counters unchanged by the probe" true
-    (Kernel.equal_counters counters1 counters3);
-  (* The probe carries the whole metrics surface: folding it back down
-     reproduces the counters' summary line for line. *)
-  Alcotest.(check string) "of_probes = of_fastpath"
-    (Format.asprintf "%a" Metrics.pp (Metrics.of_fastpath counters1))
-    (Format.asprintf "%a" Metrics.pp (Metrics.of_probes probe1));
-  if probe1.Probe.pr_episodes <= 0 then
+  List.iter
+    (fun domains ->
+      let counters, probe = Parallel.run_probed ~domains ~seed:3 fib items in
+      check_kernel_totals (Printf.sprintf "%d domains" domains) probe counters;
+      Alcotest.(check bool)
+        (Printf.sprintf "probe bit-identical at %d domains" domains)
+        true
+        (Probe.equal_counts probe1 probe);
+      Alcotest.(check bool) "counters unchanged by the probe" true
+        (Kernel.equal_counters counters1 counters))
+    [ 2; 3; 4 ];
+  if probe1.Probe.depth_hist.(0) = walked then
     Alcotest.fail "single-failure sweep recorded no PR episodes"
 
 (* ---- the off switch costs nothing and changes nothing ---- *)
@@ -319,7 +329,7 @@ let qcheck_noop_sink_invariance =
         QCheck.Test.fail_report "probe-on counters diverged";
       true)
 
-(* ---- Metrics.of_probes round-trips the engine ---- *)
+(* ---- the engine's probe totals ---- *)
 
 let engine_probe topo rotation ~detection ~backend =
   let g = topo.Pr_topo.Topology.graph in
@@ -343,18 +353,14 @@ let engine_probe topo rotation ~detection ~backend =
   in
   (outcome, probe)
 
-let test_of_probes_engine () =
+let test_probe_totals_engine () =
   let topo, rotation = abilene () in
   List.iter
     (fun detection ->
       let a, pa = engine_probe topo rotation ~detection ~backend:`Reference in
       let b, pb = engine_probe topo rotation ~detection ~backend:`Compiled in
-      Alcotest.(check string) "of_probes reproduces the engine metrics"
-        (Format.asprintf "%a" Metrics.pp a.Engine.metrics)
-        (Format.asprintf "%a" Metrics.pp (Metrics.of_probes pa));
-      Alcotest.(check string) "compiled side too"
-        (Format.asprintf "%a" Metrics.pp b.Engine.metrics)
-        (Format.asprintf "%a" Metrics.pp (Metrics.of_probes pb));
+      Helpers.check_probe_metrics "reference engine" pa a.Engine.metrics;
+      Helpers.check_probe_metrics "compiled engine" pb b.Engine.metrics;
       Alcotest.(check bool) "probes agree across backends" true
         (Probe.equal_counts pa pb))
     [
@@ -363,19 +369,7 @@ let test_of_probes_engine () =
       Some { Detector.default with budget_guard = 6; false_positive_rate = 0.05 };
     ]
 
-(* ---- layout pins ---- *)
-
-let test_reason_slots_pinned () =
-  let expect = List.map Metrics.reason_name Metrics.all_reasons in
-  Alcotest.(check (list string))
-    "probe reason slots are the Metrics.all_reasons order" expect
-    (Array.to_list Probe.reason_names);
-  List.iteri
-    (fun i name ->
-      Alcotest.(check string)
-        (Printf.sprintf "slot %d" i)
-        name Probe.reason_names.(i))
-    expect
+(* ---- the trace ring ---- *)
 
 let test_ring_overflow () =
   let ring = Trace.Ring.create ~capacity:4 () in
@@ -401,10 +395,8 @@ let suite =
       test_event_differential_ladder_views;
     Alcotest.test_case "probe parity: reference = kernel = parallel" `Quick
       test_probe_parity_sweep;
-    Alcotest.test_case "of_probes round-trips the engine" `Slow
-      test_of_probes_engine;
-    Alcotest.test_case "reason slots pinned to Metrics order" `Quick
-      test_reason_slots_pinned;
+    Alcotest.test_case "probe totals track the engine" `Slow
+      test_probe_totals_engine;
     Alcotest.test_case "ring capture overflow accounting" `Quick
       test_ring_overflow;
     QCheck_alcotest.to_alcotest qcheck_noop_sink_invariance;
